@@ -52,7 +52,6 @@ from .conditional import (
     ProcessNetwork,
     ProcessNode,
     apply_mean,
-    assemble_bivariate,
     assemble_dag,
     build_interaction_matrix,
     coordinate_covariates,

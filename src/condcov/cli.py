@@ -74,8 +74,15 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 import yaml
 
-from .conditional import ProcessNetwork, ProcessNode, MeanSpec, assemble_dag
+from .conditional import (
+    MeanSpec,
+    ProcessNetwork,
+    ProcessNode,
+    _check_shift_dims,
+    assemble_dag,
+)
 from .domain import (
+    _COORD_NAMES,
     EUCLIDEAN,
     FLOAT_FMT,
     Grid,
@@ -132,7 +139,6 @@ __all__ = [
 ]
 
 _MISSING = object()
-_COORD_NAMES = ("x", "y", "z")
 
 
 class _Section:
@@ -624,14 +630,10 @@ def parse_config_dict(data, base_dir, where: str = "config") -> ParsedConfig:
         spectral = _parse_spectral(sec.data["spectral"], base_dir,
                                    f"{where}: spectral")
     sec.finish()
-    for node in network.nodes:
-        for _, spec in node.parents:
-            if spec.kind is InteractionKind.SHIFTED_BISQUARE \
-                    and len(spec.shift) != grid.dim:
-                raise ConfigError(
-                    f"{where}: node {node.name!r} shift has {len(spec.shift)} "
-                    f"components for a {grid.dim}-d grid"
-                )
+    try:
+        _check_shift_dims(grid, network)
+    except ValidationError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
     return ParsedConfig(grid=grid, network=network, fit=fit,
                         simulation=sim, spectral=spectral)
 

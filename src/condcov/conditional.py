@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .domain import Grid
+from .domain import Grid, Observations
 from .errors import ValidationError
 from .kernels import (
     InteractionKind,
@@ -36,7 +36,6 @@ __all__ = [
     "ProcessNode",
     "ProcessNetwork",
     "build_interaction_matrix",
-    "assemble_bivariate",
     "assemble_dag",
     "JointModel",
     "cross_cov_at",
@@ -282,11 +281,10 @@ class CovarianceEvaluator:
 class JointModel:
     """Assembled joint covariance over the grid, plus the evaluation engine."""
 
-    def __init__(self, grid, network, matrix, interactions, chol, jitter, evaluator):
+    def __init__(self, grid, network, matrix, chol, jitter, evaluator):
         self.grid = grid
         self.network = network
         self.matrix = matrix
-        self.interactions = interactions
         self.chol = chol
         self.jitter = jitter
         self._evaluator = evaluator
@@ -334,21 +332,7 @@ def assemble_dag(grid: Grid, network: ProcessNetwork,
     big = np.tril(big) + np.tril(big, -1).T
     big.setflags(write=False)
     L, jitter = chol_model(big, jitter_max)
-    interactions = {}
-    for q, node in enumerate(network.nodes):
-        for idx, spec in node.parents:
-            interactions[(q, idx)] = build_interaction_matrix(grid, spec)
-    return JointModel(grid, network, big, interactions, L, jitter, ev)
-
-
-def assemble_bivariate(grid: Grid, network: ProcessNetwork,
-                       jitter_max: float = DEFAULT_JITTER_MAX) -> JointModel:
-    """Two-variable special case of :func:`assemble_dag` (same code path)."""
-    if network.p != 2:
-        raise ValidationError(
-            f"assemble_bivariate needs exactly 2 variables, got {network.p}"
-        )
-    return assemble_dag(grid, network, jitter_max)
+    return JointModel(grid, network, big, L, jitter, ev)
 
 
 def _check_shift_dims(grid: Grid, network: ProcessNetwork) -> None:
@@ -378,6 +362,62 @@ def cross_cov_at(model: JointModel, q: int, r: int, s, u) -> float:
     s = np.atleast_1d(np.asarray(s, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     return float(cross_cov_matrix(model, q, r, s[None, :], u[None, :])[0, 0])
+
+
+def kept_observations(grid: Grid, network: ProcessNetwork,
+                      obs: Sequence[Observations]) -> list:
+    """Validate observation sets and keep the non-empty ones, in variable order."""
+    seen = set()
+    kept = []
+    for o in obs:
+        if not isinstance(o, Observations):
+            raise ValidationError(f"expected Observations, got {type(o).__name__}")
+        if o.variable >= network.p:
+            raise ValidationError(
+                f"observations reference variable {o.variable}, model has {network.p}"
+            )
+        if o.variable in seen:
+            raise ValidationError(
+                f"two observation sets for variable {o.variable}; merge them first"
+            )
+        seen.add(o.variable)
+        if o.m > 0:
+            if o.locations.shape[1] != grid.dim:
+                raise ValidationError(
+                    f"observation locations are {o.locations.shape[1]}-d, "
+                    f"grid is {grid.dim}-d"
+                )
+            kept.append(o)
+    kept.sort(key=lambda o: o.variable)
+    return kept
+
+
+def observation_covariance(ev: CovarianceEvaluator, kept: Sequence[Observations]):
+    """Covariance of the stacked observation vector, plus its residuals.
+
+    ``kept`` comes from :func:`kept_observations`. Returns (C, z) where C
+    includes each variable's measurement-error variance on the diagonal and
+    z is the observations minus their configured means.
+    """
+    handles = [ev.add_points(o.locations) for o in kept]
+    offsets = np.concatenate([[0], np.cumsum([o.m for o in kept])]).astype(int)
+    total = int(offsets[-1])
+    C = np.empty((total, total))
+    z = np.empty(total)
+    for a, oa in enumerate(kept):
+        rows = slice(offsets[a], offsets[a + 1])
+        for b in range(a, len(kept)):
+            cols = slice(offsets[b], offsets[b + 1])
+            C[rows, cols] = ev.cov(oa.variable, kept[b].variable,
+                                   handles[a], handles[b])
+            if b > a:
+                C[cols, rows] = C[rows, cols].T
+        noise = ev.network.nodes[oa.variable].noise
+        if noise:
+            idx = np.arange(offsets[a], offsets[a + 1])
+            C[idx, idx] += noise
+        z[rows] = oa.values - mean_at(ev.network, oa.variable, oa.locations)
+    return C, z
 
 
 def coordinate_covariates(locations: np.ndarray) -> dict:

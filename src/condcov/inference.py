@@ -21,7 +21,13 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import minimize
 
-from .conditional import CovarianceEvaluator, ProcessNetwork, ProcessNode, mean_at
+from .conditional import (
+    CovarianceEvaluator,
+    ProcessNetwork,
+    _check_shift_dims,
+    kept_observations,
+    observation_covariance,
+)
 from .domain import Grid, Observations
 from .errors import (
     CondcovError,
@@ -156,30 +162,6 @@ def set_parameter(network: ProcessNetwork, name: str, value: float) -> ProcessNe
     return ProcessNetwork(tuple(nodes))
 
 
-def _kept_observations(grid: Grid, network: ProcessNetwork, obs) -> list:
-    seen = set()
-    kept = []
-    for o in obs:
-        if not isinstance(o, Observations):
-            raise ValidationError(f"expected Observations, got {type(o).__name__}")
-        if o.variable >= network.p:
-            raise ValidationError(
-                f"observations reference variable {o.variable}, model has {network.p}"
-            )
-        if o.variable in seen:
-            raise ValidationError(f"two observation sets for variable {o.variable}")
-        seen.add(o.variable)
-        if o.m:
-            if o.locations.shape[1] != grid.dim:
-                raise ValidationError(
-                    f"observation locations are {o.locations.shape[1]}-d, "
-                    f"grid is {grid.dim}-d"
-                )
-            kept.append(o)
-    kept.sort(key=lambda o: o.variable)
-    return kept
-
-
 def loglik(
     grid: Grid,
     network: ProcessNetwork,
@@ -192,37 +174,17 @@ def loglik(
     grid only supplies the integration rule). Returns -inf when the
     observation covariance cannot be factored under the jitter policy.
     """
-    kept = _kept_observations(grid, network, obs)
-    m = int(np.sum([o.m for o in kept]))
-    if m == 0:
+    kept = kept_observations(grid, network, obs)
+    if not kept:
         raise InsufficientDataError("log-likelihood needs at least one observation")
-    ev = CovarianceEvaluator(grid, network)
-    handles = [(o, ev.add_points(o.locations)) for o in kept]
-    C = np.empty((m, m))
-    offsets = np.concatenate([[0], np.cumsum([o.m for o in kept])]).astype(int)
-    for a, (oa, ha) in enumerate(handles):
-        for b, (ob, hb) in enumerate(handles):
-            if b < a:
-                C[offsets[a]:offsets[a + 1], offsets[b]:offsets[b + 1]] = \
-                    C[offsets[b]:offsets[b + 1], offsets[a]:offsets[a + 1]].T
-            else:
-                C[offsets[a]:offsets[a + 1], offsets[b]:offsets[b + 1]] = \
-                    ev.cov(oa.variable, ob.variable, ha, hb)
-    resid = np.empty(m)
-    for a, (oa, _) in enumerate(handles):
-        rows = slice(offsets[a], offsets[a + 1])
-        noise = network.nodes[oa.variable].noise
-        if noise:
-            idx = np.arange(offsets[a], offsets[a + 1])
-            C[idx, idx] += noise
-        resid[rows] = oa.values - mean_at(network, oa.variable, oa.locations)
+    C, resid = observation_covariance(CovarianceEvaluator(grid, network), kept)
     try:
         L, _ = chol_with_jitter(C, jitter_max)
     except NumericalError:
         logger.debug("loglik: covariance not factorable, returning -inf")
         return -np.inf
     quad = float(resid @ chol_solve(L, resid))
-    return -0.5 * (m * math.log(2.0 * math.pi) + chol_logdet(L) + quad)
+    return -0.5 * (resid.size * math.log(2.0 * math.pi) + chol_logdet(L) + quad)
 
 
 @dataclass(frozen=True)
@@ -290,6 +252,11 @@ def fit_mle(
     starting point with a Philox stream keyed by (config.seed, restart).
     """
     config = config or OptimizerConfig()
+    # checked once here: the objective scores any CondcovError as -inf, so
+    # bad input would surface as an optimizer failure
+    if not kept_observations(grid, network, obs):
+        raise InsufficientDataError(f"{label}: fit needs at least one observation")
+    _check_shift_dims(grid, network)
     free_names = list(free) if free is not None else default_free_parameters(network)
     if not free_names:
         raise ValidationError("fit needs at least one free parameter")

@@ -16,7 +16,13 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.stats import norm as _norm
 
-from .conditional import JointModel, cross_cov_matrix, mean_at
+from .conditional import (
+    JointModel,
+    cross_cov_matrix,
+    kept_observations,
+    mean_at,
+    observation_covariance,
+)
 from .domain import Observations
 from .errors import (
     InsufficientDataError,
@@ -55,66 +61,6 @@ def _resolve_variable(model: JointModel, target_var) -> int:
     return q
 
 
-def _stack_observations(model: JointModel, obs: Sequence[Observations]):
-    """Validate and keep the non-empty observation sets, in variable order."""
-    seen = set()
-    kept = []
-    for o in obs:
-        if not isinstance(o, Observations):
-            raise ValidationError(f"expected Observations, got {type(o).__name__}")
-        if o.variable >= model.p:
-            raise ValidationError(
-                f"observations reference variable {o.variable}, model has {model.p}"
-            )
-        if o.variable in seen:
-            raise ValidationError(
-                f"two observation sets for variable {o.variable}; merge them first"
-            )
-        seen.add(o.variable)
-        if o.m > 0:
-            if o.locations.shape[1] != model.grid.dim:
-                raise ValidationError(
-                    f"observation locations are {o.locations.shape[1]}-d, "
-                    f"grid is {model.grid.dim}-d"
-                )
-            kept.append(o)
-    kept.sort(key=lambda o: o.variable)
-    return kept
-
-
-def observation_covariance(model: JointModel, kept: Sequence[Observations]):
-    """Joint covariance of the stacked observation vector, plus residuals.
-
-    Returns (C, z_resid, blocks) where C includes measurement-error variance
-    on the diagonal, z_resid is observations minus configured means, and
-    blocks maps each kept set to its row slice.
-    """
-    sizes = [o.m for o in kept]
-    total = int(np.sum(sizes))
-    C = np.empty((total, total))
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    blocks = {}
-    for a, oa in enumerate(kept):
-        blocks[oa.variable] = slice(offsets[a], offsets[a + 1])
-        for b, ob in enumerate(kept):
-            if b < a:
-                C[offsets[a]:offsets[a + 1], offsets[b]:offsets[b + 1]] = \
-                    C[offsets[b]:offsets[b + 1], offsets[a]:offsets[a + 1]].T
-                continue
-            C[offsets[a]:offsets[a + 1], offsets[b]:offsets[b + 1]] = \
-                cross_cov_matrix(model, oa.variable, ob.variable,
-                                 oa.locations, ob.locations)
-    z = np.empty(total)
-    for a, oa in enumerate(kept):
-        rows = slice(offsets[a], offsets[a + 1])
-        noise = model.network.nodes[oa.variable].noise
-        if noise:
-            idx = np.arange(offsets[a], offsets[a + 1])
-            C[idx, idx] += noise
-        z[rows] = oa.values - mean_at(model.network, oa.variable, oa.locations)
-    return C, z, blocks
-
-
 def cokrige(
     model: JointModel,
     obs: Sequence[Observations],
@@ -133,7 +79,7 @@ def cokrige(
         raise ValidationError(
             f"targets are {targets.shape[1]}-d, grid is {model.grid.dim}-d"
         )
-    kept = _stack_observations(model, obs)
+    kept = kept_observations(model.grid, model.network, obs)
     prior = cross_cov_matrix(model, tq, tq, targets, targets)
     prior_var = np.diag(prior).copy()
     mu_t = mean_at(model.network, tq, targets)
@@ -145,7 +91,7 @@ def cokrige(
             stderr=np.sqrt(np.clip(prior_var, 0.0, None)),
             method="cokriging",
         )
-    C, z, _ = observation_covariance(model, kept)
+    C, z = observation_covariance(model.evaluator, kept)
     c = np.hstack(
         [
             cross_cov_matrix(model, tq, o.variable, targets, o.locations)
@@ -255,13 +201,13 @@ def loo_cv(
     the rest. Scores are for the held-out observation, so predictive spread
     includes measurement error. Summary is per variable name.
     """
-    kept = _stack_observations(model, obs)
+    kept = kept_observations(model.grid, model.network, obs)
     total = int(np.sum([o.m for o in kept]))
     if total < 2:
         raise InsufficientDataError(
             f"leave-one-out needs at least 2 observations, got {total}"
         )
-    C, z, _ = observation_covariance(model, kept)
+    C, z = observation_covariance(model.evaluator, kept)
     variables = np.concatenate([np.full(o.m, o.variable) for o in kept])
     locations = np.vstack([o.locations for o in kept])
     values = np.concatenate([o.values for o in kept])

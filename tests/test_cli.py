@@ -189,6 +189,24 @@ def test_fit_then_predict_roundtrip(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_shift_dimension_mismatch_exits_1(tmp_path, capsys):
+    data = {"grid": {"kind": "regular", "bounds": [[-1.0, 1.0]] * 2,
+                     "counts": [5, 5]},
+            "nodes": [dict(n) for n in BASE["nodes"]]}
+    data["nodes"][1]["parents"] = [{"node": "y1", "kind": "shifted_bisquare",
+                                    "amplitude": 5.0, "aperture": 0.3,
+                                    "shift": [0.1]}]
+    cfg_path = _write_cfg(tmp_path, data)
+    obs_path = tmp_path / "obs.csv"
+    save_observations([Observations(0, np.zeros((1, 2)), np.zeros(1))],
+                      ["y1", "y2"], obs_path)
+    for command in ("fit", "predict"):
+        rc = main([command, "--config", str(cfg_path), "--data", str(obs_path),
+                   "--out", str(tmp_path / command)])
+        assert rc == 1
+        assert "'y2'" in capsys.readouterr().err
+
+
 def test_predict_at_explicit_targets(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path)
     obs_path = _write_obs(tmp_path, cfg_path)

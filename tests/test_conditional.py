@@ -16,7 +16,6 @@ from condcov import (
     ProcessNode,
     ValidationError,
     apply_mean,
-    assemble_bivariate,
     assemble_dag,
     bisquare,
     build_interaction_matrix,
@@ -40,7 +39,7 @@ def _biv(spec, grid=None, nugget=0.0):
         ProcessNode("y1", M11),
         ProcessNode("y2", M21, parents=((0, spec),), nugget=nugget),
     ))
-    return assemble_bivariate(g, net)
+    return assemble_dag(g, net)
 
 
 def test_interaction_matrix_zero():
@@ -84,17 +83,6 @@ def test_zero_interaction_is_block_diagonal():
     d = model.grid.distance_matrix()
     assert np.allclose(model.block(0, 0), matern_cov(M11, d), atol=1e-14)
     assert np.allclose(model.block(1, 1), matern_cov(M21, d), atol=1e-14)
-
-
-def test_dag_matches_bivariate():
-    g = regular_grid([(-1.0, 1.0)], [50])
-    net = ProcessNetwork((
-        ProcessNode("y1", M11),
-        ProcessNode("y2", M21, parents=((0, shifted_bisquare(5.0, 0.3, (-0.3,))),)),
-    ))
-    a = assemble_bivariate(g, net)
-    b = assemble_dag(g, net)
-    assert np.array_equal(a.matrix, b.matrix)
 
 
 def test_trivariate_all_zero_interactions():

@@ -1,20 +1,27 @@
 """Likelihood evaluation, parameter addressing, and maximum likelihood fits."""
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 from condcov import (
+    InsufficientDataError,
     MaternParams,
+    MeanSpec,
     Observations,
     OptimizerConfig,
     ProcessNetwork,
     ProcessNode,
     ValidationError,
+    assemble_dag,
     bisquare,
+    cross_cov_matrix,
     default_free_parameters,
+    dirac,
     fit_mle,
     get_parameter,
     list_parameters,
     loglik,
+    mean_at,
     read_params,
     regular_grid,
     sample_joint,
@@ -67,6 +74,39 @@ def test_loglik_permutation_invariant():
     a = loglik(GRID, net, [Observations(0, locs, vals)])
     b = loglik(GRID, net, [Observations(0, locs[perm], vals[perm])])
     assert np.isclose(a, b, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_loglik_matches_reference_density(dim):
+    """loglik equals a Gaussian log-density built from the public API."""
+    grid = regular_grid([(-1.0, 1.0)] * dim, [30] if dim == 1 else [8, 8])
+    net = ProcessNetwork((
+        ProcessNode("y1", MaternParams(1.0, 4.0, 1.5), noise=0.1,
+                    mean=MeanSpec(("const", "x"), (1.0, 0.5))),
+        ProcessNode("y2", MaternParams(0.3, 6.0, 0.5), parents=((0, dirac(0.7)),),
+                    nugget=0.05, noise=0.2),
+        ProcessNode("y3", MaternParams(0.2, 3.0, 2.5),
+                    parents=((1, bisquare(1.5, 0.5)),), noise=0.05),
+    ))
+    rng = np.random.default_rng(dim)
+    shared = rng.uniform(-1, 1, (4, dim))  # sites observed for every variable
+    obs = [
+        Observations(q, np.vstack([shared, rng.uniform(-1, 1, (5 + q, dim))]),
+                     rng.normal(size=9 + q))
+        for q in range(3)
+    ]
+    model = assemble_dag(grid, net)
+    cov = np.block([
+        [cross_cov_matrix(model, a.variable, b.variable, a.locations, b.locations)
+         for b in obs]
+        for a in obs
+    ])
+    cov += np.diag(np.concatenate(
+        [np.full(o.m, net.nodes[o.variable].noise) for o in obs]))
+    resid = np.concatenate(
+        [o.values - mean_at(net, o.variable, o.locations) for o in obs])
+    want = multivariate_normal.logpdf(resid, cov=cov)
+    assert loglik(grid, net, obs) == pytest.approx(want, rel=1e-10)
 
 
 class TestParameterAddressing:
@@ -126,6 +166,27 @@ def _synthetic_obs(net, seed, noise_sd=0.5):
 def test_fit_requires_free_parameters():
     with pytest.raises(ValidationError):
         fit_mle(GRID, _bivariate(), [], free=[])
+
+
+_SITES = np.linspace(-0.9, 0.9, 5)[:, None]
+
+
+@pytest.mark.parametrize("grid, obs, error, match", [
+    pytest.param(GRID, [Observations(0, np.hstack([_SITES, _SITES]), np.zeros(5))],
+                 ValidationError, "2-d", id="wrong-dimension"),
+    pytest.param(GRID, [Observations(2, _SITES, np.zeros(5))],
+                 ValidationError, "variable 2", id="variable-out-of-range"),
+    pytest.param(GRID, [], InsufficientDataError, "observation",
+                 id="no-observations"),
+    pytest.param(regular_grid([(-1.0, 1.0)] * 2, [6, 6]),
+                 [Observations(1, np.hstack([_SITES, _SITES]), np.zeros(5))],
+                 ValidationError, "'y2'", id="shift-dimension"),
+])
+def test_fit_rejects_bad_input_before_optimizing(grid, obs, error, match):
+    # not an OptimizationError after every restart has scored -inf
+    with pytest.raises(error, match=match):
+        fit_mle(grid, _bivariate(), obs, free=["y1.variance"],
+                config=OptimizerConfig(restarts=2, max_evals=20))
 
 
 def test_fit_aic_identity_and_determinism():

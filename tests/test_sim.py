@@ -66,8 +66,7 @@ def test_zero_covariance_returns_mean_exactly():
     ))
     base = assemble_dag(g, net)
     degenerate = JointModel(
-        grid=g, network=net, matrix=np.zeros((3, 3)),
-        interactions=base.interactions, chol=np.zeros((3, 3)),
+        grid=g, network=net, matrix=np.zeros((3, 3)), chol=np.zeros((3, 3)),
         jitter=0.0, evaluator=base.evaluator)
     for i in range(5):
         f = sample_joint(degenerate, seed=9, index=i)
