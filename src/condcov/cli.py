@@ -373,6 +373,13 @@ def _parse_interaction(sec: _Section, base_dir: Path) -> InteractionSpec:
     )
 
 
+def _take_matern(sec: _Section) -> MaternParams:
+    return MaternParams(*(
+        _number(sec.take(key), f"{sec.where}: {key}")
+        for key in ("variance", "scale", "smoothness")
+    ))
+
+
 def _find_cycle(pending: list, parents: dict, placed: set) -> list:
     node = pending[0]
     path = [node]
@@ -396,11 +403,7 @@ def _parse_nodes(value, base_dir: Path, where: str) -> ProcessNetwork:
         name = _string(sec.take("name"), f"{sec.where}: name")
         if name in entries:
             raise ConfigError(f"{where}: duplicate node name {name!r}")
-        cov = MaternParams(
-            _number(sec.take("variance"), f"{sec.where}: variance"),
-            _number(sec.take("scale"), f"{sec.where}: scale"),
-            _number(sec.take("smoothness"), f"{sec.where}: smoothness"),
-        )
+        cov = _take_matern(sec)
         nugget = _number(sec.take("nugget", 0.0), f"{sec.where}: nugget")
         noise = _number(sec.take("noise", 0.0), f"{sec.where}: noise")
         mean = None
@@ -509,6 +512,9 @@ def _parse_simulation(value, network: ProcessNetwork, base_dir: Path,
                 f"{where}: observed references unknown node {name!r}; "
                 f"nodes: {list(network.names)}"
             )
+        if observed_raw[name] == "unobserved":
+            raise ConfigError(f"{where}: observed: {name}: 'unobserved' is "
+                              f"valid only for evaluate")
     observed = tuple(
         (name, _parse_region(observed_raw.get(name, "all"),
                              f"{where}: observed: {name}"))
@@ -551,11 +557,7 @@ def _parse_simulation(value, network: ProcessNetwork, base_dir: Path,
 
 def _parse_matern(value, where: str) -> MaternParams:
     sec = _Section(value, where)
-    params = MaternParams(
-        _number(sec.take("variance"), f"{where}: variance"),
-        _number(sec.take("scale"), f"{where}: scale"),
-        _number(sec.take("smoothness"), f"{where}: smoothness"),
-    )
+    params = _take_matern(sec)
     sec.finish()
     return params
 
@@ -695,12 +697,7 @@ def config_to_dict(cfg: ParsedConfig) -> dict:
     """Emit a mapping that parse_config_dict reads back to an equal config."""
     nodes = []
     for node in cfg.network.nodes:
-        d = {
-            "name": node.name,
-            "variance": node.covariance.variance,
-            "scale": node.covariance.scale,
-            "smoothness": node.covariance.smoothness,
-        }
+        d = {"name": node.name, **dataclasses.asdict(node.covariance)}
         if node.nugget:
             d["nugget"] = node.nugget
         if node.noise:
@@ -746,24 +743,12 @@ def config_to_dict(cfg: ParsedConfig) -> dict:
     if cfg.spectral is not None:
         sp = cfg.spectral
         if isinstance(sp.candidate, MaternParams):
-            cand = {
-                "variance": sp.candidate.variance,
-                "scale": sp.candidate.scale,
-                "smoothness": sp.candidate.smoothness,
-            }
+            cand = dataclasses.asdict(sp.candidate)
         else:
             cand = {"table": [list(row) for row in sp.candidate]}
         out["spectral"] = {
-            "c11": {
-                "variance": sp.c11.variance,
-                "scale": sp.c11.scale,
-                "smoothness": sp.c11.smoothness,
-            },
-            "c22": {
-                "variance": sp.c22.variance,
-                "scale": sp.c22.scale,
-                "smoothness": sp.c22.smoothness,
-            },
+            "c11": dataclasses.asdict(sp.c11),
+            "c22": dataclasses.asdict(sp.c22),
             "candidate": cand,
             "nsamples": sp.nsamples,
         }
@@ -856,10 +841,6 @@ def _load_data(args, network: ProcessNetwork):
     return load_observations(path, network.names)
 
 
-def _coord_header(dim: int) -> list:
-    return list(_COORD_NAMES[:dim])
-
-
 def _cmd_simulate(args) -> int:
     cfg = parse_config(args.config)
     study = build_sim_config(cfg, replicates=args.replicates, seed=args.seed)
@@ -868,7 +849,7 @@ def _cmd_simulate(args) -> int:
     out = _out_dir(args)
     names = cfg.network.names
     grid = cfg.grid
-    coords = _coord_header(grid.dim)
+    coords = list(_COORD_NAMES[:grid.dim])
 
     rows = [
         list(grid.vertices[i]) + [first.fields[q][i] for q in range(len(names))]
@@ -994,7 +975,7 @@ def _cmd_predict(args) -> int:
         for i in range(targets.shape[0])
     ]
     _write_csv(out / "predictions.csv",
-               _coord_header(cfg.grid.dim) + ["mean", "stderr"], rows)
+               list(_COORD_NAMES[:cfg.grid.dim]) + ["mean", "stderr"], rows)
     print(f"predicted {network.names[tq]} at {targets.shape[0]} locations "
           f"from {sum(o.m for o in obs)} observations")
     return 0
@@ -1015,7 +996,7 @@ def _cmd_cv(args) -> int:
     ]
     _write_csv(
         out / "folds.csv",
-        ["variable"] + _coord_header(dim)
+        ["variable"] + list(_COORD_NAMES[:dim])
         + ["observed", "mean", "stderr", "error", "crps"],
         rows,
     )
@@ -1110,12 +1091,13 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp, data=False, params=False, seed=False):
         sp.add_argument("--config", required=True, help="YAML config file")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--jitter-max", type=float, default=DEFAULT_JITTER_MAX,
-                        dest="jitter_max",
-                        help="relative Cholesky jitter ceiling")
         if data:
             sp.add_argument("--data", required=True,
                             help="observations CSV (variable,x[,y,z],value)")
+            # the commands that read data factor covariances with jitter
+            sp.add_argument("--jitter-max", type=float,
+                            default=DEFAULT_JITTER_MAX, dest="jitter_max",
+                            help="relative Cholesky jitter ceiling")
         if params:
             sp.add_argument("--params",
                             help="parameter file from a previous fit")

@@ -16,6 +16,7 @@ supplies the integration rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -279,15 +280,19 @@ class CovarianceEvaluator:
 
 
 class JointModel:
-    """Assembled joint covariance over the grid, plus the evaluation engine."""
+    """Joint covariance of a network over a grid, plus the evaluation engine.
 
-    def __init__(self, grid, network, matrix, chol, jitter, evaluator):
+    The p*n x p*n grid ``matrix`` and its factor ``chol`` (with ``jitter``)
+    are built on first read and kept; a failed factorization raises
+    InvalidModelError there. Prediction reads only ``evaluator``.
+    """
+
+    def __init__(self, grid: Grid, network: ProcessNetwork,
+                 jitter_max: float = DEFAULT_JITTER_MAX):
         self.grid = grid
         self.network = network
-        self.matrix = matrix
-        self.chol = chol
-        self.jitter = jitter
-        self._evaluator = evaluator
+        self.jitter_max = jitter_max
+        self.evaluator = CovarianceEvaluator(grid, network)
 
     @property
     def p(self) -> int:
@@ -297,42 +302,50 @@ class JointModel:
     def n(self) -> int:
         return self.grid.n
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        ev, p = self.evaluator, self.p
+        big = np.block([[ev.cov(q, r) for r in range(p)] for q in range(p)])
+        # enforce exact symmetry; diagonal blocks can drift at machine precision
+        # because the two parent cross terms are accumulated by separate matmuls
+        big = np.tril(big) + np.tril(big, -1).T
+        big.setflags(write=False)
+        return big
+
+    @cached_property
+    def _factor(self) -> Tuple[np.ndarray, float]:
+        return chol_model(self.matrix, self.jitter_max)
+
+    @property
+    def chol(self) -> np.ndarray:
+        return self._factor[0]
+
+    @property
+    def jitter(self) -> float:
+        return self._factor[1]
+
     def block(self, q: int, r: int) -> np.ndarray:
         n = self.n
         return self.matrix[q * n:(q + 1) * n, r * n:(r + 1) * n]
 
-    @property
-    def evaluator(self) -> CovarianceEvaluator:
-        return self._evaluator
-
     def __repr__(self):
         return (
             f"JointModel(p={self.p}, n={self.n}, "
-            f"vars={list(self.network.names)}, jitter={self.jitter:g})"
+            f"vars={list(self.network.names)})"
         )
 
 
 def assemble_dag(grid: Grid, network: ProcessNetwork,
                  jitter_max: float = DEFAULT_JITTER_MAX) -> JointModel:
-    """Assemble the p*n x p*n joint covariance of a network over a grid.
+    """Joint model of a network over a grid; checks shift dimensions only.
 
-    Validates positive semidefiniteness by Cholesky under the jitter policy;
-    an InvalidModelError means the requested model is numerically outside
-    the constructive class (which should not happen for finite parameters).
+    The grid covariance and its Cholesky factor are built on first read of
+    ``model.matrix`` / ``model.chol``, which raises InvalidModelError if the
+    factorization fails. Prediction and the likelihood factor only
+    observation covariances, whose failures are NumericalError.
     """
     _check_shift_dims(grid, network)
-    ev = CovarianceEvaluator(grid, network)
-    p, n = network.p, grid.n
-    big = np.empty((p * n, p * n))
-    for q in range(p):
-        for r in range(p):
-            big[q * n:(q + 1) * n, r * n:(r + 1) * n] = ev.cov(q, r, 0, 0)
-    # enforce exact symmetry; diagonal blocks can drift at machine precision
-    # because the two parent cross terms are accumulated by separate matmuls
-    big = np.tril(big) + np.tril(big, -1).T
-    big.setflags(write=False)
-    L, jitter = chol_model(big, jitter_max)
-    return JointModel(grid, network, big, L, jitter, ev)
+    return JointModel(grid, network, jitter_max)
 
 
 def _check_shift_dims(grid: Grid, network: ProcessNetwork) -> None:

@@ -22,7 +22,11 @@ class InsufficientDataError(ValidationError):
 
 
 class InvalidModelError(CondcovError):
-    """An assembled covariance is not positive semidefinite within the jitter policy."""
+    """A model's grid covariance does not factor within the jitter policy.
+
+    Raised on the first read of ``JointModel.chol`` or ``.jitter``; failures
+    to factor observation covariances are NumericalError (both CLI exit 2).
+    """
 
 
 class NumericalError(CondcovError):

@@ -45,7 +45,7 @@ __all__ = [
 
 
 def _draw_fields(model: JointModel, mu: np.ndarray, rng) -> np.ndarray:
-    xi = rng.standard_normal(model.matrix.shape[0])
+    xi = rng.standard_normal(mu.size)
     return mu + (model.chol @ xi).reshape(mu.shape)
 
 
@@ -53,7 +53,7 @@ def sample_joint(model: JointModel, seed: int, index: int = 0,
                  covariates: Optional[dict] = None) -> np.ndarray:
     """One draw of every variable over the grid, shape (p, n).
 
-    The draw is mean + L xi with L the stored Cholesky factor and xi standard
+    The draw is mean + L xi with L the model's Cholesky factor and xi standard
     normal from a Philox stream keyed by (seed, index), so distinct indices
     give independent replicates and the same pair is bit-reproducible.
     """

@@ -147,6 +147,29 @@ def test_usage_error_exits_1(capsys):
     capsys.readouterr()
 
 
+def test_jitter_max_only_where_a_covariance_is_factored(tmp_path, capsys):
+    cfg_path = str(_write_cfg(tmp_path))
+    out = str(tmp_path / "out")
+    for command in ("simulate", "spectral-check"):
+        rc = main([command, "--config", cfg_path, "--out", out,
+                   "--jitter-max", "0"])
+        assert rc == 1, command
+        assert "--jitter-max" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unobserved_is_not_an_observed_region(tmp_path, capsys):
+    data = yaml.safe_load(yaml.safe_dump(BASE))
+    data["simulation"]["observed"]["y2"] = "unobserved"
+    cfg_path = _write_cfg(tmp_path, data)
+    rc = main(["simulate", "--config", str(cfg_path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "simulation: observed: y2" in err
+    assert "valid only for evaluate" in err
+
+
 def test_simulate_outputs(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path)
     out = tmp_path / "out"

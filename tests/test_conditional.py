@@ -12,6 +12,7 @@ from condcov import (
     InvalidModelError,
     MaternParams,
     MeanSpec,
+    Observations,
     ProcessNetwork,
     ProcessNode,
     ValidationError,
@@ -19,15 +20,20 @@ from condcov import (
     assemble_dag,
     bisquare,
     build_interaction_matrix,
+    cokrige,
     cross_cov_at,
     cross_cov_matrix,
     dirac,
+    loo_cv,
     matern_cov,
     mean_at,
     regular_grid,
+    sample_joint,
     shifted_bisquare,
     zero,
 )
+from condcov import conditional
+from condcov.linalg import chol_model
 
 M11 = MaternParams(1.0, 25.0, 1.5)
 M21 = MaternParams(0.2, 75.0, 1.5)
@@ -248,8 +254,6 @@ class TestCrossCovariance:
 
 def test_small_monte_carlo_agreement():
     """Sample covariance from the factorized draw approaches the matrix."""
-    from condcov import sample_joint
-
     g = regular_grid([(0.0, 1.0)], [4])
     net = ProcessNetwork((
         ProcessNode("y1", MaternParams(1.0, 3.0, 1.5)),
@@ -320,3 +324,65 @@ def test_shift_dimension_checked_at_assembly():
     ))
     with pytest.raises((ValidationError, InvalidModelError)):
         assemble_dag(g, net)
+
+
+def _map2d_like():
+    g = regular_grid([(0.0, 1.0), (0.0, 1.0)], [8, 8])
+    net = ProcessNetwork((
+        ProcessNode("y1", MaternParams(1.0, 8.0, 1.5), noise=0.1),
+        ProcessNode("y2", MaternParams(0.3, 12.0, 1.5), noise=0.1,
+                    parents=((0, shifted_bisquare(30.0, 0.15, (0.1, -0.05))),)),
+    ))
+    rng = np.random.default_rng(11)
+    obs = [Observations(q, rng.uniform(0.0, 1.0, (15, 2)),
+                        rng.standard_normal(15)) for q in range(2)]
+    return g, net, obs
+
+
+def test_prediction_never_factors_the_grid_covariance(monkeypatch):
+    """cokrige and loo_cv read observation and target covariances only."""
+    def refuse(*args, **kwargs):
+        raise InvalidModelError("the grid covariance was factored")
+
+    monkeypatch.setattr(conditional, "chol_model", refuse)
+    g, net, obs = _map2d_like()
+    model = assemble_dag(g, net)
+    on_grid = cokrige(model, obs, g.vertices, "y1")
+    off_grid = cokrige(model, obs, np.array([[0.31, 0.77], [0.5, 0.05]]), "y2")
+    loo = loo_cv(model, obs)
+    for pred in (on_grid, off_grid):
+        assert np.all(np.isfinite(pred.mean)) and np.all(pred.stderr > 0.0)
+    assert len(loo.folds) == 30
+    with pytest.raises(InvalidModelError):
+        model.chol
+
+
+def test_grid_covariance_is_factored_once_on_first_read(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return chol_model(*args, **kwargs)
+
+    monkeypatch.setattr(conditional, "chol_model", counting)
+    model = _biv(bisquare(5.0, 0.3), grid=regular_grid([(-1.0, 1.0)], [30]))
+    assert calls == []
+    L = model.chol
+    assert model.jitter == 0.0
+    first = sample_joint(model, seed=3)
+    assert np.array_equal(sample_joint(model, seed=3), first)
+    sample_joint(model, seed=3, index=1)
+    assert len(calls) == 1 and calls[0][0] is model.matrix
+    assert model.chol is L
+
+
+def test_unfactorable_model_fails_at_first_read():
+    """A near-rank-one grid covariance with jitter forbidden."""
+    g = regular_grid([(0.0, 1.0)], [40])
+    net = ProcessNetwork((ProcessNode("y", MaternParams(1.0, 1e-3, 2.5)),))
+    model = assemble_dag(g, net, jitter_max=0.0)
+    assert model.matrix.shape == (40, 40)
+    with pytest.raises(InvalidModelError):
+        model.chol
+    with pytest.raises(InvalidModelError):
+        model.jitter

@@ -64,10 +64,9 @@ def test_zero_covariance_returns_mean_exactly():
         ProcessNode("y", MaternParams(1.0, 3.0, 1.5),
                     mean=MeanSpec(("const",), (2.5,))),
     ))
-    base = assemble_dag(g, net)
-    degenerate = JointModel(
-        grid=g, network=net, matrix=np.zeros((3, 3)), chol=np.zeros((3, 3)),
-        jitter=0.0, evaluator=base.evaluator)
+    degenerate = JointModel(g, net)
+    degenerate.matrix = np.zeros((3, 3))
+    assert np.array_equal(degenerate.chol, np.zeros((3, 3)))
     for i in range(5):
         f = sample_joint(degenerate, seed=9, index=i)
         assert np.array_equal(f, np.full((1, 3), 2.5))
