@@ -10,6 +10,7 @@ the same machinery works on lon-lat meshes.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -61,7 +62,8 @@ def matern_cov(params: MaternParams, d) -> Union[float, np.ndarray]:
 
     C(d) = variance / (2^(nu-1) Gamma(nu)) * (scale*d)^nu * K_nu(scale*d),
     with the d = 0 limit handled analytically. Half-integer smoothness
-    0.5 / 1.5 / 2.5 uses the closed exponential forms.
+    0.5 / 1.5 / 2.5 uses the closed exponential forms; any other goes
+    through the Bessel function kv (see :func:`_kv_corr`).
     """
     d_arr = np.asarray(d, dtype=float)
     if not np.all(np.isfinite(d_arr)) or np.any(d_arr < 0):
@@ -75,15 +77,43 @@ def matern_cov(params: MaternParams, d) -> Union[float, np.ndarray]:
     elif nu == 2.5:
         corr = (1.0 + x + x * x / 3.0) * np.exp(-x)
     else:
-        with np.errstate(invalid="ignore", over="ignore"):
-            corr = (2.0 ** (1.0 - nu) / _gamma(nu)) * np.power(x, nu) * _kv(nu, x)
-        # kv overflows for tiny arguments and underflows for huge ones; both
-        # limits are known, so patch the non-finite entries instead of failing
-        corr = np.where(np.isfinite(corr), corr, np.where(x < 1.0, 1.0, 0.0))
+        # a correlation: rounding must not carry it past its bounds
+        corr = np.clip(_kv_corr(nu, x), 0.0, 1.0)
     out = params.variance * corr
     if np.ndim(d) == 0:
         return float(out)
     return out
+
+
+def _kv_corr(nu: float, x: np.ndarray) -> np.ndarray:
+    """Matern correlation 2^(1-nu) / Gamma(nu) * x^nu * K_nu(x) through kv.
+
+    Evaluated directly for nu <= 2. Above that, direct evaluation breaks
+    down where the correlation is far from 0 (Gamma(nu) overflows past
+    nu ~ 171; x^nu and K_nu overflow for x of order 1 once nu is in the
+    hundreds), so the order is climbed from nu - k in (1, 2] with the
+    forward recurrence c_{mu+1} = c_mu + x^2 / (4 mu (mu - 1)) * c_{mu-1},
+    which follows from K_{mu+1} = K_{mu-1} + (2 mu / x) K_mu, adds only
+    nonnegative terms and runs in the direction in which K grows, so it is
+    stable. It costs k array passes, and the starting orders underflow
+    beyond x ~ 700, where for nu in the thousands the correlation is small
+    but not yet 0.
+    """
+    steps = math.ceil(nu - 2.0)
+    if steps <= 0:
+        with np.errstate(invalid="ignore", over="ignore"):
+            corr = (2.0 ** (1.0 - nu) / _gamma(nu)) * np.power(x, nu) * _kv(nu, x)
+        # kv overflows for tiny arguments and underflows for huge ones; for
+        # nu <= 2 the correlation there is 1 or 0 to double precision, so
+        # patch the non-finite entries instead of failing
+        return np.where(np.isfinite(corr), corr, np.where(x < 1.0, 1.0, 0.0))
+    mu = nu - steps
+    prev, corr = _kv_corr(mu - 1.0, x), _kv_corr(mu, x)
+    quarter_x2 = 0.25 * x * x
+    for _ in range(steps):
+        prev, corr = corr, corr + quarter_x2 / (mu * (mu - 1.0)) * prev
+        mu += 1.0
+    return corr
 
 
 class InteractionKind(Enum):

@@ -10,7 +10,7 @@ All solves go through Cholesky with the shared jitter policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,6 +50,7 @@ class PredictionResult:
     mean: np.ndarray
     stderr: np.ndarray
     method: str
+    jitter: float
 
 
 def _resolve_variable(model: JointModel, target_var) -> int:
@@ -90,6 +91,7 @@ def cokrige(
             mean=mu_t,
             stderr=np.sqrt(np.clip(prior_var, 0.0, None)),
             method="cokriging",
+            jitter=0.0,
         )
     C, z = observation_covariance(model.evaluator, kept)
     c = np.hstack(
@@ -98,7 +100,7 @@ def cokrige(
             for o in kept
         ]
     )
-    L, _ = chol_with_jitter(C, jitter_max)
+    L, jitter = chol_with_jitter(C, jitter_max)
     alpha = chol_solve(L, z)
     mean = mu_t + c @ alpha
     w = chol_solve(L, c.T)
@@ -109,6 +111,7 @@ def cokrige(
         mean=mean,
         stderr=np.sqrt(np.clip(var, 0.0, None)),
         method="cokriging",
+        jitter=jitter,
     )
 
 
@@ -120,13 +123,7 @@ def krige(
 ) -> PredictionResult:
     """Single-variable kriging: cokriging restricted to the variable's own data."""
     result = cokrige(model, [obs], targets, obs.variable, jitter_max)
-    return PredictionResult(
-        variable=result.variable,
-        locations=result.locations,
-        mean=result.mean,
-        stderr=result.stderr,
-        method="kriging",
-    )
+    return replace(result, method="kriging")
 
 
 def crps_gaussian(mu, sigma, y):
@@ -187,6 +184,7 @@ class FoldScore:
 class LooResult:
     folds: Tuple[FoldScore, ...]
     summary: dict
+    jitter: float
 
 
 def loo_cv(
@@ -200,6 +198,13 @@ def loo_cv(
     are dropped together, then every held-out observation is cokriged from
     the rest. Scores are for the held-out observation, so predictive spread
     includes measurement error. Summary is per variable name.
+
+    The observation covariance C is factored once and every fold is read
+    from its inverse P (Dubrule 1983): with z the observations y minus their
+    means and H the indices held out together, the fold error is
+    y_H - mean_H = (P_HH)^-1 (P z)_H and the fold variance is
+    diag((P_HH)^-1). When that factorization needs jitter (reported as
+    ``jitter``), the folds are those of C + jitter * I.
     """
     kept = kept_observations(model.grid, model.network, obs)
     total = int(np.sum([o.m for o in kept]))
@@ -207,50 +212,48 @@ def loo_cv(
         raise InsufficientDataError(
             f"leave-one-out needs at least 2 observations, got {total}"
         )
-    C, z = observation_covariance(model.evaluator, kept)
     variables = np.concatenate([np.full(o.m, o.variable) for o in kept])
     locations = np.vstack([o.locations for o in kept])
     values = np.concatenate([o.values for o in kept])
-    means = np.concatenate(
-        [mean_at(model.network, o.variable, o.locations) for o in kept]
-    )
-    loc_keys = [tuple(row) for row in locations]
     groups = {}
-    for idx, key in enumerate(loc_keys):
+    for idx, key in enumerate(map(tuple, locations)):
         groups.setdefault(key, []).append(idx)
-    folds = []
-    all_idx = np.arange(total)
-    for key in sorted(groups):
-        held = np.array(groups[key])
-        retained = np.setdiff1d(all_idx, held)
-        if retained.size == 0:
-            raise InsufficientDataError(
-                "all observations share one location; nothing to predict from"
-            )
-        L, _ = chol_with_jitter(C[np.ix_(retained, retained)], jitter_max)
-        alpha = chol_solve(L, z[retained])
-        cross = C[np.ix_(retained, held)]
-        w = chol_solve(L, cross)
-        pred_mean = means[held] + cross.T @ alpha
-        pred_var = np.diag(C)[held] - np.einsum("mh,mh->h", cross, w)
-        pred_sd = np.sqrt(np.clip(pred_var, 0.0, None))
-        for pos, h in enumerate(held):
-            err = values[h] - pred_mean[pos]
-            folds.append(
-                FoldScore(
-                    variable=int(variables[h]),
-                    location=key,
-                    observed=float(values[h]),
-                    mean=float(pred_mean[pos]),
-                    stderr=float(pred_sd[pos]),
-                    error=float(err),
-                    crps=float(crps_gaussian(pred_mean[pos], pred_sd[pos], values[h])),
-                )
-            )
+    if len(groups) == 1:
+        raise InsufficientDataError(
+            "all observations share one location; nothing to predict from"
+        )
+    C, z = observation_covariance(model.evaluator, kept)
+    L, jitter = chol_with_jitter(C, jitter_max)
+    P = chol_solve(L, np.eye(total))
+    alpha = P @ z
+    keys = sorted(groups)
+    order = np.concatenate([groups[key] for key in keys])
+    error = np.empty(total)
+    var = np.empty(total)
+    for key in keys:
+        held = groups[key]
+        P_inv = np.linalg.inv(P[np.ix_(held, held)])
+        error[held] = P_inv @ alpha[held]
+        var[held] = np.diag(P_inv)
+    mean = values - error
+    sd = np.sqrt(np.clip(var, 0.0, None))
+    crps = crps_gaussian(mean[order], sd[order], values[order])
+    folds = tuple(
+        FoldScore(
+            variable=int(variables[h]),
+            location=tuple(locations[h]),
+            observed=float(values[h]),
+            mean=float(mean[h]),
+            stderr=float(sd[h]),
+            error=float(error[h]),
+            crps=float(score),
+        )
+        for h, score in zip(order, crps)
+    )
     summary = {}
     for q in sorted({f.variable for f in folds}):
         name = model.network.names[q]
         errs = [f.error for f in folds if f.variable == q]
         crps_vals = [f.crps for f in folds if f.variable == q]
         summary[name] = summarize_folds(errs, crps_vals)
-    return LooResult(folds=tuple(folds), summary=summary)
+    return LooResult(folds=folds, summary=summary, jitter=jitter)

@@ -28,7 +28,7 @@ from .domain import Grid, Observations, regular_grid
 from .errors import ValidationError
 from .inference import OptimizerConfig, fit_mle
 from .kernels import MaternParams, bisquare, shifted_bisquare
-from .predict import PredictionResult, cokrige, krige
+from .predict import cokrige, krige
 from .rng import rng_from_seed
 
 __all__ = [
@@ -181,9 +181,7 @@ def simulate_replicate(cfg: SimStudyConfig, replicate: int = 0,
     else:
         # target never observed: kriging degrades to the prior
         prior = cokrige(truth, [], targets, cfg.target)
-        preds["kriging"] = PredictionResult(
-            prior.variable, prior.locations, prior.mean, prior.stderr, "kriging"
-        )
+        preds["kriging"] = dataclasses.replace(prior, method="kriging")
     estimates = {}
     if cfg.refit_network is not None:
         fit = fit_mle(cfg.grid, cfg.refit_network, obs,

@@ -63,6 +63,20 @@ class TestMatern:
         assert far < 1e-6 * 2.0
 
     @staticmethod
+    def test_large_smoothness_matches_log_space_evaluation():
+        """Past nu ~ 171 Gamma(nu) overflows; the correlation must not."""
+        from scipy.special import gammaln, kve
+
+        x = np.array([0.5, 2.0, 10.0, 50.0, 200.0])
+        for nu in (30.1, 170.9, 400.2):
+            k = kve(nu, x)
+            ok = np.isfinite(k)
+            want = np.exp((1 - nu) * np.log(2.0) - gammaln(nu)
+                          + nu * np.log(x[ok]) + np.log(k[ok]) - x[ok])
+            got = matern_cov(MaternParams(1.0, 1.0, nu), x[ok])
+            assert ok.any() and np.allclose(got, want, rtol=1e-11, atol=0), nu
+
+    @staticmethod
     def test_vectorized_matches_scalar():
         p = MaternParams(0.2, 75.0, 1.5)
         d = np.array([0.0, 0.01, 0.05, 0.2])

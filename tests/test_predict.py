@@ -3,9 +3,12 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import condcov.conditional
+import condcov.predict
 from condcov import (
     InsufficientDataError,
     MaternParams,
+    MeanSpec,
     Observations,
     ParameterError,
     ProcessNetwork,
@@ -21,6 +24,8 @@ from condcov import (
     summarize_folds,
     zero,
 )
+from condcov.conditional import kept_observations, mean_at, observation_covariance
+from condcov.linalg import chol_solve, chol_with_jitter
 
 M11 = MaternParams(1.0, 25.0, 1.5)
 M21 = MaternParams(0.2, 75.0, 1.5)
@@ -98,6 +103,7 @@ def test_zero_interaction_cokriging_equals_kriging():
     targets = rng.uniform(-1, 1, (15, 1))
     a = cokrige(model, obs, targets, 0)
     b = krige(model, obs[0], targets)
+    assert b.method == "kriging" and b.jitter == 0.0
     assert np.max(np.abs(a.mean - b.mean)) < 1e-10
     assert np.max(np.abs(a.stderr - b.stderr)) < 1e-10
 
@@ -181,6 +187,7 @@ def test_prediction_result_fields():
     assert r.variable == 1
     assert r.method == "cokriging"
     assert r.locations.shape == (1, 1)
+    assert r.jitter == 0.0
 
 
 def test_summarize_folds():
@@ -237,3 +244,162 @@ class TestLoo:
         res = loo_cv(model, self._obs(n=6, seed=4))
         for f in res.folds:
             assert np.isclose(f.error, f.observed - f.mean, atol=1e-12)
+
+
+def _loo_reference(model, obs):
+    """The per-fold path that loo_cv replaced: one Cholesky per location group.
+
+    Returns the fold (variable, location, observed) keys and the arrays of
+    fold means, stderrs and CRPS, in fold order.
+    """
+    kept = kept_observations(model.grid, model.network, obs)
+    C, z = observation_covariance(model.evaluator, kept)
+    variables = np.concatenate([np.full(o.m, o.variable) for o in kept])
+    locations = np.vstack([o.locations for o in kept])
+    values = np.concatenate([o.values for o in kept])
+    means = np.concatenate(
+        [mean_at(model.network, o.variable, o.locations) for o in kept]
+    )
+    groups = {}
+    for idx, key in enumerate(map(tuple, locations)):
+        groups.setdefault(key, []).append(idx)
+    all_idx = np.arange(values.size)
+    keys, scores = [], []
+    for key in sorted(groups):
+        held = np.array(groups[key])
+        retained = np.setdiff1d(all_idx, held)
+        L, _ = chol_with_jitter(C[np.ix_(retained, retained)])
+        alpha = chol_solve(L, z[retained])
+        cross = C[np.ix_(retained, held)]
+        w = chol_solve(L, cross)
+        pred_mean = means[held] + cross.T @ alpha
+        pred_var = np.diag(C)[held] - np.einsum("mh,mh->h", cross, w)
+        pred_sd = np.sqrt(np.clip(pred_var, 0.0, None))
+        for pos, h in enumerate(held):
+            keys.append((int(variables[h]), key, float(values[h])))
+            scores.append((pred_mean[pos], pred_sd[pos],
+                           crps_gaussian(pred_mean[pos], pred_sd[pos], values[h])))
+    return keys, np.array(scores).T
+
+
+def _loo_case_1d_bisquare():
+    return _model(bisquare(5.0, 0.3)), TestLoo._obs()
+
+
+def _loo_case_1d_dirac_colocated():
+    rng = np.random.default_rng(9)
+    locs = rng.uniform(-1, 1, (8, 1))
+    y1 = rng.normal(size=8)
+    obs = [Observations(0, locs, y1),
+           Observations(1, locs, 2.0 * y1 + 0.05 * rng.normal(size=8))]
+    return _model(dirac(2.0), noise=0.01), obs
+
+
+def _loo_case_2d_shifted():
+    from condcov import assemble_dag
+
+    g = regular_grid([(-1.0, 1.0)] * 2, [10, 10])
+    net = ProcessNetwork((
+        ProcessNode("y1", MaternParams(1.0, 4.0, 1.5), noise=0.1),
+        ProcessNode("y2", MaternParams(0.3, 6.0, 0.5),
+                    parents=((0, shifted_bisquare(1.5, 0.5, (-0.2, 0.1))),),
+                    noise=0.2),
+    ))
+    rng = np.random.default_rng(21)
+    shared = rng.uniform(-1, 1, (5, 2))
+    obs = [Observations(q, np.vstack([shared, rng.uniform(-1, 1, (7 + q, 2))]),
+                        rng.normal(size=12 + q))
+           for q in range(2)]
+    return assemble_dag(g, net), obs
+
+
+def _loo_case_trivariate_mean():
+    from condcov import assemble_dag
+
+    g = regular_grid([(-1.0, 1.0)], [40])
+    net = ProcessNetwork((
+        ProcessNode("y1", MaternParams(1.0, 4.0, 1.5), noise=0.1,
+                    mean=MeanSpec(("const", "x"), (1.0, 0.5))),
+        ProcessNode("y2", MaternParams(0.3, 6.0, 0.5), parents=((0, dirac(0.7)),),
+                    nugget=0.05, noise=0.2),
+        ProcessNode("y3", MaternParams(0.2, 3.0, 2.5),
+                    parents=((0, bisquare(-0.8, 0.4)),
+                             (1, shifted_bisquare(1.5, 0.5, (0.2,)))),
+                    noise=0.05),
+    ))
+    rng = np.random.default_rng(3)
+    shared = rng.uniform(-1, 1, (4, 1))  # sites observed for every variable
+    obs = [Observations(q, np.vstack([shared, rng.uniform(-1, 1, (5 + q, 1))]),
+                        rng.normal(size=9 + q))
+           for q in range(3)]
+    return assemble_dag(g, net), obs
+
+
+def _loo_case_jittered():
+    """Zero noise and duplicated y1 sites: the full C is singular."""
+    rng = np.random.default_rng(0)
+    locs = rng.uniform(-1, 1, (10, 1))
+    vals = rng.normal(size=10)
+    obs = [Observations(0, np.vstack([locs, locs[:3]]),
+                        np.concatenate([vals, vals[:3]])),
+           Observations(1, rng.uniform(-1, 1, (8, 1)), rng.normal(size=8))]
+    return _model(bisquare(5.0, 0.3), noise=0.0), obs
+
+
+def _fold_keys(result):
+    return [(f.variable, f.location, f.observed) for f in result.folds]
+
+
+def _fold_scores(result):
+    return np.array([[f.mean, f.stderr, f.crps] for f in result.folds]).T
+
+
+@pytest.mark.parametrize("case", [
+    _loo_case_1d_bisquare, _loo_case_1d_dirac_colocated,
+    _loo_case_2d_shifted, _loo_case_trivariate_mean,
+])
+def test_loo_matches_per_fold_reference(case):
+    model, obs = case()
+    result = loo_cv(model, obs)
+    keys, want = _loo_reference(model, obs)
+    assert _fold_keys(result) == keys
+    assert result.jitter == 0.0
+    for got_row, want_row in zip(_fold_scores(result), want):
+        assert np.allclose(got_row, want_row, rtol=1e-10, atol=1e-12)
+
+
+def test_loo_jittered_folds_are_those_of_the_jittered_covariance():
+    model, obs = _loo_case_jittered()
+    result = loo_cv(model, obs)
+    keys, want = _loo_reference(model, obs)
+    assert result.jitter > 0.0
+    assert _fold_keys(result) == keys
+    for got_row, want_row in zip(_fold_scores(result), want):
+        assert np.allclose(got_row, want_row, rtol=1e-4, atol=0.0)
+
+
+def test_loo_factors_the_observation_covariance_once(monkeypatch):
+    calls = []
+    real = condcov.predict.chol_with_jitter
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(condcov.predict, "chol_with_jitter", counting)
+    res = loo_cv(_model(bisquare(5.0, 0.3)), TestLoo._obs(n=12))
+    assert len(res.folds) == 24
+    assert len(calls) == 1
+
+
+def test_one_location_fails_before_building_the_covariance(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("observation covariance built")
+
+    for module in (condcov.conditional, condcov.predict):
+        monkeypatch.setattr(module, "observation_covariance", boom)
+    site = np.array([[0.3]])
+    obs = [Observations(0, site, np.array([1.0])),
+           Observations(1, site, np.array([2.0]))]
+    with pytest.raises(InsufficientDataError, match="share one location"):
+        loo_cv(_model(bisquare(5.0, 0.3)), obs)

@@ -1,9 +1,10 @@
-"""Property tests: parameter addressing and the config round trip.
+"""Property tests: Matern continuity, parameter addressing, config round trip.
 
 Networks and configs are generated with hypothesis over every interaction
 kind, 1-d and 2-d grids, optional means, nuggets and noise, and every
 optional config section.
 """
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from condcov import (
@@ -18,6 +19,7 @@ from condcov import (
     dirac,
     get_parameter,
     list_parameters,
+    matern_cov,
     regular_grid,
     set_parameter,
     shifted_bisquare,
@@ -48,6 +50,31 @@ FIELD_VALUES = {
 }
 
 maternals = st.builds(MaternParams, positive, positive, positive)
+
+# from 0 and the tiny arguments where kv overflows to the huge ones where it
+# underflows
+DISTANCES = np.concatenate([[0.0], np.logspace(-300, 5, 400)])
+
+
+@SETTINGS
+@given(nu=st.sampled_from([0.5, 1.5, 2.5]),
+       delta=st.floats(min_value=-1e-7, max_value=1e-7),
+       variance=positive, scale=positive)
+def test_matern_closed_forms_meet_the_kv_path(nu, delta, variance, scale):
+    closed = matern_cov(MaternParams(variance, scale, nu), DISTANCES)
+    general = matern_cov(MaternParams(variance, scale, nu + delta), DISTANCES)
+    assert np.max(np.abs(closed - general)) <= 1e-6 * variance
+
+
+@SETTINGS
+@given(params=maternals)
+def test_matern_is_a_bounded_nonincreasing_covariance(params):
+    assert matern_cov(params, 0.0) == params.variance
+    values = matern_cov(params, DISTANCES)
+    assert np.all(np.isfinite(values))
+    assert np.all((values >= 0.0) & (values <= params.variance))
+    # up to the rounding of ~1e3 recurrence steps for the largest smoothness
+    assert np.all(np.diff(values) <= 1e-12 * params.variance)
 
 
 def interactions(dim):
