@@ -78,11 +78,12 @@ from .conditional import (
     MeanSpec,
     ProcessNetwork,
     ProcessNode,
-    _check_shift_dims,
+    _check_network_on_grid,
     assemble_dag,
 )
 from .domain import (
     _COORD_NAMES,
+    _variable_index,
     EUCLIDEAN,
     FLOAT_FMT,
     Grid,
@@ -466,15 +467,15 @@ def _parse_nodes(value, base_dir: Path, where: str) -> ProcessNetwork:
 
 def _parse_fit(value, where: str) -> FitSettings:
     sec = _Section(value, where)
-    label = _string(sec.take("label", "model"), f"{where}: label")
+    label = _string(sec.take("label", FitSettings.label), f"{where}: label")
     free = sec.take("free", None)
     if free is not None:
         free = tuple(_string(f, f"{where}: free") for f in _listing(free, f"{where}: free"))
-    optimizer = OptimizerConfig(
-        seed=_integer(sec.take("seed", 0), f"{where}: seed"),
-        restarts=_integer(sec.take("restarts", 3), f"{where}: restarts"),
-        max_evals=_integer(sec.take("max_evals", 2000), f"{where}: max_evals"),
-    )
+    optimizer = OptimizerConfig(**{
+        key: _integer(sec.take(key, getattr(OptimizerConfig, key)),
+                      f"{where}: {key}")
+        for key in ("seed", "restarts", "max_evals")
+    })
     sec.finish()
     return FitSettings(label=label, free=free, optimizer=optimizer)
 
@@ -633,7 +634,7 @@ def parse_config_dict(data, base_dir, where: str = "config") -> ParsedConfig:
                                    f"{where}: spectral")
     sec.finish()
     try:
-        _check_shift_dims(grid, network)
+        _check_network_on_grid(grid, network)
     except ValidationError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     return ParsedConfig(grid=grid, network=network, fit=fit,
@@ -824,21 +825,36 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _network_with_params(cfg: ParsedConfig, args) -> ProcessNetwork:
+def _load_inputs(args):
+    """Config, its network with ``--params`` applied, and ``--data``."""
+    cfg = parse_config(args.config)
     network = cfg.network
-    if getattr(args, "params", None):
+    if args.params:
         for name, value in read_params(args.params).items():
             network = set_parameter(network, name, value)
-    return network
-
-
-def _load_data(args, network: ProcessNetwork):
     if not args.data:
         raise ConfigError("--data is required for this command")
     path = Path(args.data)
     if not path.exists():
         raise ConfigError(f"data file {path} does not exist")
-    return load_observations(path, network.names)
+    return cfg, network, load_observations(path, network.names)
+
+
+def _fit_inputs(args):
+    """Inputs of ``fit`` and ``compare-directions``, plus the fit settings
+    and their optimizer with the ``--seed`` override."""
+    cfg, network, obs = _load_inputs(args)
+    settings = cfg.fit or FitSettings()
+    optimizer = settings.optimizer
+    if args.seed is not None:
+        optimizer = dataclasses.replace(optimizer, seed=args.seed)
+    return cfg, network, obs, settings, optimizer
+
+
+def _model_inputs(args):
+    """Inputs of ``predict`` and ``cv``: the model carries ``--jitter-max``."""
+    cfg, network, obs = _load_inputs(args)
+    return assemble_dag(cfg.grid, network, args.jitter_max), obs
 
 
 def _cmd_simulate(args) -> int:
@@ -897,13 +913,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    cfg = parse_config(args.config)
-    network = _network_with_params(cfg, args)
-    obs = _load_data(args, network)
-    settings = cfg.fit or FitSettings()
-    optimizer = settings.optimizer
-    if args.seed is not None:
-        optimizer = dataclasses.replace(optimizer, seed=args.seed)
+    cfg, network, obs, settings, optimizer = _fit_inputs(args)
     fit = fit_mle(
         cfg.grid, network, obs,
         free=settings.free, config=optimizer, label=settings.label,
@@ -920,21 +930,6 @@ def _cmd_fit(args) -> int:
     print(f"{fit.label}: loglik {fit.loglik:.4f}, k={fit.k}, "
           f"aic {fit.aic:.4f}{note}")
     return 0
-
-
-def _target_index(network: ProcessNetwork, value: str) -> int:
-    if value in network.names:
-        return network.index(value)
-    try:
-        q = int(value) - 1
-    except ValueError:
-        q = -1
-    if not 0 <= q < network.p:
-        raise ConfigError(
-            f"unknown target variable {value!r}; expected one of "
-            f"{list(network.names)} or a 1-based index"
-        )
-    return q
 
 
 def _load_locations(path: Path, dim: int) -> np.ndarray:
@@ -956,39 +951,38 @@ def _load_locations(path: Path, dim: int) -> np.ndarray:
 
 
 def _cmd_predict(args) -> int:
-    cfg = parse_config(args.config)
-    network = _network_with_params(cfg, args)
-    obs = _load_data(args, network)
-    model = assemble_dag(cfg.grid, network, args.jitter_max)
+    model, obs = _model_inputs(args)
+    grid, network = model.grid, model.network
     if args.targets:
         tpath = Path(args.targets)
         if not tpath.exists():
             raise ConfigError(f"targets file {tpath} does not exist")
-        targets = _load_locations(tpath, cfg.grid.dim)
+        targets = _load_locations(tpath, grid.dim)
     else:
-        targets = cfg.grid.vertices
-    tq = _target_index(network, args.target_var or network.names[0])
-    pred = cokrige(model, obs, targets, tq, args.jitter_max)
+        targets = grid.vertices
+    try:
+        tq = _variable_index(args.target_var or network.names[0], network.names)
+    except ValidationError as exc:
+        raise ConfigError(f"--target-var: {exc}") from None
+    pred = cokrige(model, obs, targets, tq)
     out = _out_dir(args)
     rows = [
         list(targets[i]) + [pred.mean[i], pred.stderr[i]]
         for i in range(targets.shape[0])
     ]
     _write_csv(out / "predictions.csv",
-               list(_COORD_NAMES[:cfg.grid.dim]) + ["mean", "stderr"], rows)
+               list(_COORD_NAMES[:grid.dim]) + ["mean", "stderr"], rows)
     print(f"predicted {network.names[tq]} at {targets.shape[0]} locations "
           f"from {sum(o.m for o in obs)} observations")
     return 0
 
 
 def _cmd_cv(args) -> int:
-    cfg = parse_config(args.config)
-    network = _network_with_params(cfg, args)
-    obs = _load_data(args, network)
-    model = assemble_dag(cfg.grid, network, args.jitter_max)
-    loo = loo_cv(model, obs, args.jitter_max)
+    model, obs = _model_inputs(args)
+    network = model.network
+    loo = loo_cv(model, obs)
     out = _out_dir(args)
-    dim = cfg.grid.dim
+    dim = model.grid.dim
     rows = [
         [network.names[f.variable]] + list(f.location)
         + [f.observed, f.mean, f.stderr, f.error, f.crps]
@@ -1048,13 +1042,7 @@ def _cmd_spectral_check(args) -> int:
 
 
 def _cmd_compare_directions(args) -> int:
-    cfg = parse_config(args.config)
-    network = _network_with_params(cfg, args)
-    obs = _load_data(args, network)
-    settings = cfg.fit or FitSettings()
-    optimizer = settings.optimizer
-    if args.seed is not None:
-        optimizer = dataclasses.replace(optimizer, seed=args.seed)
+    cfg, network, obs, settings, optimizer = _fit_inputs(args)
     fits = compare_directions(
         cfg.grid, network, obs,
         free=settings.free, config=optimizer, jitter_max=args.jitter_max,

@@ -15,13 +15,13 @@ supplies the integration rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .domain import Grid, Observations
+from .domain import _COORD_NAMES, Grid, Observations
 from .errors import ValidationError
 from .kernels import (
     InteractionKind,
@@ -337,26 +337,49 @@ class JointModel:
 
 def assemble_dag(grid: Grid, network: ProcessNetwork,
                  jitter_max: float = DEFAULT_JITTER_MAX) -> JointModel:
-    """Joint model of a network over a grid; checks shift dimensions only.
+    """Joint model of a network over a grid; checks the network against it.
 
+    ``jitter_max`` is the relative Cholesky jitter ceiling of every
+    factorization made with the model: the grid covariance, and the
+    observation covariances of ``cokrige``, ``krige`` and ``loo_cv``.
     The grid covariance and its Cholesky factor are built on first read of
     ``model.matrix`` / ``model.chol``, which raises InvalidModelError if the
     factorization fails. Prediction and the likelihood factor only
     observation covariances, whose failures are NumericalError.
     """
-    _check_shift_dims(grid, network)
+    _check_network_on_grid(grid, network)
     return JointModel(grid, network, jitter_max)
 
 
-def _check_shift_dims(grid: Grid, network: ProcessNetwork) -> None:
+def _check_network_on_grid(grid: Grid, network: ProcessNetwork) -> None:
+    """Reject what the grid can never evaluate, before any covariance is built.
+
+    That is a shift whose length is not the grid's dimension, a tabulated
+    edge on a grid that is not 1-d, and a mean covariate other than
+    ``const`` and the grid's coordinate names.
+    """
+    covariates = ("const",) + _COORD_NAMES[:grid.dim]
     for node in network.nodes:
-        for _, spec in node.parents:
+        for idx, spec in node.parents:
             if spec.kind is InteractionKind.SHIFTED_BISQUARE \
                     and len(spec.shift) != grid.dim:
                 raise ValidationError(
                     f"node {node.name!r}: shift has {len(spec.shift)} components "
                     f"for a {grid.dim}-d grid"
                 )
+            if spec.kind is InteractionKind.TABULATED and grid.dim != 1:
+                raise ValidationError(
+                    f"node {node.name!r}: tabulated edge from "
+                    f"{network.names[idx]!r} needs a 1-d grid, not {grid.dim}-d"
+                )
+        if node.mean is None:
+            continue
+        unknown = [c for c in node.mean.covariates if c not in covariates]
+        if unknown:
+            raise ValidationError(
+                f"node {node.name!r}: mean covariates {unknown} are not among "
+                f"{list(covariates)} of the {grid.dim}-d grid"
+            )
 
 
 def cross_cov_matrix(model: JointModel, q: int, r: int, S, U) -> np.ndarray:
@@ -434,23 +457,21 @@ def observation_covariance(ev: CovarianceEvaluator, kept: Sequence[Observations]
 
 
 def coordinate_covariates(locations: np.ndarray) -> dict:
-    """Built-in covariates: a constant plus the coordinate axes."""
+    """The covariates of a mean: a constant plus the coordinate axes."""
     locations = np.atleast_2d(np.asarray(locations, dtype=float))
     cols = {"const": np.ones(locations.shape[0])}
-    for axis, name in enumerate(("x", "y", "z")[: locations.shape[1]]):
+    for axis, name in enumerate(_COORD_NAMES[: locations.shape[1]]):
         cols[name] = locations[:, axis]
     return cols
 
 
-def mean_at(network: ProcessNetwork, q: int, locations, covariates: Optional[dict] = None) -> np.ndarray:
+def mean_at(network: ProcessNetwork, q: int, locations) -> np.ndarray:
     """Mean of variable q at the given locations (zero when unconfigured)."""
     locations = np.atleast_2d(np.asarray(locations, dtype=float))
     node = network.nodes[q]
     if node.mean is None:
         return np.zeros(locations.shape[0])
     table = coordinate_covariates(locations)
-    if covariates:
-        table.update(covariates)
     out = np.zeros(locations.shape[0])
     for name, coef in zip(node.mean.covariates, node.mean.coefficients):
         if name not in table:
@@ -458,21 +479,12 @@ def mean_at(network: ProcessNetwork, q: int, locations, covariates: Optional[dic
                 f"node {node.name!r}: covariate {name!r} not available; "
                 f"known: {sorted(table)}"
             )
-        col = np.asarray(table[name], dtype=float)
-        if col.shape != (locations.shape[0],):
-            raise ValidationError(
-                f"covariate {name!r} has shape {col.shape}, "
-                f"expected ({locations.shape[0]},)"
-            )
-        out = out + coef * col
+        out = out + coef * table[name]
     return out
 
 
-def apply_mean(model: JointModel, covariates: Optional[dict] = None) -> np.ndarray:
+def apply_mean(model: JointModel) -> np.ndarray:
     """Per-variable mean over the grid vertices, shape (p, n)."""
     return np.stack(
-        [
-            mean_at(model.network, q, model.grid.vertices, covariates)
-            for q in range(model.p)
-        ]
+        [mean_at(model.network, q, model.grid.vertices) for q in range(model.p)]
     )

@@ -236,6 +236,23 @@ class Observations:
         )
 
 
+def _variable_index(label: str, names: Sequence[str]) -> int:
+    """Index of a variable given by node name or by 1-based position."""
+    names = list(names)
+    if label in names:
+        return names.index(label)
+    try:
+        q = int(label) - 1
+    except ValueError:
+        q = -1
+    if not 0 <= q < len(names):
+        raise ValidationError(
+            f"unknown variable {label!r}; expected one of {names} "
+            f"or a 1-based index"
+        )
+    return q
+
+
 def load_observations(path, names: Sequence[str]) -> list:
     """Read observations CSV (header ``variable,x[,y[,z]],value``).
 
@@ -255,19 +272,10 @@ def load_observations(path, names: Sequence[str]) -> list:
         locs = [[] for _ in names]
         vals = [[] for _ in names]
         for i, row in enumerate(reader):
-            label = row["variable"].strip()
-            if label in names:
-                q = names.index(label)
-            else:
-                try:
-                    q = int(label) - 1
-                except ValueError:
-                    q = -1
-                if not 0 <= q < len(names):
-                    raise ValidationError(
-                        f"{path}: row {i + 2}: unknown variable {label!r}; "
-                        f"expected one of {names} or a 1-based index"
-                    )
+            try:
+                q = _variable_index(row["variable"].strip(), names)
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: row {i + 2}: {exc}") from None
             try:
                 locs[q].append([float(row[c]) for c in coords])
                 vals[q].append(float(row["value"]))

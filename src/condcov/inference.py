@@ -24,7 +24,7 @@ from scipy.optimize import minimize
 from .conditional import (
     CovarianceEvaluator,
     ProcessNetwork,
-    _check_shift_dims,
+    _check_network_on_grid,
     kept_observations,
     observation_covariance,
 )
@@ -61,6 +61,11 @@ _NODE_FIELDS = ("variance", "scale", "smoothness", "nugget", "noise")
 _LOG_FIELDS = frozenset({"variance", "scale", "smoothness", "nugget", "noise", "aperture"})
 _LOG_FLOOR = 1e-10
 _NU_RANGE = (0.05, 5.0)
+# Nelder-Mead tolerances on transformed coordinates and on -loglik, and the
+# relative spread of the perturbed starting points of later restarts
+_XATOL = 1e-6
+_FATOL = 1e-8
+_PERTURBATION = 0.3
 
 _EDGE_FIELDS = {
     InteractionKind.ZERO: (),
@@ -192,8 +197,6 @@ class OptimizerConfig:
     seed: int = 0
     restarts: int = 3
     max_evals: int = 2000
-    xtol: float = 1e-6
-    perturbation: float = 0.3
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -213,11 +216,6 @@ class FitResult:
     converged: bool
     trace: Tuple[dict, ...]
     network: ProcessNetwork
-
-    @property
-    def provisional(self) -> bool:
-        """True when the optimizer never met its convergence criterion."""
-        return not self.converged
 
 
 def _to_transformed(field: str, value: float) -> float:
@@ -256,7 +254,7 @@ def fit_mle(
     # bad input would surface as an optimizer failure
     if not kept_observations(grid, network, obs):
         raise InsufficientDataError(f"{label}: fit needs at least one observation")
-    _check_shift_dims(grid, network)
+    _check_network_on_grid(grid, network)
     free_names = list(free) if free is not None else default_free_parameters(network)
     if not free_names:
         raise ValidationError("fit needs at least one free parameter")
@@ -290,14 +288,14 @@ def fit_mle(
             xs = x0
         else:
             rng = rng_from_seed(config.seed, start)
-            xs = x0 + config.perturbation * (1.0 + np.abs(x0)) * rng.standard_normal(x0.size)
+            xs = x0 + _PERTURBATION * (1.0 + np.abs(x0)) * rng.standard_normal(x0.size)
         res = minimize(
             objective,
             xs,
             method="Nelder-Mead",
             options={
-                "xatol": config.xtol,
-                "fatol": 1e-8,
+                "xatol": _XATOL,
+                "fatol": _FATOL,
                 "maxfev": config.max_evals,
                 "disp": False,
             },

@@ -5,13 +5,14 @@ target is c^T C^-1 Z with C the observation covariance (process covariance
 plus per-variable measurement-error variance on the diagonal) and c the
 cross-covariance between target and observations. Nonzero means are handled
 by residual cokriging: subtract the configured mean, predict, add it back.
-All solves go through Cholesky with the shared jitter policy.
+All solves go through Cholesky with the shared jitter policy, capped by the
+model's ``jitter_max``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.stats import norm as _norm
@@ -29,7 +30,7 @@ from .errors import (
     ParameterError,
     ValidationError,
 )
-from .linalg import DEFAULT_JITTER_MAX, chol_solve, chol_with_jitter
+from .linalg import chol_solve, chol_with_jitter
 
 __all__ = [
     "PredictionResult",
@@ -49,7 +50,6 @@ class PredictionResult:
     locations: np.ndarray
     mean: np.ndarray
     stderr: np.ndarray
-    method: str
     jitter: float
 
 
@@ -67,7 +67,6 @@ def cokrige(
     obs: Sequence[Observations],
     targets,
     target_var,
-    jitter_max: float = DEFAULT_JITTER_MAX,
 ) -> PredictionResult:
     """Simple cokriging of one variable from observations of any subset.
 
@@ -90,7 +89,6 @@ def cokrige(
             locations=targets,
             mean=mu_t,
             stderr=np.sqrt(np.clip(prior_var, 0.0, None)),
-            method="cokriging",
             jitter=0.0,
         )
     C, z = observation_covariance(model.evaluator, kept)
@@ -100,7 +98,7 @@ def cokrige(
             for o in kept
         ]
     )
-    L, jitter = chol_with_jitter(C, jitter_max)
+    L, jitter = chol_with_jitter(C, model.jitter_max)
     alpha = chol_solve(L, z)
     mean = mu_t + c @ alpha
     w = chol_solve(L, c.T)
@@ -110,20 +108,13 @@ def cokrige(
         locations=targets,
         mean=mean,
         stderr=np.sqrt(np.clip(var, 0.0, None)),
-        method="cokriging",
         jitter=jitter,
     )
 
 
-def krige(
-    model: JointModel,
-    obs: Observations,
-    targets,
-    jitter_max: float = DEFAULT_JITTER_MAX,
-) -> PredictionResult:
+def krige(model: JointModel, obs: Observations, targets) -> PredictionResult:
     """Single-variable kriging: cokriging restricted to the variable's own data."""
-    result = cokrige(model, [obs], targets, obs.variable, jitter_max)
-    return replace(result, method="kriging")
+    return cokrige(model, [obs], targets, obs.variable)
 
 
 def crps_gaussian(mu, sigma, y):
@@ -190,7 +181,6 @@ class LooResult:
 def loo_cv(
     model: JointModel,
     obs: Sequence[Observations],
-    jitter_max: float = DEFAULT_JITTER_MAX,
 ) -> LooResult:
     """Leave-one-location-out cross-validation.
 
@@ -223,7 +213,7 @@ def loo_cv(
             "all observations share one location; nothing to predict from"
         )
     C, z = observation_covariance(model.evaluator, kept)
-    L, jitter = chol_with_jitter(C, jitter_max)
+    L, jitter = chol_with_jitter(C, model.jitter_max)
     P = chol_solve(L, np.eye(total))
     alpha = P @ z
     keys = sorted(groups)

@@ -28,7 +28,7 @@ from .domain import Grid, Observations, regular_grid
 from .errors import ValidationError
 from .inference import OptimizerConfig, fit_mle
 from .kernels import MaternParams, bisquare, shifted_bisquare
-from .predict import cokrige, krige
+from .predict import cokrige
 from .rng import rng_from_seed
 
 __all__ = [
@@ -49,15 +49,14 @@ def _draw_fields(model: JointModel, mu: np.ndarray, rng) -> np.ndarray:
     return mu + (model.chol @ xi).reshape(mu.shape)
 
 
-def sample_joint(model: JointModel, seed: int, index: int = 0,
-                 covariates: Optional[dict] = None) -> np.ndarray:
+def sample_joint(model: JointModel, seed: int, index: int = 0) -> np.ndarray:
     """One draw of every variable over the grid, shape (p, n).
 
     The draw is mean + L xi with L the model's Cholesky factor and xi standard
     normal from a Philox stream keyed by (seed, index), so distinct indices
     give independent replicates and the same pair is bit-reproducible.
     """
-    mu = apply_mean(model, covariates)
+    mu = apply_mean(model)
     return _draw_fields(model, mu, rng_from_seed(seed, index))
 
 
@@ -176,12 +175,7 @@ def simulate_replicate(cfg: SimStudyConfig, replicate: int = 0,
     targets = cfg.grid.vertices[cfg.eval_mask]
     preds = {"cokriging": cokrige(truth, obs, targets, cfg.target)}
     own = [o for o in obs if o.variable == cfg.target]
-    if own:
-        preds["kriging"] = krige(truth, own[0], targets)
-    else:
-        # target never observed: kriging degrades to the prior
-        prior = cokrige(truth, [], targets, cfg.target)
-        preds["kriging"] = dataclasses.replace(prior, method="kriging")
+    preds["kriging"] = cokrige(truth, own, targets, cfg.target)
     estimates = {}
     if cfg.refit_network is not None:
         fit = fit_mle(cfg.grid, cfg.refit_network, obs,

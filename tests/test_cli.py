@@ -230,6 +230,33 @@ def test_shift_dimension_mismatch_exits_1(tmp_path, capsys):
         assert "'y2'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dim, node, edit", [
+    pytest.param(1, "y1", {"mean": {"covariates": ["const", "elev"],
+                                    "coefficients": [0.0, 0.5]}},
+                 id="unknown-covariate"),
+    pytest.param(2, "y2", {"parents": [{
+        "node": "y1", "kind": "tabulated",
+        "table": {"s": [0.0, 1.0], "v": [0.0, 1.0],
+                  "values": [[1.0, 0.5], [0.5, 1.0]]}}]},
+                 id="tabulated-on-2d-grid"),
+])
+def test_network_the_grid_cannot_evaluate_exits_1(tmp_path, capsys, dim, node,
+                                                  edit):
+    data = {"grid": {"kind": "regular", "bounds": [[-1.0, 1.0]] * dim,
+                     "counts": [5] * dim},
+            "nodes": [dict(n) for n in BASE["nodes"]], "fit": BASE["fit"]}
+    q = ["y1", "y2"].index(node)
+    data["nodes"][q].update(edit)
+    cfg_path = _write_cfg(tmp_path, data)
+    obs_path = tmp_path / "obs.csv"
+    save_observations([Observations(0, np.full((3, dim), 0.5), np.ones(3))],
+                      ["y1", "y2"], obs_path)
+    rc = main(["fit", "--config", str(cfg_path), "--data", str(obs_path),
+               "--out", str(tmp_path / "fit")])
+    assert rc == 1
+    assert f"node {node!r}" in capsys.readouterr().err
+
+
 def test_predict_at_explicit_targets(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path)
     obs_path = _write_obs(tmp_path, cfg_path)
@@ -241,6 +268,25 @@ def test_predict_at_explicit_targets(tmp_path, capsys):
     assert rc == 0
     assert len((out / "predictions.csv").read_text().splitlines()) == 4
     capsys.readouterr()
+
+
+def test_target_var_by_name_or_1_based_index(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path)
+    obs_path = _write_obs(tmp_path, cfg_path)
+    outputs = []
+    for label in ("y2", "2"):
+        out = tmp_path / label
+        rc = main(["predict", "--config", str(cfg_path), "--data", str(obs_path),
+                   "--target-var", label, "--out", str(out)])
+        assert rc == 0
+        outputs.append((out / "predictions.csv").read_text())
+    assert outputs[0] == outputs[1]
+    capsys.readouterr()
+    for label in ("0", "3", "y3"):
+        rc = main(["predict", "--config", str(cfg_path), "--data", str(obs_path),
+                   "--target-var", label, "--out", str(tmp_path / "bad")])
+        assert rc == 1
+        assert f"--target-var: unknown variable {label!r}" in capsys.readouterr().err
 
 
 def test_cv_outputs(tmp_path, capsys):

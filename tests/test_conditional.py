@@ -297,9 +297,6 @@ def test_mean_requires_known_covariates():
     ))
     with pytest.raises(ValidationError):
         mean_at(net, 0, g.vertices)
-    # but user supplied covariates fill the gap
-    m = mean_at(net, 0, g.vertices, covariates={"elevation": np.arange(5.0)})
-    assert np.allclose(m, np.arange(5.0))
 
 
 def test_network_validation():

@@ -27,6 +27,7 @@ from condcov import (
     sample_joint,
     set_parameter,
     shifted_bisquare,
+    tabulated,
     write_fit_result,
     zero,
 )
@@ -187,6 +188,36 @@ def test_fit_rejects_bad_input_before_optimizing(grid, obs, error, match):
     with pytest.raises(error, match=match):
         fit_mle(grid, _bivariate(), obs, free=["y1.variance"],
                 config=OptimizerConfig(restarts=2, max_evals=20))
+
+
+_GRID_2D = regular_grid([(-1.0, 1.0)] * 2, [6, 6])
+_SITES_2D = np.hstack([_SITES, _SITES[::-1]])
+
+
+@pytest.mark.parametrize("grid, network, obs, match", [
+    pytest.param(_GRID_2D, _bivariate(tabulated([0.0, 1.0], [0.0, 1.0],
+                                                 [[1.0, 0.5], [0.5, 1.0]])),
+                 [Observations(1, _SITES_2D, np.zeros(5))],
+                 "'y2'.*tabulated", id="tabulated-on-2d-grid"),
+    pytest.param(GRID, ProcessNetwork((
+        ProcessNode("y1", MaternParams(1.0, 25.0, 1.5), noise=0.25,
+                    mean=MeanSpec(("const", "elev"), (1.0, 0.5))),)),
+                 [Observations(0, _SITES, np.zeros(5))],
+                 "'y1'.*'elev'", id="unknown-covariate"),
+    pytest.param(GRID, ProcessNetwork((
+        ProcessNode("y1", MaternParams(1.0, 25.0, 1.5), noise=0.25,
+                    mean=MeanSpec(("y",), (0.5,))),)),
+                 [Observations(0, _SITES, np.zeros(5))],
+                 "'y1'.*'y'", id="coordinate-the-grid-lacks"),
+])
+def test_fit_rejects_a_network_the_grid_cannot_evaluate(grid, network, obs,
+                                                       match):
+    # each used to score -inf at every evaluation: OptimizationError
+    with pytest.raises(ValidationError, match=match):
+        fit_mle(grid, network, obs, free=["y1.variance"],
+                config=OptimizerConfig(restarts=2, max_evals=20))
+    with pytest.raises(ValidationError, match=match):
+        assemble_dag(grid, network)
 
 
 def test_fit_aic_identity_and_determinism():

@@ -9,10 +9,12 @@ from condcov import (
     InsufficientDataError,
     MaternParams,
     MeanSpec,
+    NumericalError,
     Observations,
     ParameterError,
     ProcessNetwork,
     ProcessNode,
+    assemble_dag,
     bisquare,
     cokrige,
     crps_gaussian,
@@ -103,7 +105,7 @@ def test_zero_interaction_cokriging_equals_kriging():
     targets = rng.uniform(-1, 1, (15, 1))
     a = cokrige(model, obs, targets, 0)
     b = krige(model, obs[0], targets)
-    assert b.method == "kriging" and b.jitter == 0.0
+    assert b.jitter == 0.0
     assert np.max(np.abs(a.mean - b.mean)) < 1e-10
     assert np.max(np.abs(a.stderr - b.stderr)) < 1e-10
 
@@ -185,7 +187,6 @@ def test_prediction_result_fields():
     model = _model(zero())
     r = cokrige(model, [], np.array([[0.0]]), 1)
     assert r.variable == 1
-    assert r.method == "cokriging"
     assert r.locations.shape == (1, 1)
     assert r.jitter == 0.0
 
@@ -376,6 +377,18 @@ def test_loo_jittered_folds_are_those_of_the_jittered_covariance():
     assert _fold_keys(result) == keys
     for got_row, want_row in zip(_fold_scores(result), want):
         assert np.allclose(got_row, want_row, rtol=1e-4, atol=0.0)
+
+
+def test_prediction_factors_with_the_model_jitter_ceiling():
+    model, obs = _loo_case_jittered()
+    targets = np.array([[0.1], [0.5]])
+    assert cokrige(model, obs, targets, 0).jitter > 0.0
+    assert loo_cv(model, obs).jitter > 0.0
+    strict = assemble_dag(model.grid, model.network, jitter_max=0.0)
+    with pytest.raises(NumericalError):
+        cokrige(strict, obs, targets, 0)
+    with pytest.raises(NumericalError):
+        loo_cv(strict, obs)
 
 
 def test_loo_factors_the_observation_covariance_once(monkeypatch):
