@@ -35,11 +35,11 @@ Config layout (strict: unknown keys are errors)::
       seed: 0
       target: y1
       observed:                  # per node: all | none | {min: [..], max: [..]}
-        y1: {min: [0.0], max: [1.0]}
+        y1: {min: [0.0], max: [1.0]}   # one coordinate per grid dimension
       evaluate: unobserved       # all | unobserved | {min: [..], max: [..]}
       refit:                     # optional misspecified-refit arm
-        free: [y2~y1.amplitude, y2~y1.aperture]
-        edges:
+        free: [y2~y1.amplitude, y2~y1.aperture]   # must not be empty
+        edges:                   # in place of the child's edge from parent
           - node: y2
             parent: y1
             kind: bisquare
@@ -54,7 +54,8 @@ Config layout (strict: unknown keys are errors)::
 
 The spectral candidate may instead be ``candidate: {table: curve.csv}`` with
 CSV header ``w,value`` giving sampled (frequency, B) pairs. Interaction tables
-may be a path or inline ``{s: [...], v: [...], values: [[...]]}``.
+may be a path or inline ``{s: [...], v: [...], values: [[...]]}``. The refit
+network is checked like the one of ``nodes`` when the config is read.
 
 All numeric CSV output is written with 17 significant digits, so re-running a
 command with the same config, data and seed reproduces the files byte for
@@ -67,7 +68,7 @@ import argparse
 import csv
 import dataclasses
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
@@ -87,7 +88,6 @@ from .domain import (
     EUCLIDEAN,
     FLOAT_FMT,
     Grid,
-    Metric,
     chordal,
     load_mesh,
     load_observations,
@@ -128,6 +128,7 @@ from .spectral import check_cross_validity
 __all__ = [
     "FitSettings",
     "Region",
+    "RefitSettings",
     "SimulationSettings",
     "SpectralSettings",
     "ParsedConfig",
@@ -139,28 +140,67 @@ __all__ = [
     "cli_entry",
 ]
 
-_MISSING = object()
+# the types a config value may have, and the words a message uses for them;
+# a one-element list [kind] reads a list of kind
+_EXPECTED = {float: ((int, float), "a number"), int: (int, "an integer"),
+             str: (str, "a string"), list: (list, "a list")}
+
+
+def _expect(value, where: str, kind):
+    accepts, noun = _EXPECTED[list if isinstance(kind, list) else kind]
+    if isinstance(value, bool) or not isinstance(value, accepts):
+        raise ConfigError(f"{where}: expected {noun}, got {value!r}")
+    if isinstance(kind, list):
+        return tuple(_expect(v, where, kind[0]) for v in value)
+    return float(value) if kind is float else value
+
+
+def _existing(path: Path, what: str) -> Path:
+    if not path.exists():
+        raise ConfigError(f"{what} {path} does not exist")
+    return path
 
 
 class _Section:
-    """Mapping wrapper that tracks consumed keys and rejects leftovers."""
+    """One config mapping and its path in messages (``<where>: <key>``);
+    relative file names in it resolve against ``base_dir``, and ``finish``
+    rejects the keys that no reader asked for."""
 
-    def __init__(self, data, where: str):
+    def __init__(self, data, where: str, base_dir: Optional[Path] = None):
         if not isinstance(data, dict):
             raise ConfigError(
                 f"{where}: expected a mapping, got {type(data).__name__}"
             )
         self.data = data
         self.where = where
+        self.base_dir = base_dir
         self.known = set()
 
-    def take(self, key: str, default=_MISSING):
+    def take(self, key: str, default=MISSING):
         self.known.add(key)
         if key in self.data:
             return self.data[key]
-        if default is _MISSING:
+        if default is MISSING:
             raise ConfigError(f"{self.where}: missing required key {key!r}")
         return default
+
+    def read(self, key: str, kind, *args, default=MISSING):
+        """The value of ``key`` as a ``kind`` of _EXPECTED, or as a section:
+        the _Section itself for ``kind=_Section``, else ``kind(section,
+        *args)``. An explicit null reads as absent where the default is None.
+        """
+        value = self.take(key, default)
+        if value is None and default is None:
+            return None
+        where = f"{self.where}: {key}"
+        if isinstance(kind, list) or kind in _EXPECTED:
+            return _expect(value, where, kind)
+        section = _Section(value, where, self.base_dir)
+        return section if kind is _Section else kind(section, *args)
+
+    def sections(self, key: str, default=MISSING) -> list:
+        return [_Section(item, f"{self.where}: {key}[{i}]", self.base_dir)
+                for i, item in enumerate(self.read(key, list, default=default))]
 
     def finish(self):
         unknown = sorted(set(self.data) - self.known)
@@ -171,37 +211,58 @@ class _Section:
             )
 
 
-def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+# the kind of each field annotation that a flat config key can have
+_KIND_OF = {"str": str, "int": int, "float": float, "Optional[float]": float,
+            "Tuple[float, ...]": [float], "Tuple[str, ...]": [str],
+            "Optional[Tuple[str, ...]]": [str]}
 
 
-def _integer(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+def _flat(sec: _Section, cls, **defaults) -> dict:
+    """The keys of ``sec`` named by the fields of dataclass ``cls`` whose
+    annotation is in _KIND_OF, with the field defaults unless ``defaults``
+    overrides them; the other fields are sections the caller reads."""
+    return {
+        f.name: sec.read(f.name, _KIND_OF[f.type],
+                         default=defaults.get(f.name, f.default))
+        for f in dataclasses.fields(cls) if f.type in _KIND_OF
+    }
+
+
+def _flat_dict(obj) -> dict:
+    """The keys that _flat reads back to the fields of ``obj``."""
+    return {f.name: getattr(obj, f.name)
+            for f in dataclasses.fields(obj) if f.type in _KIND_OF}
+
+
+def _located(where: str, fn, *args):
+    """``fn(*args)``, with the ValidationError it raises placed at ``where``."""
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _fill(sec: _Section, cls, **fields):
+    """A ``cls`` from the flat keys of a section and the other ``fields``;
+    the section holds nothing else."""
+    value = cls(**_flat(sec, cls), **fields)
+    sec.finish()
     return value
 
 
-def _string(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{where}: expected a string, got {value!r}")
-    return value
-
-
-def _listing(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{where}: expected a list, got {value!r}")
-    return value
-
-
-def _numbers(value, where: str) -> Tuple[float, ...]:
-    return tuple(_number(v, where) for v in _listing(value, where))
-
-
-def _resolve(base_dir: Path, relpath: str) -> Path:
-    path = Path(relpath)
-    return path if path.is_absolute() else base_dir / path
+def _read_table(path: Path, header: Sequence[str], what: str) -> list:
+    """The rows of a numeric CSV file with the given header."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        cols = [c.strip() for c in reader.fieldnames or []]
+        if cols != list(header):
+            raise ConfigError(
+                f"{path}: expected header {','.join(header)!r}, got {cols}"
+            )
+        try:
+            return [[float(row[c]) for c in reader.fieldnames] for row in reader]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: non-numeric {what}") from exc
 
 
 # ---------------------------------------------------------------- settings
@@ -241,14 +302,21 @@ class Region:
 
 
 @dataclass(frozen=True)
+class RefitSettings:
+    """The refit arm: ``free`` is re-estimated on ``network``."""
+
+    free: Tuple[str, ...]
+    network: ProcessNetwork
+
+
+@dataclass(frozen=True)
 class SimulationSettings:
-    replicates: int
-    seed: int
     target: str
     observed: Tuple[Tuple[str, Region], ...]
     evaluate: Region
-    refit_free: Tuple[str, ...] = ()
-    refit_edges: Tuple[tuple, ...] = ()
+    refit: Optional[RefitSettings] = None
+    replicates: int = 50
+    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -272,215 +340,147 @@ class ParsedConfig:
 # ---------------------------------------------------------------- parsing
 
 
-def _parse_metric(value, where: str) -> Metric:
-    if value == "euclidean":
-        return EUCLIDEAN
-    sec = _Section(value, where)
-    kind = _string(sec.take("kind"), f"{where}: kind")
-    if kind == "euclidean":
-        sec.finish()
-        return EUCLIDEAN
-    if kind == "chordal":
-        radius = _number(sec.take("radius"), f"{where}: radius")
-        sec.finish()
-        return chordal(radius)
-    raise ConfigError(
-        f"{where}: unknown metric kind {kind!r}; "
-        f"expected one of ['chordal', 'euclidean']"
-    )
+def _parse_table(sec: _Section) -> InteractionSpec:
+    value = sec.take("table")
+    if isinstance(value, str):
+        return load_tabulated(
+            _existing(sec.base_dir / value, f"{sec.where}: table: table file"))
+    tsec = sec.read("table", _Section)
+    s_axis = tsec.read("s", [float])
+    v_axis = tsec.read("v", [float])
+    values = tsec.read("values", [[float]])
+    tsec.finish()
+    return tabulated(np.array(s_axis), np.array(v_axis), np.array(values))
 
 
-def _parse_grid(value, base_dir: Path, where: str) -> Grid:
-    sec = _Section(value, where)
-    kind = _string(sec.take("kind"), f"{where}: kind")
-    metric = _parse_metric(sec.take("metric", "euclidean"), f"{where}: metric")
+# the keys of each kind of metric and of interaction, which its constructor
+# takes by name; a tabulated interaction reads its own table
+_METRICS = {"euclidean": (lambda: EUCLIDEAN, {}),
+            "chordal": (chordal, {"radius": float})}
+_DIRAC = {"amplitude": float}
+_BISQUARE = {**_DIRAC, "aperture": float}
+_INTERACTIONS = {
+    "zero": (zero, {}),
+    "dirac": (dirac, _DIRAC),
+    "bisquare": (bisquare, _BISQUARE),
+    "shifted_bisquare": (shifted_bisquare, {**_BISQUARE, "shift": [float]}),
+    "tabulated": (_parse_table, None),
+}
+
+
+def _parse_kind(sec: _Section, kinds: dict, what: str):
+    """What the constructor of the ``kind`` of ``sec`` builds from its keys."""
+    kind = sec.read("kind", str)
+    if kind not in kinds:
+        raise ConfigError(
+            f"{sec.where}: unknown {what} kind {kind!r}; "
+            f"expected one of {sorted(kinds)}"
+        )
+    make, keys = kinds[kind]
+    if keys is None:
+        value = make(sec)
+    else:
+        value = make(**{key: sec.read(key, expected)
+                        for key, expected in keys.items()})
+    sec.finish()
+    return value
+
+
+def _parse_grid(sec: _Section) -> Grid:
+    kind = sec.read("kind", str)
+    metric = EUCLIDEAN
+    if sec.take("metric", "euclidean") != "euclidean":
+        metric = sec.read("metric", _parse_kind, _METRICS, "metric")
     if kind == "regular":
-        bounds = [
-            _numbers(b, f"{where}: bounds")
-            for b in _listing(sec.take("bounds"), f"{where}: bounds")
-        ]
-        counts = [
-            _integer(c, f"{where}: counts")
-            for c in _listing(sec.take("counts"), f"{where}: counts")
-        ]
+        bounds = sec.read("bounds", [[float]])
+        counts = sec.read("counts", [int])
         sec.finish()
-        for b in bounds:
-            if len(b) != 2:
-                raise ConfigError(f"{where}: each bounds entry must be [lo, hi]")
+        if any(len(b) != 2 for b in bounds):
+            raise ConfigError(f"{sec.where}: each bounds entry must be [lo, hi]")
         return regular_grid(bounds, counts, metric)
     if kind == "mesh":
         if "path" in sec.data:
-            path = _resolve(base_dir, _string(sec.take("path"), f"{where}: path"))
+            path = sec.base_dir / sec.read("path", str)
             sec.finish()
-            if not path.exists():
-                raise ConfigError(f"{where}: mesh file {path} does not exist")
-            return load_mesh(path, metric)
-        vertices = [
-            _numbers(v, f"{where}: vertices")
-            for v in _listing(sec.take("vertices"), f"{where}: vertices")
-        ]
-        weights = _numbers(sec.take("weights"), f"{where}: weights")
+            return load_mesh(_existing(path, f"{sec.where}: mesh file"), metric)
+        vertices = sec.read("vertices", [[float]])
+        weights = sec.read("weights", [float])
         sec.finish()
         return Grid(np.array(vertices, dtype=float), np.array(weights), metric)
     raise ConfigError(
-        f"{where}: unknown grid kind {kind!r}; "
+        f"{sec.where}: unknown grid kind {kind!r}; "
         f"expected one of ['mesh', 'regular']"
     )
 
 
-_INTERACTION_KINDS = sorted(k.value for k in InteractionKind)
+def _parse_edge(sec: _Section, key: str) -> Tuple[str, InteractionSpec]:
+    """The node named under ``key`` and the interaction of an edge mapping."""
+    name = sec.read(key, str)
+    return name, _parse_kind(sec, _INTERACTIONS, "interaction")
 
 
-def _parse_table(value, base_dir: Path, where: str) -> InteractionSpec:
-    if isinstance(value, str):
-        path = _resolve(base_dir, value)
-        if not path.exists():
-            raise ConfigError(f"{where}: table file {path} does not exist")
-        return load_tabulated(path)
-    sec = _Section(value, where)
-    s_axis = _numbers(sec.take("s"), f"{where}: s")
-    v_axis = _numbers(sec.take("v"), f"{where}: v")
-    values = [
-        _numbers(row, f"{where}: values")
-        for row in _listing(sec.take("values"), f"{where}: values")
-    ]
-    sec.finish()
-    return tabulated(np.array(s_axis), np.array(v_axis), np.array(values))
-
-
-def _parse_interaction(sec: _Section, base_dir: Path) -> InteractionSpec:
-    where = sec.where
-    kind = _string(sec.take("kind"), f"{where}: kind")
-    if kind == "zero":
-        return zero()
-    if kind == "dirac":
-        return dirac(_number(sec.take("amplitude"), f"{where}: amplitude"))
-    if kind == "bisquare":
-        return bisquare(
-            _number(sec.take("amplitude"), f"{where}: amplitude"),
-            _number(sec.take("aperture"), f"{where}: aperture"),
-        )
-    if kind == "shifted_bisquare":
-        return shifted_bisquare(
-            _number(sec.take("amplitude"), f"{where}: amplitude"),
-            _number(sec.take("aperture"), f"{where}: aperture"),
-            _numbers(sec.take("shift"), f"{where}: shift"),
-        )
-    if kind == "tabulated":
-        return _parse_table(sec.take("table"), base_dir, f"{where}: table")
-    raise ConfigError(
-        f"{where}: unknown interaction kind {kind!r}; "
-        f"expected one of {_INTERACTION_KINDS}"
-    )
-
-
-def _take_matern(sec: _Section) -> MaternParams:
-    return MaternParams(*(
-        _number(sec.take(key), f"{sec.where}: {key}")
-        for key in ("variance", "scale", "smoothness")
-    ))
-
-
-def _find_cycle(pending: list, parents: dict, placed: set) -> list:
-    node = pending[0]
-    path = [node]
-    seen = {node: 0}
-    while True:
-        node = next(p for p in parents[node] if p not in placed)
-        if node in seen:
-            return path[seen[node]:] + [node]
-        seen[node] = len(path)
-        path.append(node)
-
-
-def _parse_nodes(value, base_dir: Path, where: str) -> ProcessNetwork:
-    raw = _listing(value, where)
-    if not raw:
-        raise ConfigError(f"{where}: at least one node is required")
-    entries = {}
-    order = []
-    for i, item in enumerate(raw):
-        sec = _Section(item, f"{where}[{i}]")
-        name = _string(sec.take("name"), f"{sec.where}: name")
-        if name in entries:
-            raise ConfigError(f"{where}: duplicate node name {name!r}")
-        cov = _take_matern(sec)
-        nugget = _number(sec.take("nugget", 0.0), f"{sec.where}: nugget")
-        noise = _number(sec.take("noise", 0.0), f"{sec.where}: noise")
-        mean = None
-        if sec.take("mean", None) is not None:
-            msec = _Section(sec.data["mean"], f"{sec.where}: mean")
-            mean = MeanSpec(
-                tuple(
-                    _string(c, f"{msec.where}: covariates")
-                    for c in _listing(msec.take("covariates"), msec.where)
-                ),
-                _numbers(msec.take("coefficients"), f"{msec.where}: coefficients"),
-            )
-            msec.finish()
-        parent_specs = []
-        for j, edge in enumerate(_listing(sec.take("parents", []), f"{sec.where}: parents")):
-            esec = _Section(edge, f"{sec.where}: parents[{j}]")
-            pname = _string(esec.take("node"), f"{esec.where}: node")
-            spec = _parse_interaction(esec, base_dir)
-            esec.finish()
-            parent_specs.append((pname, spec))
-        sec.finish()
-        entries[name] = (cov, nugget, noise, mean, parent_specs)
-        order.append(name)
-    parents = {name: [p for p, _ in entries[name][4]] for name in order}
-    for name in order:
+def _conditioning_order(names: list, parents: dict, where: str) -> list:
+    """``names`` with every node after its parents, stable in their order."""
+    for name in names:
         for p in parents[name]:
-            if p not in entries:
+            if p not in parents:
                 raise ConfigError(
                     f"{where}: node {name!r} references unknown parent {p!r}; "
-                    f"declared nodes: {order}"
+                    f"declared nodes: {names}"
                 )
-    # topological order, stable in declaration order
-    placed, placed_set = [], set()
-    pending = list(order)
-    while pending:
-        rest = []
+    placed = []
+    while len(placed) < len(names):
+        pending = [name for name in names if name not in placed]
         for name in pending:
-            if all(p in placed_set for p in parents[name]):
+            if all(p in placed for p in parents[name]):
                 placed.append(name)
-                placed_set.add(name)
-            else:
-                rest.append(name)
-        if len(rest) == len(pending):
-            cycle = _find_cycle(rest, parents, placed_set)
+        if len(placed) + len(pending) == len(names):
+            # each pending node has a pending parent: walk them to a repeat
+            path = [pending[0]]
+            while path.count(path[-1]) < 2:
+                path.append(next(p for p in parents[path[-1]] if p not in placed))
+            cycle = path[path.index(path[-1]):]
             raise ConfigError(
                 f"{where}: network not acyclic: {' -> '.join(cycle)}"
             )
-        pending = rest
-    index = {name: q for q, name in enumerate(placed)}
-    nodes = []
-    for name in placed:
-        cov, nugget, noise, mean, parent_specs = entries[name]
-        edges = tuple((index[p], spec) for p, spec in parent_specs)
-        nodes.append(
-            ProcessNode(name, cov, parents=edges, mean=mean,
-                        nugget=nugget, noise=noise)
+    return placed
+
+
+def _parse_nodes(sec: _Section) -> ProcessNetwork:
+    where = f"{sec.where}: nodes"
+    items = sec.sections("nodes")
+    if not items:
+        raise ConfigError(f"{where}: at least one node is required")
+    nodes, edges = {}, {}
+    for nsec in items:
+        settings = _flat(nsec, ProcessNode)
+        node = ProcessNode(
+            covariance=MaternParams(**_flat(nsec, MaternParams)),
+            mean=nsec.read("mean", _fill, MeanSpec, default=None),
+            **settings,
         )
-    return ProcessNetwork(tuple(nodes))
+        if node.name in nodes:
+            raise ConfigError(f"{where}: duplicate node name {node.name!r}")
+        edges[node.name] = [_parse_edge(esec, "node")
+                            for esec in nsec.sections("parents", [])]
+        nsec.finish()
+        nodes[node.name] = node
+    parents = {name: [p for p, _ in e] for name, e in edges.items()}
+    order = _conditioning_order(list(nodes), parents, where)
+    index = {name: q for q, name in enumerate(order)}
+    return ProcessNetwork(tuple(
+        dataclasses.replace(nodes[name], parents=tuple(
+            (index[p], spec) for p, spec in edges[name]))
+        for name in order
+    ))
 
 
-def _parse_fit(value, where: str) -> FitSettings:
-    sec = _Section(value, where)
-    label = _string(sec.take("label", FitSettings.label), f"{where}: label")
-    free = sec.take("free", None)
-    if free is not None:
-        free = tuple(_string(f, f"{where}: free") for f in _listing(free, f"{where}: free"))
-    optimizer = OptimizerConfig(**{
-        key: _integer(sec.take(key, getattr(OptimizerConfig, key)),
-                      f"{where}: {key}")
-        for key in ("seed", "restarts", "max_evals")
-    })
-    sec.finish()
-    return FitSettings(label=label, free=free, optimizer=optimizer)
+def _parse_fit(sec: _Section) -> FitSettings:
+    return _fill(sec, FitSettings,
+                 optimizer=OptimizerConfig(**_flat(sec, OptimizerConfig)))
 
 
-def _parse_region(value, where: str) -> Region:
+def _parse_region(value, where: str, dim: int) -> Region:
     if isinstance(value, str):
         if value in ("all", "none", "unobserved"):
             return Region(value)
@@ -489,21 +489,44 @@ def _parse_region(value, where: str) -> Region:
             f"'unobserved' or a box {{min: [..], max: [..]}}"
         )
     sec = _Section(value, where)
-    lo = _numbers(sec.take("min"), f"{where}: min")
-    hi = _numbers(sec.take("max"), f"{where}: max")
+    lo = sec.read("min", [float])
+    hi = sec.read("max", [float])
     sec.finish()
-    if len(lo) != len(hi):
-        raise ConfigError(f"{where}: min and max must have the same length")
+    if len(lo) != dim or len(hi) != dim:
+        raise ConfigError(f"{where}: region box has {len(lo)}/{len(hi)} "
+                          f"coordinates, grid is {dim}-d")
     return Region("box", lo=lo, hi=hi)
 
 
-def _parse_simulation(value, network: ProcessNetwork, base_dir: Path,
-                      where: str) -> SimulationSettings:
-    sec = _Section(value, where)
-    replicates = _integer(sec.take("replicates", 50), f"{where}: replicates")
-    seed = _integer(sec.take("seed", 0), f"{where}: seed")
-    target = _string(sec.take("target", network.names[0]), f"{where}: target")
-    network.index(target)  # validates
+def _parse_refit(sec: _Section, grid: Grid,
+                 network: ProcessNetwork) -> RefitSettings:
+    parents = {node.name: [network.names[a] for a, _ in node.parents]
+               for node in network.nodes}
+    refit_network = network
+    for esec in sec.sections("edges", []):
+        child = esec.read("node", str)
+        q = network.index(child)
+        parent, spec = _parse_edge(esec, "parent")
+        a = network.index(parent)
+        parents[child].append(parent)
+        _conditioning_order(list(network.names), parents, sec.where)
+        node = refit_network.nodes[q]
+        edges = [e for e in node.parents if e[0] != a] + [(a, spec)]
+        edges.sort(key=lambda e: e[0])
+        nodes = list(refit_network.nodes)
+        nodes[q] = dataclasses.replace(node, parents=tuple(edges))
+        refit_network = _located(sec.where, ProcessNetwork, tuple(nodes))
+    _located(sec.where, _check_network_on_grid, grid, refit_network)
+    refit = _fill(sec, RefitSettings, network=refit_network)
+    if not refit.free:
+        raise ConfigError(f"{sec.where}: at least one free parameter is required")
+    return refit
+
+
+def _parse_simulation(sec: _Section, grid: Grid,
+                      network: ProcessNetwork) -> SimulationSettings:
+    where = sec.where
+    settings = _flat(sec, SimulationSettings, target=network.names[0])
     observed_raw = sec.take("observed", {})
     if not isinstance(observed_raw, dict):
         raise ConfigError(f"{where}: observed must map node names to regions")
@@ -518,133 +541,71 @@ def _parse_simulation(value, network: ProcessNetwork, base_dir: Path,
                               f"valid only for evaluate")
     observed = tuple(
         (name, _parse_region(observed_raw.get(name, "all"),
-                             f"{where}: observed: {name}"))
+                             f"{where}: observed: {name}", grid.dim))
         for name in network.names
     )
     evaluate = _parse_region(sec.take("evaluate", "unobserved"),
-                             f"{where}: evaluate")
-    refit_free: Tuple[str, ...] = ()
-    refit_edges: Tuple[tuple, ...] = ()
-    refit_raw = sec.take("refit", None)
-    if refit_raw is not None:
-        rsec = _Section(refit_raw, f"{where}: refit")
-        refit_free = tuple(
-            _string(f, f"{rsec.where}: free")
-            for f in _listing(rsec.take("free"), f"{rsec.where}: free")
-        )
-        edges = []
-        for j, edge in enumerate(_listing(rsec.take("edges", []), f"{rsec.where}: edges")):
-            esec = _Section(edge, f"{rsec.where}: edges[{j}]")
-            child = _string(esec.take("node"), f"{esec.where}: node")
-            parent = _string(esec.take("parent"), f"{esec.where}: parent")
-            network.index(child)
-            network.index(parent)
-            spec = _parse_interaction(esec, base_dir)
-            esec.finish()
-            edges.append((child, parent, spec))
-        rsec.finish()
-        refit_edges = tuple(edges)
-    sec.finish()
-    return SimulationSettings(
-        replicates=replicates,
-        seed=seed,
-        target=target,
+                             f"{where}: evaluate", grid.dim)
+    sim = SimulationSettings(
         observed=observed,
         evaluate=evaluate,
-        refit_free=refit_free,
-        refit_edges=refit_edges,
+        refit=sec.read("refit", _parse_refit, grid, network, default=None),
+        **settings,
     )
-
-
-def _parse_matern(value, where: str) -> MaternParams:
-    sec = _Section(value, where)
-    params = _take_matern(sec)
     sec.finish()
-    return params
+    network.index(sim.target)  # validates
+    return sim
 
 
-def _load_candidate_table(path: Path) -> Tuple[Tuple[float, float], ...]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        cols = [c.strip() for c in reader.fieldnames or []]
-        if cols != ["w", "value"]:
-            raise ConfigError(f"{path}: expected header 'w,value', got {cols}")
-        try:
-            rows = tuple(
-                (float(r["w"]), float(r["value"])) for r in reader
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: non-numeric row in candidate table") from exc
-    if len(rows) < 2:
-        raise ConfigError(f"{path}: candidate table needs at least 2 rows")
-    return rows
-
-
-def _parse_spectral(value, base_dir: Path, where: str) -> SpectralSettings:
-    sec = _Section(value, where)
-    c11 = _parse_matern(sec.take("c11"), f"{where}: c11")
-    c22 = _parse_matern(sec.take("c22"), f"{where}: c22")
-    cand_raw = sec.take("candidate")
-    if not isinstance(cand_raw, dict):
-        raise ConfigError(f"{where}: candidate must be a mapping")
-    if "table" in cand_raw:
-        csec = _Section(cand_raw, f"{where}: candidate")
-        table = csec.take("table")
-        csec.finish()
-        if isinstance(table, str):
-            path = _resolve(base_dir, table)
-            if not path.exists():
-                raise ConfigError(f"{where}: candidate table {path} does not exist")
-            candidate = _load_candidate_table(path)
-        else:
-            candidate = tuple(
-                tuple(_numbers(row, f"{where}: candidate table"))
-                for row in _listing(table, f"{where}: candidate table")
-            )
-            for row in candidate:
-                if len(row) != 2:
-                    raise ConfigError(
-                        f"{where}: candidate table rows must be [w, value]"
-                    )
+def _parse_candidate(sec: _Section):
+    """A Matérn candidate, or the [w, value] rows of a file or inline table."""
+    if not isinstance(sec.take("candidate"), dict):
+        raise ConfigError(f"{sec.where}: candidate must be a mapping")
+    csec = sec.read("candidate", _Section)
+    if "table" not in csec.data:
+        return _fill(csec, MaternParams)
+    table = csec.take("table")
+    csec.finish()
+    if isinstance(table, str):
+        where = _existing(sec.base_dir / table, f"{sec.where}: candidate table")
+        rows = _read_table(where, ("w", "value"), "row in candidate table")
     else:
-        candidate = _parse_matern(cand_raw, f"{where}: candidate")
-    wmax = sec.take("wmax", None)
-    if wmax is not None:
-        wmax = _number(wmax, f"{where}: wmax")
-    nsamples = _integer(sec.take("nsamples", 4096), f"{where}: nsamples")
-    sec.finish()
-    return SpectralSettings(c11=c11, c22=c22, candidate=candidate,
-                            wmax=wmax, nsamples=nsamples)
+        where = sec.where
+        rows = _expect(table, f"{where}: candidate table", [[float]])
+    if any(len(row) != 2 for row in rows):
+        raise ConfigError(f"{where}: candidate table rows must be [w, value]")
+    if len(rows) < 2:
+        raise ConfigError(f"{where}: candidate table needs at least 2 rows")
+    return tuple(tuple(row) for row in rows)
+
+
+def _parse_spectral(sec: _Section) -> SpectralSettings:
+    return _fill(sec, SpectralSettings,
+                 c11=sec.read("c11", _fill, MaternParams),
+                 c22=sec.read("c22", _fill, MaternParams),
+                 candidate=_parse_candidate(sec))
 
 
 def parse_config_dict(data, base_dir, where: str = "config") -> ParsedConfig:
     """Validate a config mapping; see the module docstring for the layout."""
-    base_dir = Path(base_dir)
-    sec = _Section(data, where)
-    grid = _parse_grid(sec.take("grid"), base_dir, f"{where}: grid")
-    network = _parse_nodes(sec.take("nodes"), base_dir, f"{where}: nodes")
-    fit = sim = spectral = None
-    if sec.take("fit", None) is not None:
-        fit = _parse_fit(sec.data["fit"], f"{where}: fit")
-    if sec.take("simulation", None) is not None:
-        sim = _parse_simulation(sec.data["simulation"], network, base_dir,
-                                f"{where}: simulation")
-    if sec.take("spectral", None) is not None:
-        spectral = _parse_spectral(sec.data["spectral"], base_dir,
-                                   f"{where}: spectral")
+    sec = _Section(data, where, Path(base_dir))
+    grid = sec.read("grid", _parse_grid)
+    network = _parse_nodes(sec)
+    _located(where, _check_network_on_grid, grid, network)
+    cfg = ParsedConfig(
+        grid=grid,
+        network=network,
+        fit=sec.read("fit", _parse_fit, default=None),
+        simulation=sec.read("simulation", _parse_simulation, grid, network,
+                            default=None),
+        spectral=sec.read("spectral", _parse_spectral, default=None),
+    )
     sec.finish()
-    try:
-        _check_network_on_grid(grid, network)
-    except ValidationError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    return ParsedConfig(grid=grid, network=network, fit=fit,
-                        simulation=sim, spectral=spectral)
+    return cfg
 
 
 def parse_config(path) -> ParsedConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
+    path = _existing(Path(path), "config file")
     try:
         data = yaml.safe_load(path.read_text())
     except yaml.YAMLError as exc:
@@ -655,107 +616,76 @@ def parse_config(path) -> ParsedConfig:
 # ------------------------------------------------------------- round trip
 
 
-def _metric_dict(metric: Metric) -> dict:
-    if metric.kind == "euclidean":
-        return {"kind": "euclidean"}
-    return {"kind": metric.kind, "radius": metric.radius}
+def _plain(value):
+    """Tuples as lists, the only sequence the readers take."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
 
 
-def _grid_dict(grid: Grid) -> dict:
-    return {
-        "kind": "mesh",
-        "vertices": [[float(c) for c in v] for v in grid.vertices],
-        "weights": [float(w) for w in grid.weights],
-        "metric": _metric_dict(grid.metric),
-    }
+def _kind_dict(obj, kind: str, kinds: dict) -> dict:
+    return {"kind": kind, **{key: getattr(obj, key) for key in kinds[kind][1]}}
 
 
 def _interaction_dict(spec: InteractionSpec) -> dict:
-    out = {"kind": spec.kind.value}
-    if spec.kind is InteractionKind.DIRAC:
-        out["amplitude"] = spec.amplitude
-    elif spec.kind in (InteractionKind.BISQUARE, InteractionKind.SHIFTED_BISQUARE):
-        out["amplitude"] = spec.amplitude
-        out["aperture"] = spec.aperture
-        if spec.kind is InteractionKind.SHIFTED_BISQUARE:
-            out["shift"] = list(spec.shift)
-    elif spec.kind is InteractionKind.TABULATED:
-        out["table"] = {
-            "s": [float(v) for v in spec.table.s_axis],
-            "v": [float(v) for v in spec.table.v_axis],
-            "values": [[float(v) for v in row] for row in spec.table.values],
-        }
-    return out
+    if spec.kind is InteractionKind.TABULATED:
+        t = spec.table
+        return {"kind": spec.kind.value, "table": {
+            "s": t.s_axis.tolist(), "v": t.v_axis.tolist(),
+            "values": t.values.tolist()}}
+    return _kind_dict(spec, spec.kind.value, _INTERACTIONS)
 
 
 def _region_dict(region: Region):
     if region.kind == "box":
-        return {"min": list(region.lo), "max": list(region.hi)}
+        return {"min": region.lo, "max": region.hi}
     return region.kind
 
 
 def config_to_dict(cfg: ParsedConfig) -> dict:
     """Emit a mapping that parse_config_dict reads back to an equal config."""
-    nodes = []
-    for node in cfg.network.nodes:
-        d = {"name": node.name, **dataclasses.asdict(node.covariance)}
-        if node.nugget:
-            d["nugget"] = node.nugget
-        if node.noise:
-            d["noise"] = node.noise
-        if node.mean is not None:
-            d["mean"] = {
-                "covariates": list(node.mean.covariates),
-                "coefficients": list(node.mean.coefficients),
-            }
-        if node.parents:
-            d["parents"] = [
-                {"node": cfg.network.names[idx], **_interaction_dict(spec)}
-                for idx, spec in node.parents
-            ]
-        nodes.append(d)
-    out = {"grid": _grid_dict(cfg.grid), "nodes": nodes}
+    names = cfg.network.names
+    grid = cfg.grid
+    out = {
+        "grid": {"kind": "mesh", "vertices": grid.vertices.tolist(),
+                 "weights": grid.weights.tolist(),
+                 "metric": _kind_dict(grid.metric, grid.metric.kind, _METRICS)},
+        "nodes": [
+            {**_flat_dict(node), **_flat_dict(node.covariance),
+             "mean": None if node.mean is None else _flat_dict(node.mean),
+             "parents": [{"node": names[a], **_interaction_dict(spec)}
+                         for a, spec in node.parents]}
+            for node in cfg.network.nodes
+        ],
+    }
     if cfg.fit is not None:
-        out["fit"] = {
-            "label": cfg.fit.label,
-            "seed": cfg.fit.optimizer.seed,
-            "restarts": cfg.fit.optimizer.restarts,
-            "max_evals": cfg.fit.optimizer.max_evals,
-        }
-        if cfg.fit.free is not None:
-            out["fit"]["free"] = list(cfg.fit.free)
-    if cfg.simulation is not None:
-        sim = cfg.simulation
+        out["fit"] = {**_flat_dict(cfg.fit), **_flat_dict(cfg.fit.optimizer)}
+    sim = cfg.simulation
+    if sim is not None:
         out["simulation"] = {
-            "replicates": sim.replicates,
-            "seed": sim.seed,
-            "target": sim.target,
+            **_flat_dict(sim),
             "observed": {name: _region_dict(r) for name, r in sim.observed},
             "evaluate": _region_dict(sim.evaluate),
         }
-        if sim.refit_free:
-            refit = {"free": list(sim.refit_free)}
-            if sim.refit_edges:
-                refit["edges"] = [
-                    {"node": child, "parent": parent, **_interaction_dict(spec)}
-                    for child, parent, spec in sim.refit_edges
-                ]
-            out["simulation"]["refit"] = refit
-    if cfg.spectral is not None:
-        sp = cfg.spectral
-        if isinstance(sp.candidate, MaternParams):
-            cand = dataclasses.asdict(sp.candidate)
-        else:
-            cand = {"table": [list(row) for row in sp.candidate]}
+        if sim.refit is not None:
+            # the edges that the refit network has and the nodes do not
+            out["simulation"]["refit"] = {**_flat_dict(sim.refit), "edges": [
+                {"node": node.name, "parent": names[a], **_interaction_dict(spec)}
+                for node, base in zip(sim.refit.network.nodes, cfg.network.nodes)
+                for a, spec in node.parents if (a, spec) not in base.parents
+            ]}
+    sp = cfg.spectral
+    if sp is not None:
         out["spectral"] = {
-            "c11": dataclasses.asdict(sp.c11),
-            "c22": dataclasses.asdict(sp.c22),
-            "candidate": cand,
-            "nsamples": sp.nsamples,
+            **_flat_dict(sp),
+            "c11": _flat_dict(sp.c11),
+            "c22": _flat_dict(sp.c22),
+            "candidate": _flat_dict(sp.candidate)
+            if isinstance(sp.candidate, MaternParams) else {"table": sp.candidate},
         }
-        if sp.wmax is not None:
-            out["spectral"]["wmax"] = sp.wmax
-    return out
+    return _plain(out)
 
 
 # ------------------------------------------------------------- commands
@@ -774,18 +704,6 @@ def build_sim_config(cfg: ParsedConfig, replicates: Optional[int] = None,
     for name in network.names:
         masks.append(region_of.get(name, Region("all")).mask(cfg.grid))
     eval_mask = sim.evaluate.mask(cfg.grid, observed_target=masks[target])
-    refit_network = None
-    if sim.refit_free:
-        refit_network = network
-        for child, parent, spec in sim.refit_edges:
-            q = network.index(child)
-            a = network.index(parent)
-            node = refit_network.nodes[q]
-            edges = [e for e in node.parents if e[0] != a] + [(a, spec)]
-            edges.sort(key=lambda e: e[0])
-            nodes = list(refit_network.nodes)
-            nodes[q] = dataclasses.replace(node, parents=tuple(edges))
-            refit_network = ProcessNetwork(tuple(nodes))
     optimizer = cfg.fit.optimizer if cfg.fit is not None else OptimizerConfig()
     return SimStudyConfig(
         grid=cfg.grid,
@@ -795,10 +713,11 @@ def build_sim_config(cfg: ParsedConfig, replicates: Optional[int] = None,
         target=target,
         replicates=replicates if replicates is not None else sim.replicates,
         seed=seed if seed is not None else sim.seed,
-        refit_network=refit_network,
-        refit_free=sim.refit_free,
+        refit_network=None if sim.refit is None else sim.refit.network,
+        refit_free=() if sim.refit is None else sim.refit.free,
         optimizer=optimizer,
     )
+
 
 
 def _fmt(value) -> str:
@@ -834,9 +753,7 @@ def _load_inputs(args):
             network = set_parameter(network, name, value)
     if not args.data:
         raise ConfigError("--data is required for this command")
-    path = Path(args.data)
-    if not path.exists():
-        raise ConfigError(f"data file {path} does not exist")
+    path = _existing(Path(args.data), "data file")
     return cfg, network, load_observations(path, network.names)
 
 
@@ -932,32 +849,15 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _load_locations(path: Path, dim: int) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        cols = [c.strip() for c in reader.fieldnames or []]
-        if cols != list(_COORD_NAMES[:dim]):
-            raise ConfigError(
-                f"{path}: expected header {','.join(_COORD_NAMES[:dim])!r}, "
-                f"got {cols}"
-            )
-        try:
-            rows = [[float(row[c]) for c in cols] for row in reader]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: non-numeric coordinate row") from exc
-    if not rows:
-        raise ConfigError(f"{path}: no target locations")
-    return np.array(rows)
-
-
 def _cmd_predict(args) -> int:
     model, obs = _model_inputs(args)
     grid, network = model.grid, model.network
     if args.targets:
-        tpath = Path(args.targets)
-        if not tpath.exists():
-            raise ConfigError(f"targets file {tpath} does not exist")
-        targets = _load_locations(tpath, grid.dim)
+        tpath = _existing(Path(args.targets), "targets file")
+        rows = _read_table(tpath, _COORD_NAMES[:grid.dim], "coordinate row")
+        if not rows:
+            raise ConfigError(f"{tpath}: no target locations")
+        targets = np.array(rows)
     else:
         targets = grid.vertices
     try:
@@ -1014,10 +914,7 @@ def _cmd_spectral_check(args) -> int:
         raise ConfigError(f"{args.config}: spectral-check needs a "
                           f"'spectral' section")
     sp = cfg.spectral
-    candidate = sp.candidate
-    if not isinstance(candidate, MaternParams):
-        candidate = np.array(candidate, dtype=float)
-    report = check_cross_validity(sp.c11, sp.c22, candidate,
+    report = check_cross_validity(sp.c11, sp.c22, sp.candidate,
                                   wmax=sp.wmax, nsamples=sp.nsamples)
     out = _out_dir(args)
     rows = [

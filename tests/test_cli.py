@@ -1,11 +1,15 @@
 """End-to-end command line workflows against small throwaway configs."""
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import condcov.cli
+import condcov.sim
 from condcov import (
     ConfigError,
     MaternParams,
@@ -51,6 +55,10 @@ BASE = {
 }
 
 
+ROOT = Path(__file__).resolve().parents[1]
+DEMO = ROOT / "configs" / "demo1d.yaml"
+
+
 def _write_cfg(tmp_path, data=None, name="model.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(data if data is not None else BASE))
@@ -85,42 +93,110 @@ def test_parse_repo_demo_config():
 
 
 def test_config_roundtrip(tmp_path):
-    cfg = parse_config(_write_cfg(tmp_path))
-    again = parse_config_dict(config_to_dict(cfg), tmp_path, "roundtrip")
-    assert again.grid == cfg.grid
-    assert again.network == cfg.network
-    assert again.fit == cfg.fit
-    assert again.simulation == cfg.simulation
-    assert again.spectral == cfg.spectral
+    # demo1d has a refit arm whose edge replaces the configured y2 edge
+    for cfg in (parse_config(_write_cfg(tmp_path)), parse_config(DEMO)):
+        again = parse_config_dict(config_to_dict(cfg), tmp_path, "roundtrip")
+        assert again.grid == cfg.grid
+        assert again.network == cfg.network
+        assert again.fit == cfg.fit
+        assert again.simulation == cfg.simulation
+        assert again.spectral == cfg.spectral
+    assert again.simulation.refit.network != again.network
 
 
-def test_unknown_keys_rejected(tmp_path):
+def test_readme_config_block_parses():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("### Config format", 1)[1]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config_dict(yaml.safe_load(block), ROOT, "README")
+    assert cfg.fit is not None and cfg.spectral is not None
+    assert cfg.simulation.refit is not None
+
+
+def _edit(changes):
+    """A config mutation setting each value at its path of keys and indices."""
+    def mutate(data):
+        for path, value in changes.items():
+            parent = data
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+    return mutate
+
+
+BOX_2D = {"min": [0.0, 0.0], "max": [1.0, 1.0]}
+REFIT_FREE = ["y2~y1.amplitude"]
+
+
+# (config mutation, message fragment, exit code); every fragment is raised as
+# a ConfigError while the config is read
+BAD_CONFIGS = [
+    pytest.param(_edit({("grid", "spacing"): 0.1}),
+                 "grid: unknown keys ['spacing']", 1, id="unknown-key"),
+    pytest.param(_edit({("nodes", 1, "parents", 0, "kind"): "gaussian"}),
+                 "unknown interaction kind 'gaussian'; expected one of "
+                 "['bisquare', 'dirac', 'shifted_bisquare', 'tabulated', 'zero']",
+                 1, id="unknown-kind"),
+    pytest.param(_edit({("nodes", 0, "parents"): [
+        {"node": "y2", "kind": "dirac", "amplitude": 1.0}]}),
+                 "nodes: network not acyclic: y1 -> y2 -> y1", 1, id="cycle"),
+    pytest.param(_edit({("nodes", 1, "name"): "y1"}),
+                 "nodes: duplicate node name 'y1'", 1, id="duplicate-name"),
+    pytest.param(_edit({("simulation", "observed", "y1"): BOX_2D}),
+                 "simulation: observed: y1: region box has 2/2 coordinates, "
+                 "grid is 1-d", 1, id="observed-box-length"),
+    pytest.param(_edit({("simulation", "evaluate"): {"min": [0.0],
+                                                     "max": [1.0, 1.0]}}),
+                 "simulation: evaluate: region box has 1/2 coordinates, "
+                 "grid is 1-d", 1, id="evaluate-box-length"),
+    pytest.param(_edit({
+        ("grid",): {"kind": "regular", "bounds": [[-1.0, 1.0]] * 2,
+                    "counts": [8, 8]},
+        ("simulation", "observed", "y1"): BOX_2D,
+        ("simulation", "refit"): {"free": REFIT_FREE, "edges": [
+            {"node": "y2", "parent": "y1", "kind": "shifted_bisquare",
+             "amplitude": 5.0, "aperture": 0.3, "shift": [0.1]}]}}),
+                 "model.yaml: simulation: refit: node 'y2': shift has 1 "
+                 "components for a 2-d grid", 1, id="refit-shift-length"),
+    pytest.param(_edit({("simulation", "refit"): {"free": REFIT_FREE, "edges": [
+        {"node": "y1", "parent": "y2", "kind": "dirac", "amplitude": 1.0}]}}),
+                 "model.yaml: simulation: refit: network not acyclic: "
+                 "y1 -> y2 -> y1", 1, id="refit-cycle"),
+    pytest.param(_edit({
+        ("nodes", 1, "parents"): [],
+        ("simulation", "refit"): {"free": ["y1~y2.amplitude"], "edges": [
+            {"node": "y1", "parent": "y2", "kind": "dirac",
+             "amplitude": 1.0}]}}),
+                 "model.yaml: simulation: refit: node 'y1': parent index 1 "
+                 "does not precede it", 1, id="refit-against-node-order"),
+    pytest.param(_edit({("simulation", "refit"): {"free": [], "edges": [
+        {"node": "y2", "parent": "y1", "kind": "dirac", "amplitude": 1.0}]}}),
+                 "model.yaml: simulation: refit: at least one free parameter "
+                 "is required", 1, id="refit-free-empty"),
+    pytest.param(_edit({("spectral", "candidate"): {"table": [[0.1, 0.0]]}}),
+                 "spectral: candidate table needs at least 2 rows", 1,
+                 id="candidate-table-one-row"),
+]
+
+
+@pytest.mark.parametrize("mutate, fragment, code", BAD_CONFIGS)
+def test_bad_config_fails_before_any_simulation(tmp_path, capsys, monkeypatch,
+                                                mutate, fragment, code):
     data = yaml.safe_load(yaml.safe_dump(BASE))
-    data["grid"]["spacing"] = 0.1
-    with pytest.raises(ConfigError, match="unknown keys"):
-        parse_config(_write_cfg(tmp_path, data))
-
-
-def test_unknown_interaction_kind(tmp_path):
-    data = yaml.safe_load(yaml.safe_dump(BASE))
-    data["nodes"][1]["parents"][0]["kind"] = "gaussian"
-    with pytest.raises(ConfigError, match="expected one of"):
-        parse_config(_write_cfg(tmp_path, data))
-
-
-def test_cycle_reported_by_name(tmp_path):
-    data = yaml.safe_load(yaml.safe_dump(BASE))
-    data["nodes"][0]["parents"] = [{"node": "y2", "kind": "dirac",
-                                    "amplitude": 1.0}]
-    with pytest.raises(ConfigError, match="not acyclic"):
-        parse_config(_write_cfg(tmp_path, data))
-
-
-def test_duplicate_node_name(tmp_path):
-    data = yaml.safe_load(yaml.safe_dump(BASE))
-    data["nodes"][1]["name"] = "y1"
-    with pytest.raises(ConfigError, match="duplicate"):
-        parse_config(_write_cfg(tmp_path, data))
+    mutate(data)
+    cfg_path = _write_cfg(tmp_path, data)
+    with pytest.raises(ConfigError, match=re.escape(fragment)):
+        parse_config(cfg_path)
+    calls = []
+    for module in (condcov.cli, condcov.sim):
+        monkeypatch.setattr(module, "simulate_replicate",
+                            lambda *args: calls.append(args))
+    rc = main(["simulate", "--config", str(cfg_path),
+               "--out", str(tmp_path / "out")])
+    assert rc == code
+    assert fragment in capsys.readouterr().err
+    assert not calls
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_exits_1(tmp_path, capsys):
@@ -267,6 +343,14 @@ def test_predict_at_explicit_targets(tmp_path, capsys):
                "--targets", str(targets), "--out", str(out)])
     assert rc == 0
     assert len((out / "predictions.csv").read_text().splitlines()) == 4
+    # a header cell with spaces around the name reads the same column
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("x \n-0.5\n0.0\n0.5\n")
+    rc = main(["predict", "--config", str(cfg_path), "--data", str(obs_path),
+               "--targets", str(spaced), "--out", str(tmp_path / "s")])
+    assert rc == 0
+    assert (tmp_path / "s" / "predictions.csv").read_bytes() == \
+        (out / "predictions.csv").read_bytes()
     capsys.readouterr()
 
 

@@ -4,6 +4,8 @@ Networks and configs are generated with hypothesis over every interaction
 kind, 1-d and 2-d grids, optional means, nuggets and noise, and every
 optional config section.
 """
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +31,7 @@ from condcov import (
 from condcov.cli import (
     FitSettings,
     ParsedConfig,
+    RefitSettings,
     Region,
     SimulationSettings,
     SpectralSettings,
@@ -151,20 +154,25 @@ def configs(draw):
     simulation = None
     if draw(st.booleans()):
         names = network.names
-        refit_free = draw(st.just(()) | free_names.map(tuple))
-        refit_edges = ()
-        if refit_free:
-            child = draw(st.sampled_from(names[1:]))
-            parent = draw(st.sampled_from(names[:names.index(child)]))
-            refit_edges = ((child, parent, draw(interactions(dim))),)
+        refit = None
+        if draw(st.booleans()):
+            # one refit edge, in place of the child's edge from that parent
+            q = draw(st.integers(1, network.p - 1))
+            a = draw(st.integers(0, q - 1))
+            node = network.nodes[q]
+            edges = sorted([e for e in node.parents if e[0] != a]
+                           + [(a, draw(interactions(dim)))], key=lambda e: e[0])
+            nodes = list(network.nodes)
+            nodes[q] = dataclasses.replace(node, parents=tuple(edges))
+            refit = RefitSettings(free=draw(free_names.map(tuple)),
+                                  network=ProcessNetwork(tuple(nodes)))
         simulation = SimulationSettings(
             replicates=draw(st.integers(1, 100)),
             seed=draw(st.integers(0, 99)),
             target=draw(st.sampled_from(names)),
             observed=tuple((name, draw(regions(dim))) for name in names),
             evaluate=draw(regions(dim, unobserved=True)),
-            refit_free=refit_free,
-            refit_edges=refit_edges,
+            refit=refit,
         )
     table = st.lists(st.tuples(finite, finite), min_size=2, max_size=4).map(tuple)
     spectral = draw(st.none() | st.builds(
