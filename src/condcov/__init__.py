@@ -80,6 +80,7 @@ from .predict import (
 from .inference import (
     FitResult,
     OptimizerConfig,
+    RankedFit,
     compare_directions,
     default_free_parameters,
     fit_mle,

@@ -54,8 +54,9 @@ Config layout (strict: unknown keys are errors)::
 
 The spectral candidate may instead be ``candidate: {table: curve.csv}`` with
 CSV header ``w,value`` giving sampled (frequency, B) pairs. Interaction tables
-may be a path or inline ``{s: [...], v: [...], values: [[...]]}``. The refit
-network is checked like the one of ``nodes`` when the config is read.
+may be a path or inline ``{s: [...], v: [...], values: [[...]]}``; the rows
+of inline ``values``, like those of mesh ``vertices``, are equally long. The
+refit network is checked like the one of ``nodes`` when the config is read.
 
 All numeric CSV output is written with 17 significant digits, so re-running a
 command with the same config, data and seed reproduces the files byte for
@@ -197,6 +198,15 @@ class _Section:
             return _expect(value, where, kind)
         section = _Section(value, where, self.base_dir)
         return section if kind is _Section else kind(section, *args)
+
+    def matrix(self, key: str) -> np.ndarray:
+        """The rows of numbers under ``key``, which must be equally long."""
+        rows = self.read(key, [[float]])
+        lengths = sorted({len(row) for row in rows})
+        if len(lengths) > 1:
+            raise ConfigError(
+                f"{self.where}: {key}: rows have unequal lengths {lengths}")
+        return np.array(rows, dtype=float)
 
     def sections(self, key: str, default=MISSING) -> list:
         return [_Section(item, f"{self.where}: {key}[{i}]", self.base_dir)
@@ -343,14 +353,14 @@ class ParsedConfig:
 def _parse_table(sec: _Section) -> InteractionSpec:
     value = sec.take("table")
     if isinstance(value, str):
-        return load_tabulated(
-            _existing(sec.base_dir / value, f"{sec.where}: table: table file"))
+        path = _existing(sec.base_dir / value, f"{sec.where}: table: table file")
+        return _located(f"{sec.where}: table", load_tabulated, path)
     tsec = sec.read("table", _Section)
     s_axis = tsec.read("s", [float])
     v_axis = tsec.read("v", [float])
-    values = tsec.read("values", [[float]])
+    values = tsec.matrix("values")
     tsec.finish()
-    return tabulated(np.array(s_axis), np.array(v_axis), np.array(values))
+    return tabulated(np.array(s_axis), np.array(v_axis), values)
 
 
 # the keys of each kind of metric and of interaction, which its constructor
@@ -403,10 +413,10 @@ def _parse_grid(sec: _Section) -> Grid:
             path = sec.base_dir / sec.read("path", str)
             sec.finish()
             return load_mesh(_existing(path, f"{sec.where}: mesh file"), metric)
-        vertices = sec.read("vertices", [[float]])
+        vertices = sec.matrix("vertices")
         weights = sec.read("weights", [float])
         sec.finish()
-        return Grid(np.array(vertices, dtype=float), np.array(weights), metric)
+        return Grid(vertices, np.array(weights), metric)
     raise ConfigError(
         f"{sec.where}: unknown grid kind {kind!r}; "
         f"expected one of ['mesh', 'regular']"
@@ -946,14 +956,15 @@ def _cmd_compare_directions(args) -> int:
     )
     out = _out_dir(args)
     rows = [
-        [rank + 1, f.label, f.k, f.loglik, f.aic, f.converged]
+        [rank + 1, f.label, f.k, f.loglik, f.aic, f.converged, f.delta_aic, f.tie]
         for rank, f in enumerate(fits)
     ]
     _write_csv(out / "directions.csv",
-               ["rank", "label", "k", "loglik", "aic", "converged"], rows)
+               ["rank", "label", "k", "loglik", "aic", "converged",
+                "delta_aic", "tie"], rows)
     for rank, f in enumerate(fits):
         print(f"{rank + 1}. {f.label}: aic {f.aic:.4f} "
-              f"(loglik {f.loglik:.4f}, k={f.k})")
+              f"(loglik {f.loglik:.4f}, k={f.k})" + (" tie" if f.tie else ""))
     return 0
 
 

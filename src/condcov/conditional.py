@@ -15,8 +15,9 @@ supplies the integration rule.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,8 +28,10 @@ from .kernels import (
     InteractionKind,
     InteractionSpec,
     MaternParams,
+    bisquare_profile,
     interaction_values,
     matern_cov,
+    squared_displacement,
 )
 from .linalg import DEFAULT_JITTER_MAX, chol_model
 
@@ -47,6 +50,7 @@ __all__ = [
 ]
 
 _NAME_FORBIDDEN = set(" .~,\t\n")
+_BISQUARES = (InteractionKind.BISQUARE, InteractionKind.SHIFTED_BISQUARE)
 
 
 @dataclass(frozen=True)
@@ -169,31 +173,20 @@ def build_interaction_matrix(grid: Grid, spec: InteractionSpec) -> np.ndarray:
     return vals * grid.weights[None, :]
 
 
-class CovarianceEvaluator:
-    """Recursive cross-covariance evaluation over registered point sets.
+class _Geometry:
+    """What no model parameter changes: point sets and their distances.
 
-    Set 0 is always the grid (the integration nodes). cov(q, r, i, j) returns
-    cov{Y_q(P_i), Y_r(P_j)} as a matrix, built bottom-up through the network:
-    a marginal block is the node's own Matern plus the propagated parent
-    terms, and a cross block pushes the later variable's interaction
-    operators onto earlier blocks. Dirac edges skip quadrature entirely.
+    Set 0 is always the grid (the integration nodes). ``matern`` and
+    ``weighted`` build the leaf blocks of an evaluator and keep nothing.
     """
 
-    def __init__(self, grid: Grid, network: ProcessNetwork):
+    def __init__(self, grid: Grid):
         self.grid = grid
-        self.network = network
-        self._sets = [np.asarray(grid.vertices)]
-        self._set_ids = {_points_key(self._sets[0]): 0}
-        self._cov = {}
+        self.sets = [np.asarray(grid.vertices)]
+        self._set_ids = {_points_key(self.sets[0]): 0}
         self._dist = {}
-        self._w = {}
 
     def add_points(self, points) -> int:
-        """Register a point set and return its handle.
-
-        Registering the same coordinates again returns the existing handle, so
-        repeated predictions at fixed locations hit the covariance cache.
-        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[1] != self.grid.dim:
             raise ValidationError(
@@ -204,16 +197,102 @@ class CovarianceEvaluator:
         key = _points_key(points)
         idx = self._set_ids.get(key)
         if idx is None:
-            self._sets.append(points)
-            idx = len(self._sets) - 1
+            self.sets.append(points)
+            idx = len(self.sets) - 1
             self._set_ids[key] = idx
         return idx
 
-    def _distance(self, i: int, j: int) -> np.ndarray:
+    def distance(self, i: int, j: int) -> np.ndarray:
         key = (i, j)
         if key not in self._dist:
-            self._dist[key] = self.grid.metric.pairwise(self._sets[i], self._sets[j])
+            self._dist[key] = self.grid.metric.pairwise(self.sets[i], self.sets[j])
         return self._dist[key]
+
+    def matern(self, q: int, params: MaternParams, i: int, j: int) -> np.ndarray:
+        """The Matern ``params`` of node q between point sets i and j."""
+        return np.asarray(matern_cov(params, self.distance(i, j)))
+
+    def weighted(self, q: int, pos: int, spec: InteractionSpec, i: int) -> np.ndarray:
+        """Quadrature-weighted values of edge ``pos`` of node q (``spec``),
+        from point set i into the grid."""
+        vals = interaction_values(spec, self.sets[i], self.grid.vertices)
+        return vals * self.grid.weights[None, :]
+
+
+class _FitGeometry(_Geometry):
+    """A geometry that also keeps leaf blocks from one evaluator to the next.
+
+    One slot per (node, point-set pair) holds the Matern block, reused while
+    the node's MaternParams are equal. One slot per (edge, point set) holds
+    the weighted interaction matrix, reused while the edge's spec is the
+    same object (in a fit, every edge that no free parameter reaches), and a
+    bisquare edge also keeps its squared displacements while its shift is
+    equal, so that a new amplitude or aperture costs only the profile. Each
+    slot holds one entry. Kept blocks are read-only, so no evaluator can
+    alter what the next one reads.
+    """
+
+    def __init__(self, grid: Grid):
+        super().__init__(grid)
+        self._slots = {}
+
+    def _kept(self, key, param, build, same=operator.eq) -> np.ndarray:
+        slot = self._slots.get(key)
+        if slot is None or not same(slot[0], param):
+            block = build()
+            block.setflags(write=False)
+            slot = self._slots[key] = (param, block)
+        return slot[1]
+
+    def matern(self, q, params, i, j):
+        return self._kept(("matern", q, i, j), params,
+                          partial(super().matern, q, params, i, j))
+
+    def weighted(self, q, pos, spec, i):
+        if spec.kind not in _BISQUARES:
+            build = partial(super().weighted, q, pos, spec, i)
+        else:
+            def build():
+                d2 = self._kept(("d2", q, pos, i), spec.shift, partial(
+                    squared_displacement, spec, self.sets[i], self.grid.vertices))
+                return bisquare_profile(spec, d2) * self.grid.weights[None, :]
+        return self._kept(("weighted", q, pos, i), spec, build, operator.is_)
+
+
+class CovarianceEvaluator:
+    """Recursive cross-covariance evaluation over registered point sets.
+
+    Set 0 is always the grid (the integration nodes). cov(q, r, i, j) returns
+    cov{Y_q(P_i), Y_r(P_j)} as a matrix, built bottom-up through the network:
+    a marginal block is the node's own Matern plus the propagated parent
+    terms, and a cross block pushes the later variable's interaction
+    operators onto earlier blocks. Dirac edges skip quadrature entirely.
+
+    Every block is kept for the life of the evaluator. Evaluators of
+    different networks over one grid may share a ``geometry``: the point
+    sets and distances, which no parameter changes. ``fit_mle`` gives all
+    evaluations of a fit one geometry that also keeps their leaf blocks
+    (Matern blocks, bisquare displacements, interaction matrices of
+    unchanged edges) while the parameters they depend on are equal. Leaf
+    blocks go through the same arithmetic either way, so every covariance,
+    and every likelihood, is bitwise that of a fresh evaluator.
+    """
+
+    def __init__(self, grid: Grid, network: ProcessNetwork,
+                 geometry: Optional[_Geometry] = None):
+        self.grid = grid
+        self.network = network
+        self._geometry = geometry if geometry is not None else _Geometry(grid)
+        self._cov = {}
+        self._w = {}
+
+    def add_points(self, points) -> int:
+        """Register a point set and return its handle.
+
+        Registering the same coordinates again returns the existing handle, so
+        repeated predictions at fixed locations hit the covariance cache.
+        """
+        return self._geometry.add_points(points)
 
     def _weighted(self, q: int, pos: int, i: int) -> np.ndarray:
         """Quadrature-weighted interaction values of edge ``pos`` of node q,
@@ -221,8 +300,7 @@ class CovarianceEvaluator:
         key = (q, pos, i)
         if key not in self._w:
             _, spec = self.network.nodes[q].parents[pos]
-            vals = interaction_values(spec, self._sets[i], self.grid.vertices)
-            self._w[key] = vals * self.grid.weights[None, :]
+            self._w[key] = self._geometry.weighted(q, pos, spec, i)
         return self._w[key]
 
     def cov(self, q: int, r: int, i: int = 0, j: int = 0) -> np.ndarray:
@@ -239,10 +317,9 @@ class CovarianceEvaluator:
         nodes = self.network.nodes
         if q == r:
             node = nodes[q]
-            dist = self._distance(i, j)
-            mat = np.asarray(matern_cov(node.covariance, dist))
+            mat = self._geometry.matern(q, node.covariance, i, j)
             if node.nugget:
-                mat = mat + node.nugget * (dist == 0.0)
+                mat = mat + node.nugget * (self._geometry.distance(i, j) == 0.0)
             for apos, (a, sa) in enumerate(node.parents):
                 if sa.kind is InteractionKind.ZERO:
                     continue
@@ -267,7 +344,8 @@ class CovarianceEvaluator:
                         ) @ self._weighted(q, bpos, j).T
             return mat
         # q < r: propagate variable r's edges onto covariances with q
-        shape = (self._sets[i].shape[0], self._sets[j].shape[0])
+        sets = self._geometry.sets
+        shape = (sets[i].shape[0], sets[j].shape[0])
         mat = np.zeros(shape)
         for apos, (a, sa) in enumerate(nodes[r].parents):
             if sa.kind is InteractionKind.ZERO:

@@ -25,6 +25,7 @@ from .conditional import (
     CovarianceEvaluator,
     ProcessNetwork,
     _check_network_on_grid,
+    _FitGeometry,
     kept_observations,
     observation_covariance,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "loglik",
     "OptimizerConfig",
     "FitResult",
+    "RankedFit",
     "fit_mle",
     "reverse_bivariate",
     "compare_directions",
@@ -66,6 +68,8 @@ _NU_RANGE = (0.05, 5.0)
 _XATOL = 1e-6
 _FATOL = 1e-8
 _PERTURBATION = 0.3
+# AIC differences within this cannot be told apart (see compare_directions)
+_AIC_TIE = 4.0 * _FATOL
 
 _EDGE_FIELDS = {
     InteractionKind.ZERO: (),
@@ -182,14 +186,23 @@ def loglik(
     kept = kept_observations(grid, network, obs)
     if not kept:
         raise InsufficientDataError("log-likelihood needs at least one observation")
-    C, resid = observation_covariance(CovarianceEvaluator(grid, network), kept)
     try:
-        L, _ = chol_with_jitter(C, jitter_max)
+        return _loglik(CovarianceEvaluator(grid, network), kept, jitter_max)[0]
     except NumericalError:
         logger.debug("loglik: covariance not factorable, returning -inf")
         return -np.inf
+
+
+def _loglik(ev: CovarianceEvaluator, kept: Sequence[Observations],
+            jitter_max: float) -> Tuple[float, float]:
+    """(log-likelihood, jitter its Cholesky needed) of the validated, non-empty
+    ``kept`` observations; NumericalError when the covariance cannot be
+    factored under the jitter policy."""
+    C, resid = observation_covariance(ev, kept)
+    L, jitter = chol_with_jitter(C, jitter_max)
     quad = float(resid @ chol_solve(L, resid))
-    return -0.5 * (resid.size * math.log(2.0 * math.pi) + chol_logdet(L) + quad)
+    value = -0.5 * (resid.size * math.log(2.0 * math.pi) + chol_logdet(L) + quad)
+    return value, jitter
 
 
 @dataclass(frozen=True)
@@ -216,6 +229,16 @@ class FitResult:
     converged: bool
     trace: Tuple[dict, ...]
     network: ProcessNetwork
+    rejected: int
+    jitter: float
+
+
+@dataclass(frozen=True)
+class RankedFit(FitResult):
+    """A fit ranked among candidates by :func:`compare_directions`."""
+
+    delta_aic: float
+    tie: bool
 
 
 def _to_transformed(field: str, value: float) -> float:
@@ -248,11 +271,24 @@ def fit_mle(
 
     Deterministic given (network, obs, free, config): restarts perturb the
     starting point with a Philox stream keyed by (config.seed, restart).
+
+    Every evaluation of the fit derives its covariance evaluator from one
+    geometry: the point sets and their distances, plus the leaf blocks that
+    its free parameters leave alone (the Matern blocks of nodes whose
+    Matern is fixed, the interaction matrices of fixed edges, and the
+    squared displacements of bisquare edges whose shift is fixed). Each
+    value is bitwise the :func:`loglik` of the evaluated network, so the
+    optimizer takes the path it takes on fresh evaluations, and the
+    reported ``loglik`` is :func:`loglik` of the returned network.
+    ``rejected`` counts the evaluations scored as -inf because the network
+    was invalid or its covariance could not be factored; ``jitter`` is what
+    the Cholesky factorization needed at the returned optimum.
     """
     config = config or OptimizerConfig()
     # checked once here: the objective scores any CondcovError as -inf, so
     # bad input would surface as an optimizer failure
-    if not kept_observations(grid, network, obs):
+    kept = kept_observations(grid, network, obs)
+    if not kept:
         raise InsufficientDataError(f"{label}: fit needs at least one observation")
     _check_network_on_grid(grid, network)
     free_names = list(free) if free is not None else default_free_parameters(network)
@@ -275,11 +311,20 @@ def fit_mle(
             net = set_parameter(net, name, _from_transformed(field, float(xi)))
         return net
 
+    geometry = _FitGeometry(grid)
+    jitters = {}  # the jitter of each accepted point, by its coordinates
+    rejected = 0
+
     def objective(x: np.ndarray) -> float:
+        nonlocal rejected
         try:
-            return -loglik(grid, apply(x), obs, jitter_max)
-        except CondcovError:
+            ev = CovarianceEvaluator(grid, apply(x), geometry)
+            value, jitters[x.tobytes()] = _loglik(ev, kept, jitter_max)
+        except CondcovError as exc:
+            logger.debug("%s: evaluation scored -inf: %s", label, exc)
+            rejected += 1
             return np.inf
+        return -value
 
     trace = []
     best = None
@@ -317,7 +362,9 @@ def fit_mle(
             "check the starting parameters"
         )
     fitted = apply(best.x)
-    ll = float(-best.fun)
+    # a fresh evaluator reproduces -best.fun; reporting its value keeps what
+    # a fit reports independent of the blocks the geometry kept
+    ll = loglik(grid, fitted, obs, jitter_max)
     k = len(free_names)
     estimates = {name: get_parameter(fitted, name) for name in list_parameters(fitted)}
     converged = any(t["converged"] and t["loglik"] == ll for t in trace)
@@ -331,6 +378,8 @@ def fit_mle(
         converged=converged,
         trace=tuple(trace),
         network=fitted,
+        rejected=rejected,
+        jitter=jitters[best.x.tobytes()],
     )
 
 
@@ -386,7 +435,18 @@ def compare_directions(
 
     For two variables the reversed order is generated automatically; for more
     variables pass ``candidates`` as (label, network) pairs sharing the node
-    names. Ties break toward fewer parameters, then label order.
+    names. The ranking sorts by AIC, then fewer parameters, then label.
+
+    Each returned :class:`RankedFit` carries ``delta_aic``, its AIC minus the
+    best, and ``tie``, true for every fit that shares first place: its
+    ``delta_aic`` is at most ``_AIC_TIE`` and some other fit's is too.
+    ``_AIC_TIE`` is the resolution of an AIC difference: Nelder-Mead stops
+    once the simplex's values of -loglik agree within ``_FATOL``, so each
+    fit's maximum is known only to within ``_FATOL``; AIC = -2 loglik + 2k
+    scales that to ``2 * _FATOL`` per fit, and a difference of two AICs to
+    ``4 * _FATOL``. Orders that reach the same maximum, as both orders of
+    an exchangeable pair do, differ by less than that, and which of them
+    ranks first is then decided by roundoff.
     """
     if candidates is None:
         if network.p != 2:
@@ -422,7 +482,11 @@ def compare_directions(
                 jitter_max=jitter_max,
             )
         )
-    return sorted(fits, key=lambda f: (f.aic, f.k, f.label))
+    fits.sort(key=lambda f: (f.aic, f.k, f.label))
+    deltas = [f.aic - fits[0].aic for f in fits]
+    shared = sum(d <= _AIC_TIE for d in deltas) > 1
+    return [RankedFit(**vars(f), delta_aic=d, tie=shared and d <= _AIC_TIE)
+            for f, d in zip(fits, deltas)]
 
 
 def write_fit_result(path, fit: FitResult) -> None:

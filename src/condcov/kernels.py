@@ -36,6 +36,8 @@ __all__ = [
     "tabulated",
     "interaction_eval",
     "interaction_values",
+    "squared_displacement",
+    "bisquare_profile",
     "load_tabulated",
 ]
 
@@ -250,16 +252,29 @@ def interaction_values(spec: InteractionSpec, S, V) -> np.ndarray:
         ss = np.broadcast_to(S[:, None, 0], (S.shape[0], V.shape[0]))
         vv = np.broadcast_to(V[None, :, 0], (S.shape[0], V.shape[0]))
         return np.asarray(spec.table(ss, vv))
-    # bisquare family: displacement h = v - s, optionally recentred by a shift
+    if kind is InteractionKind.SHIFTED_BISQUARE and len(spec.shift) != S.shape[1]:
+        raise ValidationError(
+            f"shift has {len(spec.shift)} components for {S.shape[1]}-d locations"
+        )
+    return bisquare_profile(spec, squared_displacement(spec, S, V))
+
+
+def squared_displacement(spec: InteractionSpec, S, V) -> np.ndarray:
+    """|h|^2 for the displacements h = V[j] - S[i] - shift of a bisquare edge.
+
+    This is the part of a bisquare value that only ``shift`` changes; see
+    :func:`bisquare_profile` for the rest. S (m, dim) and V (n, dim) are float
+    arrays of the same dim, as :func:`interaction_values` checks.
+    """
     h = V[None, :, :] - S[:, None, :]
-    if kind is InteractionKind.SHIFTED_BISQUARE:
-        shift = np.asarray(spec.shift, dtype=float)
-        if shift.size != S.shape[1]:
-            raise ValidationError(
-                f"shift has {shift.size} components for {S.shape[1]}-d locations"
-            )
-        h = h - shift
-    u2 = np.einsum("mnd,mnd->mn", h, h) / (spec.aperture ** 2)
+    if spec.kind is InteractionKind.SHIFTED_BISQUARE:
+        h = h - np.asarray(spec.shift, dtype=float)
+    return np.einsum("mnd,mnd->mn", h, h)
+
+
+def bisquare_profile(spec: InteractionSpec, d2: np.ndarray) -> np.ndarray:
+    """amplitude * (1 - d2 / aperture^2)^2 inside the aperture, 0 outside."""
+    u2 = d2 / (spec.aperture ** 2)
     out = np.zeros(u2.shape)
     inside = u2 <= 1.0
     out[inside] = spec.amplitude * (1.0 - u2[inside]) ** 2
@@ -285,7 +300,15 @@ def load_tabulated(path) -> InteractionSpec:
             raise ValidationError(
                 f"{path}: expected header 's,v,value', got {reader.fieldnames}"
             )
-        rows = [(float(r["s"]), float(r["v"]), float(r["value"])) for r in reader]
+        rows = []
+        for r in reader:
+            try:
+                rows.append((float(r["s"]), float(r["v"]), float(r["value"])))
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"{path}: line {reader.line_num}: expected numbers s, v, "
+                    f"value, got {r['s']!r}, {r['v']!r}, {r['value']!r}"
+                ) from None
     if not rows:
         raise ValidationError(f"{path}: empty interaction table")
     s_axis = np.unique([r[0] for r in rows])

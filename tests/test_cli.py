@@ -176,6 +176,17 @@ BAD_CONFIGS = [
     pytest.param(_edit({("spectral", "candidate"): {"table": [[0.1, 0.0]]}}),
                  "spectral: candidate table needs at least 2 rows", 1,
                  id="candidate-table-one-row"),
+    pytest.param(_edit({("grid",): {"kind": "mesh",
+                                    "vertices": [[0, 0], [1], [0, 1]],
+                                    "weights": [1.0, 1.0, 1.0]}}),
+                 "model.yaml: grid: vertices: rows have unequal lengths [1, 2]",
+                 1, id="ragged-vertices"),
+    pytest.param(_edit({("nodes", 1, "parents", 0): {
+        "node": "y1", "kind": "tabulated",
+        "table": {"s": [-1.0, 1.0], "v": [-1.0, 0.0, 1.0],
+                  "values": [[0.5, 1.0, 0.2], [0.1, 0.8]]}}}),
+                 "model.yaml: nodes[1]: parents[0]: table: values: rows have "
+                 "unequal lengths [2, 3]", 1, id="ragged-table-values"),
 ]
 
 
@@ -197,6 +208,20 @@ def test_bad_config_fails_before_any_simulation(tmp_path, capsys, monkeypatch,
     assert fragment in capsys.readouterr().err
     assert not calls
     assert not (tmp_path / "out").exists()
+
+
+def test_non_numeric_table_file_exits_1(tmp_path, capsys):
+    (tmp_path / "tab.csv").write_text("s,v,value\n-1,-1,1\n-1,1,abc\n")
+    data = yaml.safe_load(yaml.safe_dump(BASE))
+    data["nodes"][1]["parents"][0] = {"node": "y1", "kind": "tabulated",
+                                      "table": "tab.csv"}
+    cfg_path = _write_cfg(tmp_path, data)
+    rc = main(["spectral-check", "--config", str(cfg_path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"table: {tmp_path / 'tab.csv'}: line 3: " in err
+    assert "'abc'" in err
 
 
 def test_missing_config_exits_1(tmp_path, capsys):
@@ -433,10 +458,13 @@ def test_compare_directions_ranking(tmp_path, capsys):
                "--data", str(obs_path), "--out", str(out)])
     assert rc == 0
     lines = (out / "directions.csv").read_text().splitlines()
-    assert lines[0] == "rank,label,k,loglik,aic,converged"
+    assert lines[0] == "rank,label,k,loglik,aic,converged,delta_aic,tie"
     assert len(lines) == 3
-    aics = [float(ln.split(",")[4]) for ln in lines[1:]]
+    rows = [ln.split(",") for ln in lines[1:]]
+    aics = [float(row[4]) for row in rows]
     assert aics == sorted(aics)
+    assert [float(row[6]) for row in rows] == [0.0, aics[1] - aics[0]]
+    assert [row[7] for row in rows] == ["false", "false"]
     capsys.readouterr()
 
 

@@ -306,6 +306,27 @@ def test_compare_directions_ranks_by_aic():
     assert fits[0].aic <= fits[1].aic
     labels = {f.label for f in fits}
     assert len(labels) == 2
+    assert [f.delta_aic for f in fits] == [0.0, fits[1].aic - fits[0].aic]
+    assert fits[1].delta_aic > 1e-6
+    assert not any(f.tie for f in fits)
+
+
+def test_compare_directions_reports_a_tie_for_exchangeable_orders():
+    # a dirac edge between Materns of one scale and smoothness: both orders
+    # span the same models and reach the same maximum
+    net = ProcessNetwork((
+        ProcessNode("y1", MaternParams(1.0, 25.0, 1.5), noise=0.25),
+        ProcessNode("y2", MaternParams(0.75, 25.0, 1.5),
+                    parents=((0, dirac(0.5)),), noise=0.25),
+    ))
+    obs = _synthetic_obs(net, seed=0)
+    fits = compare_directions(
+        GRID, net, obs, free=["y1.variance", "y2.variance", "y2~y1.amplitude"],
+        config=OptimizerConfig(seed=0, restarts=1, max_evals=300))
+    assert fits[0].aic <= fits[1].aic  # the ranking is still by AIC
+    assert fits[0].delta_aic == 0.0
+    assert 0.0 <= fits[1].delta_aic <= 4e-8
+    assert all(f.tie for f in fits)
 
 
 def test_write_read_roundtrip(tmp_path):
@@ -325,3 +346,169 @@ def test_read_params_rejects_garbage(tmp_path):
     path.write_text("y1.variance = 1.0\nnot a parameter line\n")
     with pytest.raises(ValidationError):
         read_params(path)
+
+
+# parameter moves that reach every kind of free parameter; each step applies
+# its moves to the network of the step before, and the later steps return to
+# earlier values so that slots are refilled after being invalidated
+_BIVARIATE_STEPS = [
+    {},
+    {"y2~y1.amplitude": 4.0},
+    {"y2~y1.aperture": 0.35},
+    {"y2~y1.shift1": -0.25},
+    {"y1.variance": 1.3, "y2~y1.amplitude": 4.5},
+    {"y1.scale": 20.0},
+    {"y1.smoothness": 1.3},
+    {"y2.smoothness": 0.5, "y2.scale": 60.0},
+    {"y1.nugget": 0.02, "y2.noise": 0.3},
+    {"y2~y1.shift1": -0.3, "y1.smoothness": 1.5},
+    {},
+    {"y2~y1.amplitude": 5.0, "y2~y1.aperture": 0.3, "y1.scale": 25.0},
+]
+
+
+def _three_nodes():
+    return ProcessNetwork((
+        ProcessNode("y1", MaternParams(1.0, 10.0, 1.5), noise=0.1),
+        ProcessNode("y2", MaternParams(0.5, 12.0, 2.3),
+                    parents=((0, dirac(0.7)),), noise=0.1),
+        ProcessNode("y3", MaternParams(0.3, 8.0, 0.5), nugget=0.05, noise=0.1,
+                    parents=((0, tabulated([-1.0, 1.0], [-1.0, 0.0, 1.0],
+                                           [[0.5, 1.0, 0.2], [0.1, 0.8, 0.6]])),
+                             (1, shifted_bisquare(2.0, 0.4, (0.1,))))),
+    ))
+
+
+_THREE_STEPS = [
+    {},
+    {"y2~y1.amplitude": 0.5},
+    {"y3~y2.amplitude": 1.5, "y3~y2.aperture": 0.5},
+    {"y3~y2.shift1": 0.0},
+    {"y2.smoothness": 1.7, "y1.variance": 0.8},
+    {"y3.nugget": 0.1, "y1.noise": 0.2},
+    {"y1.scale": 14.0, "y3.smoothness": 1.5},
+    {"y2~y1.amplitude": 0.7, "y3~y2.shift1": 0.1},
+    {},
+]
+
+
+@pytest.mark.parametrize("network, steps", [
+    pytest.param(_bivariate(), _BIVARIATE_STEPS, id="bivariate-shifted"),
+    pytest.param(_three_nodes(), _THREE_STEPS, id="dirac-tabulated-bisquare"),
+])
+def test_fit_evaluations_equal_fresh_loglik(network, steps):
+    """One fit geometry over a sequence of networks gives, at every step,
+    bitwise the value of a fresh loglik."""
+    from condcov.conditional import CovarianceEvaluator, _FitGeometry
+    from condcov.inference import _loglik
+
+    rng = np.random.default_rng(21)
+    obs = [Observations(q, rng.uniform(-1, 1, (9 + 3 * q, 1)),
+                        rng.normal(size=9 + 3 * q))
+           for q in range(network.p)]
+    geometry = _FitGeometry(GRID)
+    net = network
+    for step in steps:
+        for name, value in step.items():
+            net = set_parameter(net, name, value)
+        value, _ = _loglik(CovarianceEvaluator(GRID, net, geometry), obs, 1e-8)
+        assert np.array_equal(value, loglik(GRID, net, obs)), step
+
+
+def _fresh_evaluation_fit(grid, network, obs, free, config):
+    """fit_mle's optimization, scored by fresh-evaluator loglik calls."""
+    from scipy.optimize import minimize
+
+    from condcov.errors import CondcovError
+    from condcov.inference import (_FATOL, _PERTURBATION, _XATOL,
+                                   _from_transformed, _to_transformed)
+    from condcov.rng import rng_from_seed
+
+    fields = [name.rpartition(".")[2] for name in free]
+    x0 = np.array([_to_transformed(f, get_parameter(network, n))
+                   for n, f in zip(free, fields)])
+
+    def apply(x):
+        net = network
+        for name, field, xi in zip(free, fields, x):
+            net = set_parameter(net, name, _from_transformed(field, float(xi)))
+        return net
+
+    def objective(x):
+        try:
+            return -loglik(grid, apply(x), obs)
+        except CondcovError:
+            return np.inf
+
+    runs = []
+    for start in range(config.restarts):
+        xs = x0
+        if start:
+            rng = rng_from_seed(config.seed, start)
+            xs = x0 + _PERTURBATION * (1.0 + np.abs(x0)) * rng.standard_normal(x0.size)
+        runs.append(minimize(objective, xs, method="Nelder-Mead", options={
+            "xatol": _XATOL, "fatol": _FATOL, "maxfev": config.max_evals}))
+    best = min(runs, key=lambda r: r.fun)
+    return apply(best.x), -best.fun, [int(r.nfev) for r in runs]
+
+
+@pytest.mark.parametrize("network, free", [
+    pytest.param(_bivariate(), ["y2~y1.amplitude", "y2~y1.shift1", "y1.scale"],
+                 id="bivariate-shifted"),
+    pytest.param(_three_nodes(), ["y3~y2.aperture", "y2.smoothness",
+                                  "y3.nugget"], id="dirac-tabulated-bisquare"),
+])
+def test_fit_equals_optimizing_fresh_loglik(network, free):
+    rng = np.random.default_rng(4)
+    obs = [Observations(q, rng.uniform(-1, 1, (12, 1)), rng.normal(size=12))
+           for q in range(network.p)]
+    cfg = OptimizerConfig(seed=5, restarts=2, max_evals=80)
+    fit = fit_mle(GRID, network, obs, free=free, config=cfg)
+    fitted, ll, nfev = _fresh_evaluation_fit(GRID, network, obs, free, cfg)
+    assert fit.network == fitted
+    assert fit.estimates == {n: get_parameter(fitted, n)
+                             for n in list_parameters(fitted)}
+    assert fit.loglik == ll
+    assert [t["nfev"] for t in fit.trace] == nfev
+
+
+def test_fit_reports_rejected_evaluations_and_jitter(monkeypatch):
+    import condcov.inference
+    from condcov.conditional import CovarianceEvaluator, observation_covariance
+    from condcov.errors import NumericalError
+    from condcov.linalg import chol_with_jitter
+
+    net = ProcessNetwork((ProcessNode("y", MaternParams(1.0, 5.0, 1.5),
+                                      noise=0.1),))
+    rng = np.random.default_rng(2)
+    obs = [Observations(0, rng.uniform(-1, 1, (10, 1)), rng.normal(size=10))]
+    cfg = OptimizerConfig(seed=0, restarts=1, max_evals=60)
+    clean = fit_mle(GRID, net, obs, free=["y.variance"], config=cfg)
+    assert clean.rejected == 0
+    assert clean.jitter == 0.0
+
+    # the starting point of the fit fails to factor, and only that one
+    calls = []
+    factor = condcov.inference.chol_with_jitter
+
+    def first_fails(mat, jitter_max):
+        calls.append(None)
+        if len(calls) == 1:
+            raise NumericalError("refused")
+        return factor(mat, jitter_max)
+
+    monkeypatch.setattr(condcov.inference, "chol_with_jitter", first_fails)
+    fit = fit_mle(GRID, net, obs, free=["y.variance"], config=cfg)
+    assert fit.rejected == 1
+    assert np.isfinite(fit.loglik)
+    assert fit.jitter == 0.0
+    monkeypatch.undo()
+
+    # a near-rank-one covariance without noise: every evaluation needs jitter
+    flat = ProcessNetwork((ProcessNode("y", MaternParams(1.0, 1e-3, 2.5)),))
+    sites = [Observations(0, np.linspace(-1, 1, 10)[:, None], rng.normal(size=10))]
+    fit = fit_mle(GRID, flat, sites, free=["y.variance"], config=cfg)
+    assert fit.rejected == 0
+    C, _ = observation_covariance(CovarianceEvaluator(GRID, fit.network), sites)
+    assert fit.jitter > 0.0
+    assert fit.jitter == chol_with_jitter(C)[1]

@@ -1,4 +1,6 @@
 """Tests for the Matern covariance and the interaction function kernels."""
+import re
+
 import numpy as np
 import pytest
 
@@ -229,3 +231,10 @@ def test_load_tabulated_errors(tmp_path):
     incomplete.write_text("s,v,value\n0,0,1\n0,1,2\n1,0,3\n")
     with pytest.raises(ValidationError):
         load_tabulated(incomplete)
+
+    for cells in ("0,1,abc", "0,1"):
+        garbled = tmp_path / "bad3.csv"
+        garbled.write_text(f"s,v,value\n0,0,1\n{cells}\n")
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{garbled}: line 3: expected numbers")):
+            load_tabulated(garbled)
