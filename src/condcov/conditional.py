@@ -15,7 +15,6 @@ supplies the integration rule.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Optional, Sequence, Tuple
@@ -28,10 +27,10 @@ from .kernels import (
     InteractionKind,
     InteractionSpec,
     MaternParams,
-    bisquare_profile,
+    _bisquare_profile,
+    _squared_displacement,
     interaction_values,
     matern_cov,
-    squared_displacement,
 )
 from .linalg import DEFAULT_JITTER_MAX, chol_model
 
@@ -223,22 +222,20 @@ class _FitGeometry(_Geometry):
     """A geometry that also keeps leaf blocks from one evaluator to the next.
 
     One slot per (node, point-set pair) holds the Matern block, reused while
-    the node's MaternParams are equal. One slot per (edge, point set) holds
-    the weighted interaction matrix, reused while the edge's spec is the
-    same object (in a fit, every edge that no free parameter reaches), and a
-    bisquare edge also keeps its squared displacements while its shift is
-    equal, so that a new amplitude or aperture costs only the profile. Each
-    slot holds one entry. Kept blocks are read-only, so no evaluator can
-    alter what the next one reads.
+    the node's MaternParams are equal, and one slot per (bisquare edge,
+    point set) holds the squared displacements, reused while the edge's
+    shift is equal, so that a new amplitude or aperture costs only the
+    profile. Each slot holds one entry. Kept blocks are read-only, so no
+    evaluator can alter what the next one reads.
     """
 
     def __init__(self, grid: Grid):
         super().__init__(grid)
         self._slots = {}
 
-    def _kept(self, key, param, build, same=operator.eq) -> np.ndarray:
+    def _kept(self, key, param, build) -> np.ndarray:
         slot = self._slots.get(key)
-        if slot is None or not same(slot[0], param):
+        if slot is None or slot[0] != param:
             block = build()
             block.setflags(write=False)
             slot = self._slots[key] = (param, block)
@@ -250,13 +247,10 @@ class _FitGeometry(_Geometry):
 
     def weighted(self, q, pos, spec, i):
         if spec.kind not in _BISQUARES:
-            build = partial(super().weighted, q, pos, spec, i)
-        else:
-            def build():
-                d2 = self._kept(("d2", q, pos, i), spec.shift, partial(
-                    squared_displacement, spec, self.sets[i], self.grid.vertices))
-                return bisquare_profile(spec, d2) * self.grid.weights[None, :]
-        return self._kept(("weighted", q, pos, i), spec, build, operator.is_)
+            return super().weighted(q, pos, spec, i)
+        d2 = self._kept(("d2", q, pos, i), spec.shift, partial(
+            _squared_displacement, spec, self.sets[i], self.grid.vertices))
+        return _bisquare_profile(spec, d2) * self.grid.weights[None, :]
 
 
 class CovarianceEvaluator:
@@ -271,11 +265,10 @@ class CovarianceEvaluator:
     Every block is kept for the life of the evaluator. Evaluators of
     different networks over one grid may share a ``geometry``: the point
     sets and distances, which no parameter changes. ``fit_mle`` gives all
-    evaluations of a fit one geometry that also keeps their leaf blocks
-    (Matern blocks, bisquare displacements, interaction matrices of
-    unchanged edges) while the parameters they depend on are equal. Leaf
-    blocks go through the same arithmetic either way, so every covariance,
-    and every likelihood, is bitwise that of a fresh evaluator.
+    evaluations of a fit one geometry that also keeps their Matern blocks
+    and bisquare displacements while the parameters they depend on are
+    equal. Leaf blocks go through the same arithmetic either way, so every
+    covariance, and every likelihood, is bitwise that of a fresh evaluator.
     """
 
     def __init__(self, grid: Grid, network: ProcessNetwork,

@@ -275,11 +275,11 @@ def fit_mle(
     Every evaluation of the fit derives its covariance evaluator from one
     geometry: the point sets and their distances, plus the leaf blocks that
     its free parameters leave alone (the Matern blocks of nodes whose
-    Matern is fixed, the interaction matrices of fixed edges, and the
-    squared displacements of bisquare edges whose shift is fixed). Each
-    value is bitwise the :func:`loglik` of the evaluated network, so the
-    optimizer takes the path it takes on fresh evaluations, and the
-    reported ``loglik`` is :func:`loglik` of the returned network.
+    Matern is fixed, and the squared displacements of bisquare edges whose
+    shift is fixed). Each value is bitwise the :func:`loglik` of the
+    evaluated network, so the optimizer takes the path it takes on fresh
+    evaluations, and the reported ``loglik`` is :func:`loglik` of the
+    returned network.
     ``rejected`` counts the evaluations scored as -inf because the network
     was invalid or its covariance could not be factored; ``jitter`` is what
     the Cholesky factorization needed at the returned optimum.
@@ -362,8 +362,11 @@ def fit_mle(
             "check the starting parameters"
         )
     fitted = apply(best.x)
-    # a fresh evaluator reproduces -best.fun; reporting its value keeps what
-    # a fit reports independent of the blocks the geometry kept
+    # one re-score through the public loglik: a fresh evaluator reproduces
+    # -best.fun bit for bit (the tests assert it), so this costs one
+    # evaluation per fit and keeps every fit visible to anything that
+    # wraps loglik, such as the bench tracer, which no longer sees the
+    # Nelder-Mead evaluations themselves
     ll = loglik(grid, fitted, obs, jitter_max)
     k = len(free_names)
     estimates = {name: get_parameter(fitted, name) for name in list_parameters(fitted)}
@@ -440,13 +443,16 @@ def compare_directions(
     Each returned :class:`RankedFit` carries ``delta_aic``, its AIC minus the
     best, and ``tie``, true for every fit that shares first place: its
     ``delta_aic`` is at most ``_AIC_TIE`` and some other fit's is too.
-    ``_AIC_TIE`` is the resolution of an AIC difference: Nelder-Mead stops
-    once the simplex's values of -loglik agree within ``_FATOL``, so each
-    fit's maximum is known only to within ``_FATOL``; AIC = -2 loglik + 2k
-    scales that to ``2 * _FATOL`` per fit, and a difference of two AICs to
-    ``4 * _FATOL``. Orders that reach the same maximum, as both orders of
-    an exchangeable pair do, differ by less than that, and which of them
-    ranks first is then decided by roundoff.
+    ``_AIC_TIE`` is the resolution of the stopping rule, not a bound on
+    the distance to the true maximum: Nelder-Mead stops once the values of
+    -loglik across its simplex agree within ``_FATOL``; AIC = -2 loglik +
+    2k scales that spread to ``2 * _FATOL`` per fit, and a difference of
+    two AICs to ``4 * _FATOL``. Orders that reach the same maximum, as both
+    orders of an exchangeable pair do, differ by less than that, and which
+    of them ranks first is then decided by roundoff. A fit that stopped at
+    ``max_evals`` (``converged`` false) met no such rule, yet it is flagged
+    the same way when its AIC falls within ``_AIC_TIE``; read ``tie``
+    together with ``converged``.
     """
     if candidates is None:
         if network.p != 2:

@@ -36,8 +36,6 @@ __all__ = [
     "tabulated",
     "interaction_eval",
     "interaction_values",
-    "squared_displacement",
-    "bisquare_profile",
     "load_tabulated",
 ]
 
@@ -183,6 +181,15 @@ class InteractionSpec:
 
     def __post_init__(self):
         k = self.kind
+        if self.shift is not None:
+            # a tuple of floats, however given, so that specs compare by value
+            try:
+                shift = np.asarray(self.shift, dtype=float).ravel()
+            except (TypeError, ValueError):
+                raise ParameterError(
+                    f"shift must be a vector of numbers, got {self.shift!r}"
+                ) from None
+            object.__setattr__(self, "shift", tuple(shift.tolist()))
         if k in (InteractionKind.DIRAC, InteractionKind.BISQUARE,
                  InteractionKind.SHIFTED_BISQUARE):
             if not np.isfinite(self.amplitude):
@@ -215,10 +222,9 @@ def bisquare(amplitude: float, aperture: float) -> InteractionSpec:
 
 
 def shifted_bisquare(amplitude: float, aperture: float, shift) -> InteractionSpec:
-    shift_t = tuple(float(c) for c in np.atleast_1d(shift))
     return InteractionSpec(
         InteractionKind.SHIFTED_BISQUARE,
-        amplitude=float(amplitude), aperture=float(aperture), shift=shift_t,
+        amplitude=float(amplitude), aperture=float(aperture), shift=shift,
     )
 
 
@@ -256,14 +262,14 @@ def interaction_values(spec: InteractionSpec, S, V) -> np.ndarray:
         raise ValidationError(
             f"shift has {len(spec.shift)} components for {S.shape[1]}-d locations"
         )
-    return bisquare_profile(spec, squared_displacement(spec, S, V))
+    return _bisquare_profile(spec, _squared_displacement(spec, S, V))
 
 
-def squared_displacement(spec: InteractionSpec, S, V) -> np.ndarray:
+def _squared_displacement(spec: InteractionSpec, S, V) -> np.ndarray:
     """|h|^2 for the displacements h = V[j] - S[i] - shift of a bisquare edge.
 
     This is the part of a bisquare value that only ``shift`` changes; see
-    :func:`bisquare_profile` for the rest. S (m, dim) and V (n, dim) are float
+    :func:`_bisquare_profile` for the rest. S (m, dim) and V (n, dim) are float
     arrays of the same dim, as :func:`interaction_values` checks.
     """
     h = V[None, :, :] - S[:, None, :]
@@ -272,7 +278,7 @@ def squared_displacement(spec: InteractionSpec, S, V) -> np.ndarray:
     return np.einsum("mnd,mnd->mn", h, h)
 
 
-def bisquare_profile(spec: InteractionSpec, d2: np.ndarray) -> np.ndarray:
+def _bisquare_profile(spec: InteractionSpec, d2: np.ndarray) -> np.ndarray:
     """amplitude * (1 - d2 / aperture^2)^2 inside the aperture, 0 outside."""
     u2 = d2 / (spec.aperture ** 2)
     out = np.zeros(u2.shape)

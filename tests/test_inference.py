@@ -512,3 +512,24 @@ def test_fit_reports_rejected_evaluations_and_jitter(monkeypatch):
     C, _ = observation_covariance(CovarianceEvaluator(GRID, fit.network), sites)
     assert fit.jitter > 0.0
     assert fit.jitter == chol_with_jitter(C)[1]
+
+
+def test_fit_accepts_an_array_shift_on_a_2d_grid():
+    """A spec built directly with a numpy shift fits like one with a tuple."""
+    from condcov.kernels import InteractionKind, InteractionSpec
+
+    grid = regular_grid([(-1.0, 1.0), (-1.0, 1.0)], [7, 7])
+    rng = np.random.default_rng(5)
+    obs = [Observations(q, rng.uniform(-1, 1, (8, 2)), rng.normal(size=8))
+           for q in range(2)]
+    fits = []
+    for shift in (np.array([0.1, -0.2]), (0.1, -0.2)):
+        spec = InteractionSpec(InteractionKind.SHIFTED_BISQUARE, amplitude=2.0,
+                               aperture=0.6, shift=shift)
+        fits.append(fit_mle(grid, _bivariate(spec), obs,
+                            free=["y2~y1.amplitude", "y2~y1.aperture"],
+                            config=OptimizerConfig(seed=0, restarts=1,
+                                                   max_evals=40)))
+    assert fits[0].estimates == fits[1].estimates
+    assert fits[0].loglik == fits[1].loglik
+    assert fits[0].network.nodes[1].parents[0][1].shift == (0.1, -0.2)

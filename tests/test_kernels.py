@@ -138,6 +138,19 @@ class TestInteractions:
         assert np.isclose(got, 1.5 * (1 - (0.3 / 0.5) ** 2) ** 2)
 
     @staticmethod
+    def test_shift_is_kept_as_a_tuple_of_floats():
+        from condcov.kernels import InteractionSpec
+
+        spec = InteractionSpec(InteractionKind.SHIFTED_BISQUARE, amplitude=1.0,
+                               aperture=0.5, shift=np.array([0.2, -0.1]))
+        assert spec.shift == (0.2, -0.1)
+        assert spec == shifted_bisquare(1.0, 0.5, [0.2, -0.1])
+        assert hash(spec) == hash(shifted_bisquare(1.0, 0.5, (0.2, -0.1)))
+        assert shifted_bisquare(1.0, 0.5, -0.3).shift == (-0.3,)
+        with pytest.raises(ParameterError):
+            shifted_bisquare(1.0, 0.5, ("north",))
+
+    @staticmethod
     def test_interaction_values_grid_block():
         spec = bisquare(5.0, 0.3)
         s = np.linspace(-1, 1, 11).reshape(-1, 1)
