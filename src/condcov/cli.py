@@ -59,8 +59,10 @@ of inline ``values``, like those of mesh ``vertices``, are equally long. The
 refit network is checked like the one of ``nodes`` when the config is read.
 
 All numeric CSV output is written with 17 significant digits, so re-running a
-command with the same config, data and seed reproduces the files byte for
-byte.
+command with the same config, data and seed, under the same BLAS library and
+thread count, reproduces the files byte for byte. Another BLAS library or
+thread count can change the last digits of fitted values (refit estimates
+differ in the 10th digit between one and two OpenBLAS threads).
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ from .kernels import (
     tabulated,
     zero,
 )
-from .linalg import DEFAULT_JITTER_MAX
+from .linalg import DEFAULT_JITTER_MAX, check_jitter_max
 from .predict import cokrige, loo_cv, summarize_folds
 from .sim import SimStudyConfig, run_sim_study, simulate_replicate
 from .spectral import check_cross_validity
@@ -978,6 +980,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _jitter_max(text: str) -> float:
+    try:
+        return check_jitter_max(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="condcov",
                      description="multivariate spatial covariance models "
@@ -991,7 +1000,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--data", required=True,
                             help="observations CSV (variable,x[,y,z],value)")
             # the commands that read data factor covariances with jitter
-            sp.add_argument("--jitter-max", type=float,
+            sp.add_argument("--jitter-max", type=_jitter_max,
                             default=DEFAULT_JITTER_MAX, dest="jitter_max",
                             help="relative Cholesky jitter ceiling")
         if params:

@@ -32,7 +32,7 @@ from .kernels import (
     interaction_values,
     matern_cov,
 )
-from .linalg import DEFAULT_JITTER_MAX, chol_model
+from .linalg import DEFAULT_JITTER_MAX, check_jitter_max, chol_model
 
 __all__ = [
     "MeanSpec",
@@ -362,7 +362,7 @@ class JointModel:
                  jitter_max: float = DEFAULT_JITTER_MAX):
         self.grid = grid
         self.network = network
-        self.jitter_max = jitter_max
+        self.jitter_max = check_jitter_max(jitter_max)
         self.evaluator = CovarianceEvaluator(grid, network)
 
     @property
@@ -412,7 +412,8 @@ def assemble_dag(grid: Grid, network: ProcessNetwork,
 
     ``jitter_max`` is the relative Cholesky jitter ceiling of every
     factorization made with the model: the grid covariance, and the
-    observation covariances of ``cokrige``, ``krige`` and ``loo_cv``.
+    observation covariances of ``cokrige``, ``krige`` and ``loo_cv``. It
+    must be finite and >= 0 (ParameterError otherwise).
     The grid covariance and its Cholesky factor are built on first read of
     ``model.matrix`` / ``model.chol``, which raises InvalidModelError if the
     factorization fails. Prediction and the likelihood factor only

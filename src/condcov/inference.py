@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .conditional import (
     CovarianceEvaluator,
@@ -38,7 +37,13 @@ from .errors import (
     ValidationError,
 )
 from .kernels import InteractionKind, InteractionSpec
-from .linalg import DEFAULT_JITTER_MAX, chol_logdet, chol_solve, chol_with_jitter
+from .linalg import (
+    DEFAULT_JITTER_MAX,
+    check_jitter_max,
+    chol_logdet,
+    chol_solve,
+    chol_with_jitter,
+)
 from .rng import rng_from_seed
 
 logger = logging.getLogger(__name__)
@@ -183,6 +188,7 @@ def loglik(
     grid only supplies the integration rule). Returns -inf when the
     observation covariance cannot be factored under the jitter policy.
     """
+    check_jitter_max(jitter_max)
     kept = kept_observations(grid, network, obs)
     if not kept:
         raise InsufficientDataError("log-likelihood needs at least one observation")
@@ -287,6 +293,7 @@ def fit_mle(
     config = config or OptimizerConfig()
     # checked once here: the objective scores any CondcovError as -inf, so
     # bad input would surface as an optimizer failure
+    check_jitter_max(jitter_max)
     kept = kept_observations(grid, network, obs)
     if not kept:
         raise InsufficientDataError(f"{label}: fit needs at least one observation")
@@ -325,6 +332,9 @@ def fit_mle(
             rejected += 1
             return np.inf
         return -value
+
+    # scipy.optimize is slow to import and only fitting uses it
+    from scipy.optimize import minimize
 
     trace = []
     best = None
@@ -454,6 +464,7 @@ def compare_directions(
     the same way when its AIC falls within ``_AIC_TIE``; read ``tie``
     together with ``converged``.
     """
+    check_jitter_max(jitter_max)
     if candidates is None:
         if network.p != 2:
             raise ValidationError(

@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 from scipy.special import gamma as _gamma
 from scipy.special import kv as _kv
 
@@ -149,6 +148,9 @@ class TabulatedValues:
         self.s_axis = s_axis
         self.v_axis = v_axis
         self.values = values
+        # scipy.interpolate is slow to import and only tabulated edges use it
+        from scipy.interpolate import RegularGridInterpolator
+
         self._interp = RegularGridInterpolator(
             (s_axis, v_axis), values, method="linear",
             bounds_error=False, fill_value=0.0,

@@ -3,22 +3,39 @@
 Every factorization in the package goes through :func:`chol_with_jitter` so
 that the tolerance story is uniform: try the plain factorization, then add
 ``10^-10 * mean(diag)`` to the diagonal, escalating by factors of 10 up to
-``jitter_max * mean(diag)`` (default ``10^-8``) before giving up.
+``jitter_max * mean(diag)`` (default ``10^-8``) before giving up. A ceiling
+is checked with :func:`check_jitter_max` where it enters the library, not on
+every factorization.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 from scipy import linalg as sla
 
-from .errors import InvalidModelError, NumericalError
+from .errors import InvalidModelError, NumericalError, ParameterError
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_JITTER_MAX = 1e-8
 _JITTER_START = 1e-10
+
+
+def check_jitter_max(jitter_max: float) -> float:
+    """Return ``jitter_max`` if it is a usable ceiling: finite and >= 0.
+
+    0 means no jitter. A NaN, infinite or negative ceiling raises
+    ParameterError: NaN or a negative one would never try a jitter, and an
+    infinite one would escalate without bound.
+    """
+    if not (math.isfinite(jitter_max) and jitter_max >= 0):
+        raise ParameterError(
+            f"jitter_max must be finite and >= 0, got {jitter_max!r}"
+        )
+    return jitter_max
 
 
 def chol_with_jitter(mat: np.ndarray, jitter_max: float = DEFAULT_JITTER_MAX):

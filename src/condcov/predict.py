@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.stats import norm as _norm
+from scipy.special import ndtr as _ndtr
 
 from .conditional import (
     JointModel,
@@ -137,10 +137,12 @@ def crps_gaussian(mu, sigma, y):
     pos = sig_b > 0
     if np.any(pos):
         z = (y_b[pos] - mu_b[pos]) / sig_b[pos]
+        # Phi and phi exactly as scipy.stats.norm evaluates them, without
+        # importing scipy.stats
+        cdf = _ndtr(z)
+        pdf = np.exp(-z ** 2 / 2.0) / np.sqrt(2 * np.pi)
         out[pos] = sig_b[pos] * (
-            z * (2.0 * _norm.cdf(z) - 1.0)
-            + 2.0 * _norm.pdf(z)
-            - 1.0 / np.sqrt(np.pi)
+            z * (2.0 * cdf - 1.0) + 2.0 * pdf - 1.0 / np.sqrt(np.pi)
         )
     if scalar:
         return float(out[0])

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gamma as _gamma
 
 from .errors import ParameterError, ValidationError
@@ -127,6 +126,9 @@ def check_cross_validity(
     candidate = bvals * bvals
     margin = 1.0 - candidate / envelope
     worst = float(np.min(margin))
+    # scipy.integrate is slow to import and only this check uses it
+    from scipy import integrate
+
     total22 = 2.0 * np.pi * integrate.quad(
         lambda t: t * matern_spectral_density(c22, t), 0.0, np.inf
     )[0]

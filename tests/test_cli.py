@@ -1,4 +1,5 @@
 """End-to-end command line workflows against small throwaway configs."""
+import json
 import re
 import subprocess
 import sys
@@ -499,3 +500,67 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_invalid_jitter_max_exits_1(tmp_path, capsys, value):
+    # a usage error naming the flag, not a numerical failure (exit 2)
+    cfg_path = _write_cfg(tmp_path)
+    obs_path = _write_obs(tmp_path, cfg_path)
+    out = tmp_path / "out"
+    rc = main(["predict", "--config", str(cfg_path), "--data", str(obs_path),
+               "--jitter-max", value, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--jitter-max" in err
+    assert "finite and >= 0" in err
+    assert not out.exists()
+
+
+_HEAVY = ("scipy.stats", "scipy.interpolate", "scipy.optimize",
+          "scipy.integrate")
+
+_IMPORT_PROBE = f"""
+import json, sys
+HEAVY = {_HEAVY!r}
+cfg, tab_cfg, data, out = sys.argv[1:]
+seen = {{}}
+def stage(name, rc=0):
+    assert rc == 0, name
+    seen[name] = [m for m in HEAVY if m in sys.modules]
+import condcov
+stage("import condcov")
+import condcov.cli as cli
+stage("import condcov.cli")
+common = ["--config", cfg, "--data", data, "--out", out]
+stage("predict", cli.main(["predict"] + common))
+stage("cv", cli.main(["cv"] + common))
+stage("fit", cli.main(["fit"] + common))
+stage("tabulated", cli.main(["predict", "--config", tab_cfg, "--data", data,
+                             "--out", out]))
+print(json.dumps(seen))
+"""
+
+
+def test_commands_import_only_the_scipy_they_use(tmp_path):
+    # a fresh interpreter: this test process has loaded all of scipy
+    cfg_path = _write_cfg(tmp_path)
+    obs_path = _write_obs(tmp_path, cfg_path)
+    data = yaml.safe_load(yaml.safe_dump(BASE))
+    data["nodes"][1]["parents"][0] = {
+        "node": "y1", "kind": "tabulated",
+        "table": {"s": [-1.0, 1.0], "v": [-1.0, 0.0, 1.0],
+                  "values": [[0.5, 1.0, 0.2], [0.1, 0.8, 0.3]]}}
+    tab_path = _write_cfg(tmp_path, data, "tabulated.yaml")
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(cfg_path), str(tab_path),
+         str(obs_path), str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    # the bisquare map path (predict, cv) needs none of them
+    for stage in ("import condcov", "import condcov.cli", "predict", "cv"):
+        assert seen[stage] == [], stage
+    assert "scipy.optimize" in seen["fit"]
+    assert "scipy.interpolate" not in seen["fit"]
+    assert "scipy.interpolate" in seen["tabulated"]

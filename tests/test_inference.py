@@ -5,10 +5,12 @@ from scipy.stats import multivariate_normal
 
 from condcov import (
     InsufficientDataError,
+    JointModel,
     MaternParams,
     MeanSpec,
     Observations,
     OptimizerConfig,
+    ParameterError,
     ProcessNetwork,
     ProcessNode,
     ValidationError,
@@ -188,6 +190,28 @@ def test_fit_rejects_bad_input_before_optimizing(grid, obs, error, match):
     with pytest.raises(error, match=match):
         fit_mle(grid, _bivariate(), obs, free=["y1.variance"],
                 config=OptimizerConfig(restarts=2, max_evals=20))
+
+
+_QUICK = OptimizerConfig(restarts=1, max_evals=20)
+_JITTER_ENTRIES = {
+    "assemble_dag": lambda net, obs, jm: assemble_dag(GRID, net, jm),
+    "JointModel": lambda net, obs, jm: JointModel(GRID, net, jm),
+    "loglik": lambda net, obs, jm: loglik(GRID, net, obs, jm),
+    "fit_mle": lambda net, obs, jm: fit_mle(
+        GRID, net, obs, free=["y1.variance"], config=_QUICK, jitter_max=jm),
+    "compare_directions": lambda net, obs, jm: compare_directions(
+        GRID, net, obs, free=["y1.variance"], config=_QUICK, jitter_max=jm),
+}
+
+
+@pytest.mark.parametrize("jitter_max", [np.nan, -1.0, np.inf])
+@pytest.mark.parametrize("entry", list(_JITTER_ENTRIES))
+def test_an_unusable_jitter_ceiling_is_a_parameter_error(entry, jitter_max):
+    # these covariances factor without jitter, so only the check of the
+    # ceiling itself can reject it
+    obs = [Observations(0, _SITES, np.linspace(-1.0, 1.0, 5))]
+    with pytest.raises(ParameterError, match="jitter_max must be finite"):
+        _JITTER_ENTRIES[entry](_bivariate(), obs, jitter_max)
 
 
 _GRID_2D = regular_grid([(-1.0, 1.0)] * 2, [6, 6])

@@ -81,6 +81,28 @@ class TestCrps:
             y = float(rng.normal(scale=3))
             assert abs(crps_gaussian(mu, sigma, y) - crps_num(mu, sigma, y)) < 1e-6
 
+    def test_equals_the_scipy_stats_closed_form(self):
+        # crps_gaussian evaluates Phi and phi without scipy.stats; it must
+        # agree bit for bit with norm.cdf and norm.pdf
+        rng = np.random.default_rng(23)
+        n = 100_000
+        mu = rng.normal(scale=5.0, size=n)
+        sigma = rng.uniform(1e-3, 5.0, n)
+        y = mu + rng.uniform(-40.0, 40.0, n) * sigma
+        y[:1000] = mu[:1000]  # z = 0 exactly
+        sigma[1000:2000] = 0.0  # falls back to |y - mu|
+        expected = np.abs(y - mu)
+        pos = sigma > 0
+        z = (y[pos] - mu[pos]) / sigma[pos]
+        assert np.any(z == 0.0) and np.max(np.abs(z)) > 39.0
+        expected[pos] = sigma[pos] * (
+            z * (2.0 * stats.norm.cdf(z) - 1.0)
+            + 2.0 * stats.norm.pdf(z)
+            - 1.0 / np.sqrt(np.pi)
+        )
+        assert np.array_equal(crps_gaussian(mu, sigma, y), expected)
+        assert crps_gaussian(mu[0], sigma[0], y[0]) == expected[0]
+
     def test_rejects_negative_sigma(self):
         with pytest.raises(ParameterError):
             crps_gaussian(0.0, -1.0, 0.0)
