@@ -33,7 +33,7 @@ Config layout (strict: unknown keys are errors)::
     simulation:                  # used by simulate
       replicates: 50
       seed: 0
-      target: y1
+      target: y1                 # default: the first parentless node
       observed:                  # per node: all | none | {min: [..], max: [..]}
         y1: {min: [0.0], max: [1.0]}   # one coordinate per grid dimension
       evaluate: unobserved       # all | unobserved | {min: [..], max: [..]}
@@ -55,8 +55,11 @@ Config layout (strict: unknown keys are errors)::
 The spectral candidate may instead be ``candidate: {table: curve.csv}`` with
 CSV header ``w,value`` giving sampled (frequency, B) pairs. Interaction tables
 may be a path or inline ``{s: [...], v: [...], values: [[...]]}``; the rows
-of inline ``values``, like those of mesh ``vertices``, are equally long. The
-refit network is checked like the one of ``nodes`` when the config is read.
+of inline ``values``, like those of mesh ``vertices``, are equally long.
+
+The whole config is checked when it is read, each fault with its key path:
+both networks, every node name and ``free`` parameter, and the study, which
+observes some vertex, evaluates at least one and runs at least one replicate.
 
 All numeric CSV output is written with 17 significant digits, so re-running a
 command with the same config, data and seed, under the same BLAS library and
@@ -108,12 +111,12 @@ from .inference import (
     OptimizerConfig,
     compare_directions,
     fit_mle,
+    get_parameter,
     read_params,
     set_parameter,
     write_fit_result,
 )
 from .kernels import (
-    InteractionKind,
     InteractionSpec,
     MaternParams,
     bisquare,
@@ -130,15 +133,10 @@ from .spectral import check_cross_validity
 
 __all__ = [
     "FitSettings",
-    "Region",
-    "RefitSettings",
-    "SimulationSettings",
     "SpectralSettings",
     "ParsedConfig",
     "parse_config",
     "parse_config_dict",
-    "config_to_dict",
-    "build_sim_config",
     "main",
     "cli_entry",
 ]
@@ -240,16 +238,11 @@ def _flat(sec: _Section, cls, **defaults) -> dict:
     }
 
 
-def _flat_dict(obj) -> dict:
-    """The keys that _flat reads back to the fields of ``obj``."""
-    return {f.name: getattr(obj, f.name)
-            for f in dataclasses.fields(obj) if f.type in _KIND_OF}
-
-
-def _located(where: str, fn, *args):
-    """``fn(*args)``, with the ValidationError it raises placed at ``where``."""
+def _located(where: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with the ValidationError it raises placed at
+    ``where``."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except ValidationError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -288,50 +281,6 @@ class FitSettings:
 
 
 @dataclass(frozen=True)
-class Region:
-    """Vertex selector: everything, nothing, a box, or the unobserved rest."""
-
-    kind: str
-    lo: Optional[Tuple[float, ...]] = None
-    hi: Optional[Tuple[float, ...]] = None
-
-    def mask(self, grid: Grid, observed_target=None) -> np.ndarray:
-        if self.kind == "all":
-            return np.ones(grid.n, dtype=bool)
-        if self.kind == "none":
-            return np.zeros(grid.n, dtype=bool)
-        if self.kind == "unobserved":
-            return ~np.asarray(observed_target, dtype=bool)
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        if lo.size != grid.dim or hi.size != grid.dim:
-            raise ConfigError(
-                f"region box has {lo.size}/{hi.size} coordinates, "
-                f"grid is {grid.dim}-d"
-            )
-        inside = (grid.vertices >= lo) & (grid.vertices <= hi)
-        return np.all(inside, axis=1)
-
-
-@dataclass(frozen=True)
-class RefitSettings:
-    """The refit arm: ``free`` is re-estimated on ``network``."""
-
-    free: Tuple[str, ...]
-    network: ProcessNetwork
-
-
-@dataclass(frozen=True)
-class SimulationSettings:
-    target: str
-    observed: Tuple[Tuple[str, Region], ...]
-    evaluate: Region
-    refit: Optional[RefitSettings] = None
-    replicates: int = 50
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class SpectralSettings:
     c11: MaternParams
     c22: MaternParams
@@ -345,7 +294,7 @@ class ParsedConfig:
     grid: Grid
     network: ProcessNetwork
     fit: Optional[FitSettings] = None
-    simulation: Optional[SimulationSettings] = None
+    simulation: Optional[SimStudyConfig] = None
     spectral: Optional[SpectralSettings] = None
 
 
@@ -487,15 +436,31 @@ def _parse_nodes(sec: _Section) -> ProcessNetwork:
     ))
 
 
-def _parse_fit(sec: _Section) -> FitSettings:
-    return _fill(sec, FitSettings,
-                 optimizer=OptimizerConfig(**_flat(sec, OptimizerConfig)))
+def _check_free(where: str, free, network: ProcessNetwork) -> None:
+    """Each name in ``free`` addresses a parameter of ``network``."""
+    for name in free or ():
+        _located(f"{where}: free", get_parameter, network, name)
 
 
-def _parse_region(value, where: str, dim: int) -> Region:
+def _parse_fit(sec: _Section, network: ProcessNetwork) -> FitSettings:
+    fit = _fill(sec, FitSettings,
+                optimizer=OptimizerConfig(**_flat(sec, OptimizerConfig)))
+    _check_free(sec.where, fit.free, network)
+    return fit
+
+
+def _parse_region(value, where: str, grid: Grid, unobserved=None) -> np.ndarray:
+    """The vertex mask of a region: all, none, a box, or, for ``evaluate``,
+    the mask ``unobserved`` of the target's unobserved vertices."""
+    if value == "all":
+        return np.ones(grid.n, dtype=bool)
+    if value == "none":
+        return np.zeros(grid.n, dtype=bool)
+    if value == "unobserved":
+        if unobserved is None:
+            raise ConfigError(f"{where}: 'unobserved' is valid only for evaluate")
+        return unobserved
     if isinstance(value, str):
-        if value in ("all", "none", "unobserved"):
-            return Region(value)
         raise ConfigError(
             f"{where}: unknown region {value!r}; expected 'all', 'none', "
             f"'unobserved' or a box {{min: [..], max: [..]}}"
@@ -504,22 +469,23 @@ def _parse_region(value, where: str, dim: int) -> Region:
     lo = sec.read("min", [float])
     hi = sec.read("max", [float])
     sec.finish()
-    if len(lo) != dim or len(hi) != dim:
+    if len(lo) != grid.dim or len(hi) != grid.dim:
         raise ConfigError(f"{where}: region box has {len(lo)}/{len(hi)} "
-                          f"coordinates, grid is {dim}-d")
-    return Region("box", lo=lo, hi=hi)
+                          f"coordinates, grid is {grid.dim}-d")
+    return np.all((grid.vertices >= lo) & (grid.vertices <= hi), axis=1)
 
 
-def _parse_refit(sec: _Section, grid: Grid,
-                 network: ProcessNetwork) -> RefitSettings:
+def _parse_refit(sec: _Section, grid: Grid, network: ProcessNetwork) -> dict:
+    """The refit fields of SimStudyConfig: the network of ``nodes`` with the
+    refit edges in place, and the names re-estimated on it."""
     parents = {node.name: [network.names[a] for a, _ in node.parents]
                for node in network.nodes}
     refit_network = network
     for esec in sec.sections("edges", []):
         child = esec.read("node", str)
-        q = network.index(child)
+        q = _located(f"{esec.where}: node", network.index, child)
         parent, spec = _parse_edge(esec, "parent")
-        a = network.index(parent)
+        a = _located(f"{esec.where}: parent", network.index, parent)
         parents[child].append(parent)
         _conditioning_order(list(network.names), parents, sec.where)
         node = refit_network.nodes[q]
@@ -529,44 +495,42 @@ def _parse_refit(sec: _Section, grid: Grid,
         nodes[q] = dataclasses.replace(node, parents=tuple(edges))
         refit_network = _located(sec.where, ProcessNetwork, tuple(nodes))
     _located(sec.where, _check_network_on_grid, grid, refit_network)
-    refit = _fill(sec, RefitSettings, network=refit_network)
-    if not refit.free:
+    free = sec.read("free", [str])
+    sec.finish()
+    if not free:
         raise ConfigError(f"{sec.where}: at least one free parameter is required")
-    return refit
+    _check_free(sec.where, free, refit_network)
+    return {"refit_network": refit_network, "refit_free": free}
 
 
-def _parse_simulation(sec: _Section, grid: Grid,
-                      network: ProcessNetwork) -> SimulationSettings:
+def _parse_simulation(sec: _Section, grid: Grid, network: ProcessNetwork,
+                      fit: Optional[FitSettings]) -> SimStudyConfig:
+    """The study; the refit arm optimizes with the settings of ``fit``."""
     where = sec.where
-    settings = _flat(sec, SimulationSettings, target=network.names[0])
-    observed_raw = sec.take("observed", {})
-    if not isinstance(observed_raw, dict):
+    target = _located(f"{where}: target", network.index,
+                      sec.read("target", str, default=network.names[0]))
+    observed = sec.take("observed", {})
+    if not isinstance(observed, dict):
         raise ConfigError(f"{where}: observed must map node names to regions")
-    for name in observed_raw:
+    for name in observed:
         if name not in network.names:
             raise ConfigError(
                 f"{where}: observed references unknown node {name!r}; "
                 f"nodes: {list(network.names)}"
             )
-        if observed_raw[name] == "unobserved":
-            raise ConfigError(f"{where}: observed: {name}: 'unobserved' is "
-                              f"valid only for evaluate")
-    observed = tuple(
-        (name, _parse_region(observed_raw.get(name, "all"),
-                             f"{where}: observed: {name}", grid.dim))
-        for name in network.names
-    )
-    evaluate = _parse_region(sec.take("evaluate", "unobserved"),
-                             f"{where}: evaluate", grid.dim)
-    sim = SimulationSettings(
-        observed=observed,
-        evaluate=evaluate,
-        refit=sec.read("refit", _parse_refit, grid, network, default=None),
-        **settings,
-    )
+    masks = tuple(_parse_region(observed.get(name, "all"),
+                                f"{where}: observed: {name}", grid)
+                  for name in network.names)
+    eval_mask = _parse_region(sec.take("evaluate", "unobserved"),
+                              f"{where}: evaluate", grid, ~masks[target])
+    refit = sec.read("refit", _parse_refit, grid, network, default=None) or {}
+    counts = {f.name: sec.read(f.name, int, default=f.default)
+              for f in dataclasses.fields(SimStudyConfig)
+              if f.name in ("replicates", "seed")}
     sec.finish()
-    network.index(sim.target)  # validates
-    return sim
+    return _located(where, SimStudyConfig, grid, network, masks, eval_mask,
+                    target, optimizer=(fit or FitSettings()).optimizer,
+                    **counts, **refit)
 
 
 def _parse_candidate(sec: _Section):
@@ -604,12 +568,13 @@ def parse_config_dict(data, base_dir, where: str = "config") -> ParsedConfig:
     grid = sec.read("grid", _parse_grid)
     network = _parse_nodes(sec)
     _located(where, _check_network_on_grid, grid, network)
+    fit = sec.read("fit", _parse_fit, network, default=None)
     cfg = ParsedConfig(
         grid=grid,
         network=network,
-        fit=sec.read("fit", _parse_fit, default=None),
+        fit=fit,
         simulation=sec.read("simulation", _parse_simulation, grid, network,
-                            default=None),
+                            fit, default=None),
         spectral=sec.read("spectral", _parse_spectral, default=None),
     )
     sec.finish()
@@ -625,111 +590,7 @@ def parse_config(path) -> ParsedConfig:
     return parse_config_dict(data, path.parent, where=str(path))
 
 
-# ------------------------------------------------------------- round trip
-
-
-def _plain(value):
-    """Tuples as lists, the only sequence the readers take."""
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
-def _kind_dict(obj, kind: str, kinds: dict) -> dict:
-    return {"kind": kind, **{key: getattr(obj, key) for key in kinds[kind][1]}}
-
-
-def _interaction_dict(spec: InteractionSpec) -> dict:
-    if spec.kind is InteractionKind.TABULATED:
-        t = spec.table
-        return {"kind": spec.kind.value, "table": {
-            "s": t.s_axis.tolist(), "v": t.v_axis.tolist(),
-            "values": t.values.tolist()}}
-    return _kind_dict(spec, spec.kind.value, _INTERACTIONS)
-
-
-def _region_dict(region: Region):
-    if region.kind == "box":
-        return {"min": region.lo, "max": region.hi}
-    return region.kind
-
-
-def config_to_dict(cfg: ParsedConfig) -> dict:
-    """Emit a mapping that parse_config_dict reads back to an equal config."""
-    names = cfg.network.names
-    grid = cfg.grid
-    out = {
-        "grid": {"kind": "mesh", "vertices": grid.vertices.tolist(),
-                 "weights": grid.weights.tolist(),
-                 "metric": _kind_dict(grid.metric, grid.metric.kind, _METRICS)},
-        "nodes": [
-            {**_flat_dict(node), **_flat_dict(node.covariance),
-             "mean": None if node.mean is None else _flat_dict(node.mean),
-             "parents": [{"node": names[a], **_interaction_dict(spec)}
-                         for a, spec in node.parents]}
-            for node in cfg.network.nodes
-        ],
-    }
-    if cfg.fit is not None:
-        out["fit"] = {**_flat_dict(cfg.fit), **_flat_dict(cfg.fit.optimizer)}
-    sim = cfg.simulation
-    if sim is not None:
-        out["simulation"] = {
-            **_flat_dict(sim),
-            "observed": {name: _region_dict(r) for name, r in sim.observed},
-            "evaluate": _region_dict(sim.evaluate),
-        }
-        if sim.refit is not None:
-            # the edges that the refit network has and the nodes do not
-            out["simulation"]["refit"] = {**_flat_dict(sim.refit), "edges": [
-                {"node": node.name, "parent": names[a], **_interaction_dict(spec)}
-                for node, base in zip(sim.refit.network.nodes, cfg.network.nodes)
-                for a, spec in node.parents if (a, spec) not in base.parents
-            ]}
-    sp = cfg.spectral
-    if sp is not None:
-        out["spectral"] = {
-            **_flat_dict(sp),
-            "c11": _flat_dict(sp.c11),
-            "c22": _flat_dict(sp.c22),
-            "candidate": _flat_dict(sp.candidate)
-            if isinstance(sp.candidate, MaternParams) else {"table": sp.candidate},
-        }
-    return _plain(out)
-
-
 # ------------------------------------------------------------- commands
-
-
-def build_sim_config(cfg: ParsedConfig, replicates: Optional[int] = None,
-                     seed: Optional[int] = None) -> SimStudyConfig:
-    """Turn the parsed simulation section into a runnable study config."""
-    if cfg.simulation is None:
-        raise ConfigError("config has no 'simulation' section")
-    sim = cfg.simulation
-    network = cfg.network
-    target = network.index(sim.target)
-    masks = []
-    region_of = dict(sim.observed)
-    for name in network.names:
-        masks.append(region_of.get(name, Region("all")).mask(cfg.grid))
-    eval_mask = sim.evaluate.mask(cfg.grid, observed_target=masks[target])
-    optimizer = cfg.fit.optimizer if cfg.fit is not None else OptimizerConfig()
-    return SimStudyConfig(
-        grid=cfg.grid,
-        network=network,
-        observed=tuple(masks),
-        eval_mask=eval_mask,
-        target=target,
-        replicates=replicates if replicates is not None else sim.replicates,
-        seed=seed if seed is not None else sim.seed,
-        refit_network=None if sim.refit is None else sim.refit.network,
-        refit_free=() if sim.refit is None else sim.refit.free,
-        optimizer=optimizer,
-    )
-
 
 
 def _fmt(value) -> str:
@@ -788,7 +649,11 @@ def _model_inputs(args):
 
 def _cmd_simulate(args) -> int:
     cfg = parse_config(args.config)
-    study = build_sim_config(cfg, replicates=args.replicates, seed=args.seed)
+    if cfg.simulation is None:
+        raise ConfigError("config has no 'simulation' section")
+    overrides = {"replicates": args.replicates, "seed": args.seed}
+    study = dataclasses.replace(cfg.simulation, **{
+        key: value for key, value in overrides.items() if value is not None})
     result = run_sim_study(study)
     first = simulate_replicate(study, 0)
     out = _out_dir(args)

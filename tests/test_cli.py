@@ -13,19 +13,25 @@ import condcov.cli
 import condcov.sim
 from condcov import (
     ConfigError,
+    Grid,
     MaternParams,
+    MeanSpec,
     Observations,
     ProcessNetwork,
     ProcessNode,
     assemble_dag,
     bisquare,
+    chordal,
+    dirac,
     regular_grid,
     sample_joint,
     save_observations,
+    shifted_bisquare,
+    tabulated,
+    zero,
 )
 from condcov.cli import (
-    build_sim_config,
-    config_to_dict,
+    SpectralSettings,
     main,
     parse_config,
     parse_config_dict,
@@ -85,24 +91,14 @@ def test_parse_repo_demo_config():
     cfg = parse_config("configs/demo1d.yaml")
     assert cfg.grid.n == 200
     assert cfg.network.names == ("y1", "y2")
-    assert cfg.simulation is not None
-    study = build_sim_config(cfg)
+    study = cfg.simulation
+    assert study is not None
     assert study.replicates == 50
     assert int(np.sum(study.observed[0])) == 100
     assert int(np.sum(study.eval_mask)) == 100
-    assert study.refit_network is not None
-
-
-def test_config_roundtrip(tmp_path):
-    # demo1d has a refit arm whose edge replaces the configured y2 edge
-    for cfg in (parse_config(_write_cfg(tmp_path)), parse_config(DEMO)):
-        again = parse_config_dict(config_to_dict(cfg), tmp_path, "roundtrip")
-        assert again.grid == cfg.grid
-        assert again.network == cfg.network
-        assert again.fit == cfg.fit
-        assert again.simulation == cfg.simulation
-        assert again.spectral == cfg.spectral
-    assert again.simulation.refit.network != again.network
+    # the refit edge replaces the configured y2 edge
+    assert study.refit_network.nodes[1].parents[0][1].kind.value == "bisquare"
+    assert study.refit_free == ("y2~y1.amplitude", "y2~y1.aperture")
 
 
 def test_readme_config_block_parses():
@@ -111,7 +107,7 @@ def test_readme_config_block_parses():
     block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
     cfg = parse_config_dict(yaml.safe_load(block), ROOT, "README")
     assert cfg.fit is not None and cfg.spectral is not None
-    assert cfg.simulation.refit is not None
+    assert cfg.simulation.refit_network is not None
 
 
 def _edit(changes):
@@ -123,6 +119,98 @@ def _edit(changes):
                 parent = parent[key]
             parent[path[-1]] = value
     return mutate
+
+
+def _network(edge=bisquare(5.0, 0.3), **y1):
+    """The network of BASE with ``edge`` from y1 to y2 and y1's ``y1``."""
+    return ProcessNetwork((
+        ProcessNode("y1", MaternParams(1.0, 25.0, 1.5), noise=0.25, **y1),
+        ProcessNode("y2", MaternParams(0.2, 75.0, 1.5), parents=((0, edge),),
+                    noise=0.25),
+    ))
+
+
+def _spectral(candidate):
+    return SpectralSettings(MaternParams(1.0, 2.0, 1.0),
+                            MaternParams(1.0, 2.0, 4.0), candidate)
+
+
+TABLE = {"s": [-1.0, 1.0], "v": [-1.0, 0.0, 1.0],
+         "values": [[0.5, 1.0, 0.2], [0.1, 0.8, 0.3]]}
+TABLE_CSV = "s,v,value\n" + "".join(
+    f"{s},{v},{TABLE['values'][i][j]}\n"
+    for i, s in enumerate(TABLE["s"]) for j, v in enumerate(TABLE["v"]))
+CURVE = [[0.1, 1.0], [1.0, 0.5]]
+MESH = {"vertices": [[-1.0], [0.0], [1.0]], "weights": [0.5, 1.0, 0.5]}
+
+
+def _y2_edge(spec):
+    # BASE fits y2~y1.amplitude, which zero and tabulated edges lack
+    return {("nodes", 1, "parents", 0): {"node": "y1", **spec},
+            ("fit", "free"): None}
+
+
+# (config changes, files beside the config, the parsed part, what the library
+# constructors build for it)
+FORMS = [
+    pytest.param({("grid",): {"kind": "regular",
+                              "bounds": [[0.0, 10.0], [40.0, 50.0]],
+                              "counts": [3, 4],
+                              "metric": {"kind": "chordal", "radius": 6371.0}},
+                  ("simulation",): None},
+                 {}, "grid",
+                 regular_grid([(0.0, 10.0), (40.0, 50.0)], [3, 4],
+                              chordal(6371.0)), id="chordal-metric"),
+    pytest.param({("grid",): {"kind": "mesh", **MESH}}, {}, "grid",
+                 Grid(np.array(MESH["vertices"]), np.array(MESH["weights"])),
+                 id="inline-mesh"),
+    pytest.param({("grid",): {"kind": "mesh", "path": "mesh.csv"}},
+                 {"mesh.csv": "x,weight\n-1,0.5\n0,1\n1,0.5\n"}, "grid",
+                 Grid(np.array(MESH["vertices"]), np.array(MESH["weights"])),
+                 id="mesh-file"),
+    pytest.param(_y2_edge({"kind": "zero"}), {}, "network", _network(zero()),
+                 id="zero"),
+    pytest.param(_y2_edge({"kind": "dirac", "amplitude": 2.0}), {}, "network",
+                 _network(dirac(2.0)), id="dirac"),
+    pytest.param(_y2_edge({"kind": "bisquare", "amplitude": 2.0,
+                           "aperture": 0.4}), {}, "network",
+                 _network(bisquare(2.0, 0.4)), id="bisquare"),
+    pytest.param(_y2_edge({"kind": "shifted_bisquare", "amplitude": 2.0,
+                           "aperture": 0.4, "shift": [-0.1]}), {}, "network",
+                 _network(shifted_bisquare(2.0, 0.4, [-0.1])),
+                 id="shifted_bisquare"),
+    pytest.param(_y2_edge({"kind": "tabulated", "table": TABLE}), {}, "network",
+                 _network(tabulated(TABLE["s"], TABLE["v"], TABLE["values"])),
+                 id="inline-table"),
+    pytest.param(_y2_edge({"kind": "tabulated", "table": "kernel.csv"}),
+                 {"kernel.csv": TABLE_CSV}, "network",
+                 _network(tabulated(TABLE["s"], TABLE["v"], TABLE["values"])),
+                 id="table-file"),
+    pytest.param({("nodes", 0, "mean"): {"covariates": ["const", "x"],
+                                         "coefficients": [0.5, -1.0]}},
+                 {}, "network",
+                 _network(mean=MeanSpec(("const", "x"), (0.5, -1.0))),
+                 id="mean"),
+    pytest.param({("nodes", 0, "nugget"): 0.1}, {}, "network",
+                 _network(nugget=0.1), id="nugget"),
+    pytest.param({("spectral", "candidate"): {"table": CURVE}}, {},
+                 "spectral", _spectral(((0.1, 1.0), (1.0, 0.5))),
+                 id="inline-candidate-table"),
+    pytest.param({("spectral", "candidate"): {"table": "curve.csv"}},
+                 {"curve.csv": "w,value\n0.1,1.0\n1.0,0.5\n"},
+                 "spectral", _spectral(((0.1, 1.0), (1.0, 0.5))),
+                 id="candidate-table-file"),
+]
+
+
+@pytest.mark.parametrize("changes, files, part, expected", FORMS)
+def test_parser_reads_every_documented_form(tmp_path, changes, files, part,
+                                            expected):
+    data = yaml.safe_load(yaml.safe_dump(BASE))
+    _edit(changes)(data)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert getattr(parse_config(_write_cfg(tmp_path, data)), part) == expected
 
 
 BOX_2D = {"min": [0.0, 0.0], "max": [1.0, 1.0]}
@@ -165,6 +253,7 @@ BAD_CONFIGS = [
                  "y1 -> y2 -> y1", 1, id="refit-cycle"),
     pytest.param(_edit({
         ("nodes", 1, "parents"): [],
+        ("fit", "free"): ["y2.variance"],  # the base names the removed edge
         ("simulation", "refit"): {"free": ["y1~y2.amplitude"], "edges": [
             {"node": "y1", "parent": "y2", "kind": "dirac",
              "amplitude": 1.0}]}}),
@@ -188,6 +277,39 @@ BAD_CONFIGS = [
                   "values": [[0.5, 1.0, 0.2], [0.1, 0.8]]}}}),
                  "model.yaml: nodes[1]: parents[0]: table: values: rows have "
                  "unequal lengths [2, 3]", 1, id="ragged-table-values"),
+    pytest.param(_edit({("simulation", "target"): "y9"}),
+                 "model.yaml: simulation: target: unknown variable 'y9'", 1,
+                 id="unknown-target"),
+    pytest.param(_edit({("simulation", "refit"): {"free": REFIT_FREE, "edges": [
+        {"node": "y7", "parent": "y1", "kind": "dirac", "amplitude": 1.0}]}}),
+                 "model.yaml: simulation: refit: edges[0]: node: unknown "
+                 "variable 'y7'", 1, id="refit-unknown-node"),
+    pytest.param(_edit({("simulation", "refit"): {"free": REFIT_FREE, "edges": [
+        {"node": "y2", "parent": "y7", "kind": "dirac", "amplitude": 1.0}]}}),
+                 "model.yaml: simulation: refit: edges[0]: parent: unknown "
+                 "variable 'y7'", 1, id="refit-unknown-parent"),
+    pytest.param(_edit({("simulation", "refit"): {
+        "free": ["y2~y1.amplitud"], "edges": [
+            {"node": "y2", "parent": "y1", "kind": "bisquare",
+             "amplitude": 5.0, "aperture": 0.3}]}}),
+                 "model.yaml: simulation: refit: free: 'y2~y1.amplitud': "
+                 "bisquare interactions have no parameter 'amplitud'", 1,
+                 id="refit-free-misspelt"),
+    pytest.param(_edit({("fit", "free"): ["y3.variance"]}),
+                 "model.yaml: fit: free: unknown variable 'y3'", 1,
+                 id="fit-free-unknown-node"),
+    # the study's own checks, as SimStudyConfig reports them
+    pytest.param(_edit({("simulation", "observed"): {"y1": "none",
+                                                     "y2": "none"}}),
+                 "model.yaml: simulation: no variable is observed anywhere", 1,
+                 id="nothing-observed"),
+    pytest.param(_edit({("simulation", "evaluate"): {"min": [5.0],
+                                                     "max": [6.0]}}),
+                 "model.yaml: simulation: evaluation mask selects no vertices",
+                 1, id="empty-evaluate"),
+    pytest.param(_edit({("simulation", "replicates"): 0}),
+                 "model.yaml: simulation: replicates must be >= 1, got 0", 1,
+                 id="no-replicates"),
 ]
 
 
@@ -203,11 +325,22 @@ def test_bad_config_fails_before_any_simulation(tmp_path, capsys, monkeypatch,
     for module in (condcov.cli, condcov.sim):
         monkeypatch.setattr(module, "simulate_replicate",
                             lambda *args: calls.append(args))
-    rc = main(["simulate", "--config", str(cfg_path),
-               "--out", str(tmp_path / "out")])
-    assert rc == code
-    assert fragment in capsys.readouterr().err
+    # the whole config is read by every command, not only by the one using
+    # the faulty section
+    for command in ("simulate", "spectral-check"):
+        rc = main([command, "--config", str(cfg_path),
+                   "--out", str(tmp_path / "out")])
+        assert rc == code, command
+        assert fragment in capsys.readouterr().err, command
     assert not calls
+    assert not (tmp_path / "out").exists()
+
+
+def test_replicates_override_is_checked(tmp_path, capsys):
+    rc = main(["simulate", "--config", str(_write_cfg(tmp_path)),
+               "--replicates", "0", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "replicates must be >= 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -551,6 +684,7 @@ def test_commands_import_only_the_scipy_they_use(tmp_path):
         "node": "y1", "kind": "tabulated",
         "table": {"s": [-1.0, 1.0], "v": [-1.0, 0.0, 1.0],
                   "values": [[0.5, 1.0, 0.2], [0.1, 0.8, 0.3]]}}
+    del data["fit"]  # its free y2~y1.amplitude names no tabulated parameter
     tab_path = _write_cfg(tmp_path, data, "tabulated.yaml")
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, str(cfg_path), str(tab_path),

@@ -1,42 +1,25 @@
-"""Property tests: Matern continuity, parameter addressing, config round trip.
+"""Property tests: Matern continuity and parameter addressing.
 
-Networks and configs are generated with hypothesis over every interaction
-kind, 1-d and 2-d grids, optional means, nuggets and noise, and every
-optional config section.
+Networks are generated with hypothesis over every interaction kind, with
+optional means, nuggets and noise.
 """
-import dataclasses
-
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from condcov import (
-    EUCLIDEAN,
     MaternParams,
     MeanSpec,
-    OptimizerConfig,
     ProcessNetwork,
     ProcessNode,
     bisquare,
-    chordal,
     dirac,
     get_parameter,
     list_parameters,
     matern_cov,
-    regular_grid,
     set_parameter,
     shifted_bisquare,
     tabulated,
     zero,
-)
-from condcov.cli import (
-    FitSettings,
-    ParsedConfig,
-    RefitSettings,
-    Region,
-    SimulationSettings,
-    SpectralSettings,
-    config_to_dict,
-    parse_config_dict,
 )
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -80,22 +63,19 @@ def test_matern_is_a_bounded_nonincreasing_covariance(params):
     assert np.all(np.diff(values) <= 1e-12 * params.variance)
 
 
-def interactions(dim):
-    # like shifts of length dim, tabulated edges exist only on 1-d grids
-    table = st.lists(finite, min_size=4, max_size=4).map(
-        lambda v: tabulated([0.0, 1.0], [0.0, 1.0], [v[:2], v[2:]]))
-    return st.one_of(
-        st.just(zero()),
-        st.builds(dirac, finite),
-        st.builds(bisquare, finite, positive),
-        st.builds(shifted_bisquare, finite, positive,
-                  st.lists(finite, min_size=dim, max_size=dim)),
-        *([table] if dim == 1 else []),
-    )
+interactions = st.one_of(
+    st.just(zero()),
+    st.builds(dirac, finite),
+    st.builds(bisquare, finite, positive),
+    st.builds(shifted_bisquare, finite, positive,
+              st.lists(finite, min_size=1, max_size=1)),
+    st.lists(finite, min_size=4, max_size=4).map(
+        lambda v: tabulated([0.0, 1.0], [0.0, 1.0], [v[:2], v[2:]])),
+)
 
 
 @st.composite
-def networks(draw, dim=1):
+def networks(draw):
     p = draw(st.integers(min_value=2, max_value=3))
     nodes = []
     for q in range(p):
@@ -106,7 +86,7 @@ def networks(draw, dim=1):
             st.lists(finite, min_size=2, max_size=2)))
         nodes.append(ProcessNode(
             f"y{q + 1}", draw(maternals),
-            parents=tuple((a, draw(interactions(dim))) for a in sorted(parents)),
+            parents=tuple((a, draw(interactions)) for a in sorted(parents)),
             mean=mean, nugget=draw(nonnegative), noise=draw(nonnegative)))
     return ProcessNetwork(tuple(nodes))
 
@@ -125,64 +105,3 @@ def test_set_then_get_round_trips(network, data):
             if other != name:
                 assert get_parameter(changed, other) == \
                     get_parameter(network, other), (name, other)
-
-
-def regions(dim, unobserved=False):
-    boxes = st.lists(finite, min_size=2 * dim, max_size=2 * dim).map(
-        lambda c: Region("box", lo=tuple(c[:dim]), hi=tuple(c[dim:])))
-    kinds = ["all", "none"] + (["unobserved"] if unobserved else [])
-    return st.sampled_from([Region(k) for k in kinds]) | boxes
-
-
-@st.composite
-def configs(draw):
-    dim = draw(st.integers(min_value=1, max_value=2))
-    # chordal distances are between (lon, lat) pairs
-    metric = EUCLIDEAN if dim == 1 \
-        else draw(st.just(EUCLIDEAN) | st.builds(chordal, positive))
-    counts = draw(st.lists(st.integers(1, 4), min_size=dim, max_size=dim))
-    bounds = [(-1.0, draw(positive)) for _ in range(dim)]
-    grid = regular_grid(bounds, counts, metric)
-    network = draw(networks(dim))
-    params = list_parameters(network)
-    free_names = st.lists(st.sampled_from(params), min_size=1, unique=True)
-    fit = draw(st.none() | st.builds(
-        FitSettings, st.sampled_from(["model", "demo"]),
-        st.none() | free_names.map(tuple),
-        st.builds(OptimizerConfig, seed=st.integers(0, 99),
-                  restarts=st.integers(1, 5), max_evals=st.integers(1, 5000))))
-    simulation = None
-    if draw(st.booleans()):
-        names = network.names
-        refit = None
-        if draw(st.booleans()):
-            # one refit edge, in place of the child's edge from that parent
-            q = draw(st.integers(1, network.p - 1))
-            a = draw(st.integers(0, q - 1))
-            node = network.nodes[q]
-            edges = sorted([e for e in node.parents if e[0] != a]
-                           + [(a, draw(interactions(dim)))], key=lambda e: e[0])
-            nodes = list(network.nodes)
-            nodes[q] = dataclasses.replace(node, parents=tuple(edges))
-            refit = RefitSettings(free=draw(free_names.map(tuple)),
-                                  network=ProcessNetwork(tuple(nodes)))
-        simulation = SimulationSettings(
-            replicates=draw(st.integers(1, 100)),
-            seed=draw(st.integers(0, 99)),
-            target=draw(st.sampled_from(names)),
-            observed=tuple((name, draw(regions(dim))) for name in names),
-            evaluate=draw(regions(dim, unobserved=True)),
-            refit=refit,
-        )
-    table = st.lists(st.tuples(finite, finite), min_size=2, max_size=4).map(tuple)
-    spectral = draw(st.none() | st.builds(
-        SpectralSettings, maternals, maternals, maternals | table,
-        wmax=st.none() | positive, nsamples=st.integers(2, 8192)))
-    return ParsedConfig(grid=grid, network=network, fit=fit,
-                        simulation=simulation, spectral=spectral)
-
-
-@SETTINGS
-@given(cfg=configs())
-def test_config_dict_round_trips(cfg):
-    assert parse_config_dict(config_to_dict(cfg), ".", "roundtrip") == cfg
