@@ -8,9 +8,13 @@ on a Grid, whose quadrature weights are folded into the interaction matrices.
 This yields valid (positive semidefinite) joint covariances for any choice of
 interaction functions, which is the whole point of the construction.
 
-Covariances between arbitrary (off-grid) locations use the same recursions
-with exact kernel evaluation at the requested points; the grid only ever
-supplies the integration rule.
+Two rules build every block. With Y_2 = B Y_1 + e_2 and e_2 of covariance
+C_2|1, the marginal is C_22 = C_2|1 + B C_11 B' and the cross block is
+C_21 = B C_11; so a child's marginal block is its own Matern plus its edge
+operator applied to the cross block with the parent. Covariances between
+arbitrary (off-grid) locations use the same rules with exact kernel
+evaluation at the requested points; the grid only ever supplies the
+integration rule.
 """
 
 from __future__ import annotations
@@ -173,10 +177,16 @@ def build_interaction_matrix(grid: Grid, spec: InteractionSpec) -> np.ndarray:
 
 
 class _Geometry:
-    """What no model parameter changes: point sets and their distances.
+    """What no model parameter changes, and the leaf blocks built from it.
 
-    Set 0 is always the grid (the integration nodes). ``matern`` and
-    ``weighted`` build the leaf blocks of an evaluator and keep nothing.
+    Set 0 is always the grid (the integration nodes); the geometry keeps
+    every registered point set and the distances between them. ``matern``
+    keeps one block per (node, point-set pair), reused while the node's
+    MaternParams are equal, and ``weighted`` keeps one array of squared
+    displacements per (bisquare edge, point set), reused while the edge's
+    shift is equal, so that a new amplitude or aperture costs only the
+    profile. Each slot holds one entry, and kept blocks are read-only, so no
+    evaluator sharing the geometry can alter what the next one reads.
     """
 
     def __init__(self, grid: Grid):
@@ -184,6 +194,7 @@ class _Geometry:
         self.sets = [np.asarray(grid.vertices)]
         self._set_ids = {_points_key(self.sets[0]): 0}
         self._dist = {}
+        self._slots = {}
 
     def add_points(self, points) -> int:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -207,32 +218,6 @@ class _Geometry:
             self._dist[key] = self.grid.metric.pairwise(self.sets[i], self.sets[j])
         return self._dist[key]
 
-    def matern(self, q: int, params: MaternParams, i: int, j: int) -> np.ndarray:
-        """The Matern ``params`` of node q between point sets i and j."""
-        return np.asarray(matern_cov(params, self.distance(i, j)))
-
-    def weighted(self, q: int, pos: int, spec: InteractionSpec, i: int) -> np.ndarray:
-        """Quadrature-weighted values of edge ``pos`` of node q (``spec``),
-        from point set i into the grid."""
-        vals = interaction_values(spec, self.sets[i], self.grid.vertices)
-        return vals * self.grid.weights[None, :]
-
-
-class _FitGeometry(_Geometry):
-    """A geometry that also keeps leaf blocks from one evaluator to the next.
-
-    One slot per (node, point-set pair) holds the Matern block, reused while
-    the node's MaternParams are equal, and one slot per (bisquare edge,
-    point set) holds the squared displacements, reused while the edge's
-    shift is equal, so that a new amplitude or aperture costs only the
-    profile. Each slot holds one entry. Kept blocks are read-only, so no
-    evaluator can alter what the next one reads.
-    """
-
-    def __init__(self, grid: Grid):
-        super().__init__(grid)
-        self._slots = {}
-
     def _kept(self, key, param, build) -> np.ndarray:
         slot = self._slots.get(key)
         if slot is None or slot[0] != param:
@@ -241,34 +226,46 @@ class _FitGeometry(_Geometry):
             slot = self._slots[key] = (param, block)
         return slot[1]
 
-    def matern(self, q, params, i, j):
-        return self._kept(("matern", q, i, j), params,
-                          partial(super().matern, q, params, i, j))
+    def matern(self, q: int, params: MaternParams, i: int, j: int) -> np.ndarray:
+        """The Matern ``params`` of node q between point sets i and j."""
+        return self._kept(("matern", q, i, j), params, lambda: np.asarray(
+            matern_cov(params, self.distance(i, j))))
 
-    def weighted(self, q, pos, spec, i):
-        if spec.kind not in _BISQUARES:
-            return super().weighted(q, pos, spec, i)
-        d2 = self._kept(("d2", q, pos, i), spec.shift, partial(
-            _squared_displacement, spec, self.sets[i], self.grid.vertices))
-        return _bisquare_profile(spec, d2) * self.grid.weights[None, :]
+    def weighted(self, q: int, pos: int, spec: InteractionSpec, i: int) -> np.ndarray:
+        """Quadrature-weighted values of edge ``pos`` of node q (``spec``),
+        from point set i into the grid."""
+        if spec.kind in _BISQUARES:
+            d2 = self._kept(("d2", q, pos, i), spec.shift, partial(
+                _squared_displacement, spec, self.sets[i], self.grid.vertices))
+            vals = _bisquare_profile(spec, d2)
+        else:
+            vals = interaction_values(spec, self.sets[i], self.grid.vertices)
+        return vals * self.grid.weights[None, :]
 
 
 class CovarianceEvaluator:
     """Recursive cross-covariance evaluation over registered point sets.
 
     Set 0 is always the grid (the integration nodes). cov(q, r, i, j) returns
-    cov{Y_q(P_i), Y_r(P_j)} as a matrix, built bottom-up through the network:
-    a marginal block is the node's own Matern plus the propagated parent
-    terms, and a cross block pushes the later variable's interaction
-    operators onto earlier blocks. Dirac edges skip quadrature entirely.
+    cov{Y_q(P_i), Y_r(P_j)} as a matrix, built bottom-up through the network
+    by the construction's two rules, C_22 = C_2|1 + B C_11 B' and
+    C_21 = B C_11. Each nonzero edge of a node, seen from point set i, is
+    one operator B_a(i): a dirac edge is its amplitude on set i, any other
+    edge its quadrature-weighted values from set i into the grid. So
 
-    Every block is kept for the life of the evaluator. Evaluators of
-    different networks over one grid may share a ``geometry``: the point
-    sets and distances, which no parameter changes. ``fit_mle`` gives all
-    evaluations of a fit one geometry that also keeps their Matern blocks
-    and bisquare displacements while the parameters they depend on are
-    equal. Leaf blocks go through the same arithmetic either way, so every
-    covariance, and every likelihood, is bitwise that of a fresh evaluator.
+    - a marginal block is the node's own Matern (plus its nugget) plus, for
+      each edge, B_a(i) applied to the cross block with that parent,
+      cov(q, q, i, j) = M_q(i, j) + sum_a B_a(i) cov(a, q, ., j);
+    - a cross block pushes the later variable's operators onto earlier
+      blocks, cov(q, r, i, j) = sum_a cov(q, a, i, .) B_a(j)' over r's edges.
+
+    Every block is kept for the life of the evaluator, so a marginal block
+    reads the cross blocks that predictions read too; blocks are shared with
+    the cache and must not be written to. Evaluators of different networks
+    over one grid may share a ``geometry``, as all evaluations of a fit do
+    (``fit_mle``): its kept Matern blocks and bisquare displacements are
+    those a fresh geometry would build, so every covariance, and every
+    likelihood, is bitwise that of a fresh evaluator.
     """
 
     def __init__(self, grid: Grid, network: ProcessNetwork,
@@ -277,7 +274,7 @@ class CovarianceEvaluator:
         self.network = network
         self._geometry = geometry if geometry is not None else _Geometry(grid)
         self._cov = {}
-        self._w = {}
+        self._ops = {}
 
     def add_points(self, points) -> int:
         """Register a point set and return its handle.
@@ -287,14 +284,19 @@ class CovarianceEvaluator:
         """
         return self._geometry.add_points(points)
 
-    def _weighted(self, q: int, pos: int, i: int) -> np.ndarray:
-        """Quadrature-weighted interaction values of edge ``pos`` of node q,
-        evaluated from point set i into the grid."""
-        key = (q, pos, i)
-        if key not in self._w:
-            _, spec = self.network.nodes[q].parents[pos]
-            self._w[key] = self._geometry.weighted(q, pos, spec, i)
-        return self._w[key]
+    def _edges(self, q: int, i: int) -> list:
+        """(parent, point set it is read on, operator B_a(i)) of each nonzero
+        edge of node q seen from point set i; np.dot applies either kind."""
+        key = (q, i)
+        if key not in self._ops:
+            self._ops[key] = [
+                (a, i, np.float64(spec.amplitude))
+                if spec.kind is InteractionKind.DIRAC
+                else (a, 0, self._geometry.weighted(q, pos, spec, i))
+                for pos, (a, spec) in enumerate(self.network.nodes[q].parents)
+                if spec.kind is not InteractionKind.ZERO
+            ]
+        return self._ops[key]
 
     def cov(self, q: int, r: int, i: int = 0, j: int = 0) -> np.ndarray:
         key = (q, r, i, j)
@@ -307,52 +309,26 @@ class CovarianceEvaluator:
         return self._cov[key]
 
     def _compute(self, q: int, r: int, i: int, j: int) -> np.ndarray:
-        nodes = self.network.nodes
         if q == r:
-            node = nodes[q]
+            node = self.network.nodes[q]
             mat = self._geometry.matern(q, node.covariance, i, j)
             if node.nugget:
                 mat = mat + node.nugget * (self._geometry.distance(i, j) == 0.0)
-            for apos, (a, sa) in enumerate(node.parents):
-                if sa.kind is InteractionKind.ZERO:
-                    continue
-                for bpos, (b, sb) in enumerate(node.parents):
-                    if sb.kind is InteractionKind.ZERO:
-                        continue
-                    a_dirac = sa.kind is InteractionKind.DIRAC
-                    b_dirac = sb.kind is InteractionKind.DIRAC
-                    if a_dirac and b_dirac:
-                        mat = mat + sa.amplitude * sb.amplitude * self.cov(a, b, i, j)
-                    elif a_dirac:
-                        mat = mat + sa.amplitude * (
-                            self.cov(a, b, i, 0) @ self._weighted(q, bpos, j).T
-                        )
-                    elif b_dirac:
-                        mat = mat + (
-                            self._weighted(q, apos, i) @ self.cov(a, b, 0, j)
-                        ) * sb.amplitude
-                    else:
-                        mat = mat + (
-                            self._weighted(q, apos, i) @ self.cov(a, b, 0, 0)
-                        ) @ self._weighted(q, bpos, j).T
+            for a, k, op in self._edges(q, i):
+                mat = mat + np.dot(op, self.cov(a, q, k, j))
             return mat
-        # q < r: propagate variable r's edges onto covariances with q
         sets = self._geometry.sets
-        shape = (sets[i].shape[0], sets[j].shape[0])
-        mat = np.zeros(shape)
-        for apos, (a, sa) in enumerate(nodes[r].parents):
-            if sa.kind is InteractionKind.ZERO:
-                continue
-            if sa.kind is InteractionKind.DIRAC:
-                mat = mat + sa.amplitude * self.cov(q, a, i, j)
-            else:
-                mat = mat + self.cov(q, a, i, 0) @ self._weighted(r, apos, j).T
+        mat = np.zeros((sets[i].shape[0], sets[j].shape[0]))
+        for a, k, op in self._edges(r, j):
+            mat = mat + np.dot(self.cov(q, a, i, k), op.T)
         return mat
 
 
 class JointModel:
     """Joint covariance of a network over a grid, plus the evaluation engine.
 
+    The network is checked against the grid on construction
+    (ValidationError for what the grid can never evaluate).
     The p*n x p*n grid ``matrix`` and its factor ``chol`` (with ``jitter``)
     are built on first read and kept; a failed factorization raises
     InvalidModelError there. Prediction reads only ``evaluator``.
@@ -360,6 +336,7 @@ class JointModel:
 
     def __init__(self, grid: Grid, network: ProcessNetwork,
                  jitter_max: float = DEFAULT_JITTER_MAX):
+        _check_network_on_grid(grid, network)
         self.grid = grid
         self.network = network
         self.jitter_max = check_jitter_max(jitter_max)
@@ -377,8 +354,8 @@ class JointModel:
     def matrix(self) -> np.ndarray:
         ev, p = self.evaluator, self.p
         big = np.block([[ev.cov(q, r) for r in range(p)] for q in range(p)])
-        # enforce exact symmetry; diagonal blocks can drift at machine precision
-        # because the two parent cross terms are accumulated by separate matmuls
+        # enforce exact symmetry; a marginal block B C_aq applies the edge
+        # operators on one side only, so it is symmetric only to roundoff
         big = np.tril(big) + np.tril(big, -1).T
         big.setflags(write=False)
         return big
@@ -419,7 +396,6 @@ def assemble_dag(grid: Grid, network: ProcessNetwork,
     factorization fails. Prediction and the likelihood factor only
     observation covariances, whose failures are NumericalError.
     """
-    _check_network_on_grid(grid, network)
     return JointModel(grid, network, jitter_max)
 
 

@@ -24,7 +24,7 @@ from .conditional import (
     CovarianceEvaluator,
     ProcessNetwork,
     _check_network_on_grid,
-    _FitGeometry,
+    _Geometry,
     kept_observations,
     observation_covariance,
 )
@@ -186,12 +186,14 @@ def loglik(
 
     Covariances are evaluated at the observation locations themselves (the
     grid only supplies the integration rule). Returns -inf when the
-    observation covariance cannot be factored under the jitter policy.
+    observation covariance cannot be factored under the jitter policy,
+    non-finite entries included.
     """
     check_jitter_max(jitter_max)
     kept = kept_observations(grid, network, obs)
     if not kept:
         raise InsufficientDataError("log-likelihood needs at least one observation")
+    _check_network_on_grid(grid, network)
     try:
         return _loglik(CovarianceEvaluator(grid, network), kept, jitter_max)[0]
     except NumericalError:
@@ -278,11 +280,12 @@ def fit_mle(
     Deterministic given (network, obs, free, config): restarts perturb the
     starting point with a Philox stream keyed by (config.seed, restart).
 
-    Every evaluation of the fit derives its covariance evaluator from one
-    geometry: the point sets and their distances, plus the leaf blocks that
-    its free parameters leave alone (the Matern blocks of nodes whose
-    Matern is fixed, and the squared displacements of bisquare edges whose
-    shift is fixed). Each value is bitwise the :func:`loglik` of the
+    Every evaluation of the fit builds its covariances by the same two-rule
+    recursion as :func:`loglik` (see ``CovarianceEvaluator``), over one
+    shared geometry: the point sets and their distances, plus the leaf
+    blocks that its free parameters leave alone (the Matern blocks of nodes
+    whose Matern is fixed, and the squared displacements of bisquare edges
+    whose shift is fixed). Each value is bitwise the :func:`loglik` of the
     evaluated network, so the optimizer takes the path it takes on fresh
     evaluations, and the reported ``loglik`` is :func:`loglik` of the
     returned network.
@@ -318,7 +321,7 @@ def fit_mle(
             net = set_parameter(net, name, _from_transformed(field, float(xi)))
         return net
 
-    geometry = _FitGeometry(grid)
+    geometry = _Geometry(grid)
     jitters = {}  # the jitter of each accepted point, by its coordinates
     rejected = 0
 

@@ -48,17 +48,22 @@ def chol_with_jitter(mat: np.ndarray, jitter_max: float = DEFAULT_JITTER_MAX):
 
     Raises
     ------
-    NumericalError : if the factorization still fails at the jitter cap.
+    NumericalError : if the matrix has a non-finite entry, or if the
+        factorization still fails at the jitter cap.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     diag_mean = float(np.mean(np.diag(mat))) if mat.size else 0.0
+    # checked once here, so the attempts below skip scipy's own check; a
+    # finite jitter needs a finite mean diagonal too
+    if not (math.isfinite(diag_mean) and np.isfinite(mat).all()):
+        raise NumericalError("cannot factor a matrix with non-finite entries")
     if diag_mean == 0.0 and not mat.any():
         # degenerate zero-covariance model: factor is exactly zero
         return np.zeros_like(mat), 0.0
     try:
-        return sla.cholesky(mat, lower=True), 0.0
+        return sla.cholesky(mat, lower=True, check_finite=False), 0.0
     except sla.LinAlgError:
         pass
     jitter = _JITTER_START * diag_mean
@@ -66,7 +71,7 @@ def chol_with_jitter(mat: np.ndarray, jitter_max: float = DEFAULT_JITTER_MAX):
     eye = np.eye(mat.shape[0])
     while jitter <= cap * (1 + 1e-12):
         try:
-            L = sla.cholesky(mat + jitter * eye, lower=True)
+            L = sla.cholesky(mat + jitter * eye, lower=True, check_finite=False)
             logger.debug("cholesky needed jitter %.3e (mean diag %.3e)", jitter, diag_mean)
             return L, jitter
         except sla.LinAlgError:

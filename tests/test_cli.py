@@ -623,6 +623,20 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["predict", "cv", "fit"])
+def test_overflowing_covariance_exits_2(tmp_path, capsys, command):
+    # the observation covariance overflows to inf: a numerical failure, not
+    # scipy's finiteness ValueError as a traceback
+    obs_path = _write_obs(tmp_path, _write_cfg(tmp_path))
+    data = yaml.safe_load(yaml.safe_dump(BASE))
+    data["nodes"][1]["parents"][0]["amplitude"] = 1e200
+    cfg_path = _write_cfg(tmp_path, data, name="overflow.yaml")
+    rc = main([command, "--config", str(cfg_path), "--data", str(obs_path),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_module_entry_point(tmp_path):
     cfg_path = _write_cfg(tmp_path)
     out = tmp_path / "out"

@@ -30,9 +30,11 @@ from condcov import (
     regular_grid,
     sample_joint,
     shifted_bisquare,
+    tabulated,
     zero,
 )
 from condcov import conditional
+from condcov.kernels import InteractionKind, interaction_values
 from condcov.linalg import chol_model
 
 M11 = MaternParams(1.0, 25.0, 1.5)
@@ -383,3 +385,144 @@ def test_unfactorable_model_fails_at_first_read():
         model.chol
     with pytest.raises(InvalidModelError):
         model.jitter
+
+
+_EDGE_KINDS = ("zero", "dirac", "bisquare", "shifted_bisquare", "tabulated")
+_GRIDS = {1: regular_grid([(-1.0, 1.0)], [30]),
+          2: regular_grid([(-1.0, 1.0)] * 2, [7, 6])}
+
+
+def _trivariate(dim, kinds):
+    """a, then b ~ a, then c ~ a, b, with edge kinds ``kinds`` (b~a, c~a, c~b)
+    and parameters drawn from a stream keyed by the case."""
+    rng = np.random.default_rng([dim] + [_EDGE_KINDS.index(k) for k in kinds])
+
+    def edge(kind):
+        if kind == "zero":
+            return zero()
+        if kind == "dirac":
+            return dirac(float(rng.uniform(-1.5, 1.5)))
+        if kind == "tabulated":
+            return tabulated([-1.0, 1.0], [-1.0, 0.0, 1.0], rng.uniform(-1, 1, (2, 3)))
+        amplitude = float(rng.uniform(-3.0, 3.0))
+        aperture = float(rng.uniform(0.2, 0.6))
+        if kind == "bisquare":
+            return bisquare(amplitude, aperture)
+        return shifted_bisquare(amplitude, aperture, rng.uniform(-0.3, 0.3, dim))
+
+    def matern():
+        return MaternParams(float(rng.uniform(0.5, 2.0)), float(rng.uniform(3.0, 20.0)),
+                            float(rng.uniform(0.5, 2.5)))
+
+    ba, ca, cb = (edge(k) for k in kinds)
+    return ProcessNetwork((
+        ProcessNode("a", matern(), nugget=0.02),
+        ProcessNode("b", matern(), parents=((0, ba),), nugget=0.1),
+        ProcessNode("c", matern(), parents=((0, ca), (1, cb)), nugget=0.05),
+    ))
+
+
+def _trivariate_cases():
+    """Every edge kind in every edge position, in 1-d and (untabulated) 2-d."""
+    for dim in (1, 2):
+        kinds = _EDGE_KINDS if dim == 1 else _EDGE_KINDS[:4]
+        for t in range(len(kinds)):
+            chosen = tuple(kinds[(t + e) % len(kinds)] for e in range(3))
+            yield pytest.param(dim, chosen, id=f"{dim}d-" + "-".join(chosen))
+
+
+@pytest.mark.parametrize("dim, kinds", list(_trivariate_cases()))
+def test_grid_covariance_is_the_closed_form(dim, kinds):
+    """Y = B Y + e on the grid, so cov Y = (I - B)^-1 D (I - B)^-T."""
+    grid = _GRIDS[dim]
+    net = _trivariate(dim, kinds)
+    n, p = grid.n, net.p
+    B = np.zeros((p * n, p * n))
+    D = np.zeros((p * n, p * n))
+    for q, node in enumerate(net.nodes):
+        rows = slice(q * n, (q + 1) * n)
+        D[rows, rows] = matern_cov(node.covariance, grid.distance_matrix()) \
+            + node.nugget * np.eye(n)
+        for a, spec in node.parents:
+            B[rows, a * n:(a + 1) * n] = build_interaction_matrix(grid, spec)
+    # B is strictly block lower triangular, so B^3 = 0 for three variables
+    inv = np.eye(p * n) + B + B @ B
+    want = inv @ D @ inv.T
+    got = assemble_dag(grid, net).matrix
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _reference_cov(grid, network, sets):
+    """The recursion CovarianceEvaluator replaced, as cov(q, r, i, j).
+
+    Point set 0 is the grid and set i > 0 is ``sets[i - 1]``. A marginal
+    block is the double sum over parent pairs, with one path for each of
+    dirac x dirac, dirac x integral, integral x dirac and integral x
+    integral; a cross block pushes the later variable's edges onto earlier
+    blocks.
+    """
+    pts = [grid.vertices] + [np.atleast_2d(s) for s in sets]
+    nodes = network.nodes
+    memo = {}
+
+    def weighted(q, pos, i):
+        spec = nodes[q].parents[pos][1]
+        return interaction_values(spec, pts[i], grid.vertices) * grid.weights[None, :]
+
+    def cov(q, r, i, j):
+        key = (q, r, i, j)
+        if key in memo:
+            return memo[key]
+        if q > r or (q == r and i > j):
+            memo[key] = cov(r, q, j, i).T
+            return memo[key]
+        if q == r:
+            node = nodes[q]
+            dist = grid.metric.pairwise(pts[i], pts[j])
+            mat = matern_cov(node.covariance, dist) + node.nugget * (dist == 0.0)
+            for apos, (a, sa) in enumerate(node.parents):
+                for bpos, (b, sb) in enumerate(node.parents):
+                    if InteractionKind.ZERO in (sa.kind, sb.kind):
+                        continue
+                    a_dirac = sa.kind is InteractionKind.DIRAC
+                    b_dirac = sb.kind is InteractionKind.DIRAC
+                    if a_dirac and b_dirac:
+                        mat = mat + sa.amplitude * sb.amplitude * cov(a, b, i, j)
+                    elif a_dirac:
+                        mat = mat + sa.amplitude * (cov(a, b, i, 0) @ weighted(q, bpos, j).T)
+                    elif b_dirac:
+                        mat = mat + (weighted(q, apos, i) @ cov(a, b, 0, j)) * sb.amplitude
+                    else:
+                        mat = mat + (weighted(q, apos, i) @ cov(a, b, 0, 0)) \
+                            @ weighted(q, bpos, j).T
+        else:
+            mat = np.zeros((pts[i].shape[0], pts[j].shape[0]))
+            for apos, (a, sa) in enumerate(nodes[r].parents):
+                if sa.kind is InteractionKind.DIRAC:
+                    mat = mat + sa.amplitude * cov(q, a, i, j)
+                elif sa.kind is not InteractionKind.ZERO:
+                    mat = mat + cov(q, a, i, 0) @ weighted(r, apos, j).T
+        memo[key] = mat
+        return mat
+
+    return cov
+
+
+@pytest.mark.parametrize("dim, kinds", list(_trivariate_cases()))
+def test_off_grid_blocks_equal_the_four_way_recursion(dim, kinds):
+    grid = _GRIDS[dim]
+    net = _trivariate(dim, kinds)
+    rng = np.random.default_rng(3)
+    S = rng.uniform(-0.9, 0.9, (11, dim))
+    U = rng.uniform(-0.9, 0.9, (6, dim))
+    ref = _reference_cov(grid, net, [S, U])
+    model = assemble_dag(grid, net)
+    for (i, A), (j, Z) in [((1, S), (1, S)), ((1, S), (2, U)), ((2, U), (1, S)),
+                           ((1, S), (0, grid.vertices)), ((0, grid.vertices), (2, U))]:
+        for q in range(net.p):
+            for r in range(net.p):
+                want = ref(q, r, i, j)
+                got = cross_cov_matrix(model, q, r, A, Z)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), \
+                    (q, r, i, j)

@@ -218,7 +218,7 @@ _GRID_2D = regular_grid([(-1.0, 1.0)] * 2, [6, 6])
 _SITES_2D = np.hstack([_SITES, _SITES[::-1]])
 
 
-@pytest.mark.parametrize("grid, network, obs, match", [
+_UNEVALUABLE = [
     pytest.param(_GRID_2D, _bivariate(tabulated([0.0, 1.0], [0.0, 1.0],
                                                  [[1.0, 0.5], [0.5, 1.0]])),
                  [Observations(1, _SITES_2D, np.zeros(5))],
@@ -233,7 +233,10 @@ _SITES_2D = np.hstack([_SITES, _SITES[::-1]])
                     mean=MeanSpec(("y",), (0.5,))),)),
                  [Observations(0, _SITES, np.zeros(5))],
                  "'y1'.*'y'", id="coordinate-the-grid-lacks"),
-])
+]
+
+
+@pytest.mark.parametrize("grid, network, obs, match", _UNEVALUABLE)
 def test_fit_rejects_a_network_the_grid_cannot_evaluate(grid, network, obs,
                                                        match):
     # each used to score -inf at every evaluation: OptimizationError
@@ -242,6 +245,38 @@ def test_fit_rejects_a_network_the_grid_cannot_evaluate(grid, network, obs,
                 config=OptimizerConfig(restarts=2, max_evals=20))
     with pytest.raises(ValidationError, match=match):
         assemble_dag(grid, network)
+
+
+@pytest.mark.parametrize("entry", ["JointModel", "loglik"])
+@pytest.mark.parametrize("grid, network, obs, match", _UNEVALUABLE + [
+    pytest.param(_GRID_2D, _bivariate(), [Observations(1, _SITES_2D, np.zeros(5))],
+                 "'y2'.*shift", id="shift-dimension"),
+])
+def test_every_entry_checks_the_network_against_the_grid(entry, grid, network,
+                                                         obs, match):
+    # bisquare values broadcast a 1-component shift over 2-d displacements
+    # without complaint, so only this check stops it
+    with pytest.raises(ValidationError, match=match):
+        if entry == "JointModel":
+            JointModel(grid, network)
+        else:
+            loglik(grid, network, obs)
+
+
+def test_an_overflowing_covariance_scores_minus_inf():
+    # the y2 marginal overflows to inf: the likelihood is -inf, and a fit
+    # that finds nothing else fails as an optimization, not a traceback
+    from condcov.errors import NumericalError, OptimizationError
+    from condcov.linalg import chol_with_jitter
+
+    net = _bivariate(shifted_bisquare(1e200, 0.3, (-0.3,)))
+    obs = [Observations(q, _SITES, np.linspace(-1.0, 1.0, 5)) for q in range(2)]
+    assert loglik(GRID, net, obs) == -np.inf
+    with pytest.raises(OptimizationError, match="-inf at every evaluation"):
+        fit_mle(GRID, net, obs, free=["y2~y1.amplitude"], config=_QUICK)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(NumericalError, match="non-finite"):
+            chol_with_jitter(np.array([[1.0, 0.0], [0.0, bad]]))
 
 
 def test_fit_aic_identity_and_determinism():
@@ -423,14 +458,14 @@ _THREE_STEPS = [
 def test_fit_evaluations_equal_fresh_loglik(network, steps):
     """One fit geometry over a sequence of networks gives, at every step,
     bitwise the value of a fresh loglik."""
-    from condcov.conditional import CovarianceEvaluator, _FitGeometry
+    from condcov.conditional import CovarianceEvaluator, _Geometry
     from condcov.inference import _loglik
 
     rng = np.random.default_rng(21)
     obs = [Observations(q, rng.uniform(-1, 1, (9 + 3 * q, 1)),
                         rng.normal(size=9 + 3 * q))
            for q in range(network.p)]
-    geometry = _FitGeometry(GRID)
+    geometry = _Geometry(GRID)
     net = network
     for step in steps:
         for name, value in step.items():
