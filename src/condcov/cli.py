@@ -66,6 +66,12 @@ command with the same config, data and seed, under the same BLAS library and
 thread count, reproduces the files byte for byte. Another BLAS library or
 thread count can change the last digits of fitted values (refit estimates
 differ in the 10th digit between one and two OpenBLAS threads).
+
+Outputs are rewritten in place: an existing file is overwritten without
+first being truncated to zero, then cut to the new length. It keeps its
+inode and permissions, and a symlink at the output path stays a symlink
+whose target is rewritten. A crash mid-write can leave new rows followed by
+stale bytes of the old file, where truncating first left only new rows.
 """
 
 from __future__ import annotations
@@ -90,6 +96,7 @@ from .conditional import (
 )
 from .domain import (
     _COORD_NAMES,
+    _rewrite,
     _variable_index,
     EUCLIDEAN,
     FLOAT_FMT,
@@ -604,7 +611,7 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with _rewrite(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:

@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .domain import _COORD_NAMES, Grid, Observations
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .kernels import (
     InteractionKind,
     InteractionSpec,
@@ -481,7 +481,8 @@ def observation_covariance(ev: CovarianceEvaluator, kept: Sequence[Observations]
 
     ``kept`` comes from :func:`kept_observations`. Returns (C, z) where C
     includes each variable's measurement-error variance on the diagonal and
-    z is the observations minus their configured means.
+    z is the observations minus their configured means; NumericalError when
+    a mean overflows and leaves z non-finite.
     """
     handles = [ev.add_points(o.locations) for o in kept]
     offsets = np.concatenate([[0], np.cumsum([o.m for o in kept])]).astype(int)
@@ -501,6 +502,9 @@ def observation_covariance(ev: CovarianceEvaluator, kept: Sequence[Observations]
             idx = np.arange(offsets[a], offsets[a + 1])
             C[idx, idx] += noise
         z[rows] = oa.values - mean_at(ev.network, oa.variable, oa.locations)
+    # a mean can overflow; checked once here for every solve against z
+    if not np.isfinite(z).all():
+        raise NumericalError("observation residuals have non-finite entries")
     return C, z
 
 

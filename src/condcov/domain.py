@@ -9,6 +9,8 @@ interaction functions always work on raw coordinate displacements.
 from __future__ import annotations
 
 import csv
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -35,6 +37,27 @@ __all__ = [
 # all CSV output in the package uses 17 significant digits, which round-trips
 # IEEE doubles exactly
 FLOAT_FMT = "%.17g"
+
+
+@contextmanager
+def _rewrite(path):
+    """Text handle that rewrites the file at ``path`` in place.
+
+    Every output file of the package is written through here. The file is
+    opened without ``O_TRUNC`` and cut to the written length when the block
+    ends. Truncating a just-written file to zero on open, as text mode "w"
+    does, can block for tens of milliseconds (ext4 flushes the old data on
+    replace-via-truncate); cutting it after the write does not. The file
+    keeps its inode and permissions, a symlink at ``path`` stays a symlink,
+    and a new file gets mode 0o666 less the umask, as with ``open``. A crash
+    mid-write can leave new rows followed by stale bytes of the old file.
+    """
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+                   newline="") as fh:
+        try:
+            yield fh
+        finally:
+            fh.truncate()
 
 
 def _embed_lonlat(points: np.ndarray, radius: float) -> np.ndarray:
@@ -191,7 +214,7 @@ def load_mesh(path, metric: Metric = EUCLIDEAN) -> Grid:
 
 
 def save_mesh(grid: Grid, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with _rewrite(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(list(_COORD_NAMES[: grid.dim]) + ["weight"])
         for v, w in zip(grid.vertices, grid.weights):
@@ -290,7 +313,7 @@ def load_observations(path, names: Sequence[str]) -> list:
 
 def save_observations(obs_list: Sequence[Observations], names: Sequence[str], path) -> None:
     dim = max((o.locations.shape[1] for o in obs_list if o.m), default=1)
-    with open(path, "w", newline="") as fh:
+    with _rewrite(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["variable"] + list(_COORD_NAMES[:dim]) + ["value"])
         for obs in obs_list:

@@ -28,7 +28,7 @@ from .conditional import (
     kept_observations,
     observation_covariance,
 )
-from .domain import Grid, Observations
+from .domain import Grid, Observations, _rewrite
 from .errors import (
     CondcovError,
     InsufficientDataError,
@@ -249,6 +249,10 @@ class RankedFit(FitResult):
     tie: bool
 
 
+class _SimplexRejected(Exception):
+    """Every point of a restart's initial simplex scored -inf."""
+
+
 def _to_transformed(field: str, value: float) -> float:
     if field in _LOG_FIELDS:
         return math.log(max(value, _LOG_FLOOR))
@@ -291,7 +295,10 @@ def fit_mle(
     returned network.
     ``rejected`` counts the evaluations scored as -inf because the network
     was invalid or its covariance could not be factored; ``jitter`` is what
-    the Cholesky factorization needed at the returned optimum.
+    the Cholesky factorization needed at the returned optimum. A restart
+    whose whole initial simplex (its first n + 1 evaluations, n free
+    parameters) is rejected ends there, recorded in ``trace`` as not
+    converged.
     """
     config = config or OptimizerConfig()
     # checked once here: the objective scores any CondcovError as -inf, so
@@ -324,20 +331,28 @@ def fit_mle(
     geometry = _Geometry(grid)
     jitters = {}  # the jitter of each accepted point, by its coordinates
     rejected = 0
+    # rejected evaluations that open the current restart; -1 once one is
+    # accepted
+    streak = 0
 
     def objective(x: np.ndarray) -> float:
-        nonlocal rejected
+        nonlocal rejected, streak
         try:
             ev = CovarianceEvaluator(grid, apply(x), geometry)
             value, jitters[x.tobytes()] = _loglik(ev, kept, jitter_max)
         except CondcovError as exc:
             logger.debug("%s: evaluation scored -inf: %s", label, exc)
             rejected += 1
+            if streak >= 0:
+                streak += 1
+                if streak == x0.size + 1:
+                    raise _SimplexRejected from None
             return np.inf
+        streak = -1
         return -value
 
     # scipy.optimize is slow to import and only fitting uses it
-    from scipy.optimize import minimize
+    from scipy.optimize import OptimizeResult, minimize
 
     trace = []
     best = None
@@ -347,17 +362,25 @@ def fit_mle(
         else:
             rng = rng_from_seed(config.seed, start)
             xs = x0 + _PERTURBATION * (1.0 + np.abs(x0)) * rng.standard_normal(x0.size)
-        res = minimize(
-            objective,
-            xs,
-            method="Nelder-Mead",
-            options={
-                "xatol": _XATOL,
-                "fatol": _FATOL,
-                "maxfev": config.max_evals,
-                "disp": False,
-            },
-        )
+        streak = 0
+        try:
+            res = minimize(
+                objective,
+                xs,
+                method="Nelder-Mead",
+                options={
+                    "xatol": _XATOL,
+                    "fatol": _FATOL,
+                    "maxfev": config.max_evals,
+                    "disp": False,
+                },
+            )
+        except _SimplexRejected:
+            # Nelder-Mead cannot order a simplex that is -inf everywhere
+            # (inf - inf is NaN) and would wander to max_evals
+            res = OptimizeResult(x=xs, fun=np.inf, nfev=streak, success=False,
+                                 message="every point of the initial simplex "
+                                         "was rejected")
         trace.append(
             {
                 "start": start,
@@ -520,7 +543,8 @@ def write_fit_result(path, fit: FitResult) -> None:
     ]
     for name in sorted(fit.estimates):
         lines.append(f"{name} = {fit.estimates[name]:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with _rewrite(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_params(path) -> dict:

@@ -91,9 +91,14 @@ def chol_model(mat: np.ndarray, jitter_max: float = DEFAULT_JITTER_MAX):
 
 
 def chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = b given the lower factor."""
-    y = sla.solve_triangular(L, b, lower=True)
-    return sla.solve_triangular(L.T, y, lower=False)
+    """Solve (L L^T) x = b given the lower factor.
+
+    Neither argument is checked for finiteness: ``L`` comes from
+    :func:`chol_with_jitter`, which checked the matrix it factored, and the
+    caller checks ``b`` where it is built.
+    """
+    y = sla.solve_triangular(L, b, lower=True, check_finite=False)
+    return sla.solve_triangular(L.T, y, lower=False, check_finite=False)
 
 
 def chol_logdet(L: np.ndarray) -> float:

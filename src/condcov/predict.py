@@ -27,6 +27,7 @@ from .conditional import (
 from .domain import Observations
 from .errors import (
     InsufficientDataError,
+    NumericalError,
     ParameterError,
     ValidationError,
 )
@@ -98,6 +99,10 @@ def cokrige(
             for o in kept
         ]
     )
+    # a cross-covariance can overflow where the observation covariance
+    # does not, so it is checked once here for the solves below
+    if not np.isfinite(c).all():
+        raise NumericalError("cross-covariance has non-finite entries")
     L, jitter = chol_with_jitter(C, model.jitter_max)
     alpha = chol_solve(L, z)
     mean = mu_t + c @ alpha

@@ -602,6 +602,51 @@ def test_compare_directions_ranking(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_every_output_is_rewritten_in_place(tmp_path, capsys, monkeypatch):
+    # a writer that truncates an existing output to zero on open makes every
+    # rewrite wait on the disk, so each file of each command must come from
+    # the one writer that cuts the file after writing; a rerun into the same
+    # directory rewrites every file with the same bytes
+    import condcov.domain
+    import condcov.inference
+
+    written = []
+    rewrite = condcov.domain._rewrite
+
+    def recorded(path):
+        written.append(Path(path).resolve())
+        return rewrite(path)
+
+    for module in (condcov.domain, condcov.cli, condcov.inference):
+        monkeypatch.setattr(module, "_rewrite", recorded)
+    cfg_path = _write_cfg(tmp_path)
+    obs_path = _write_obs(tmp_path, cfg_path)
+    data = ["--data", str(obs_path)]
+    commands = {"simulate": ["--replicates", "1"], "fit": data,
+                "predict": data, "cv": data, "spectral-check": [],
+                "compare-directions": data}
+    for command, extra in commands.items():
+        out = tmp_path / command
+        argv = [command, "--config", str(cfg_path), "--out", str(out), *extra]
+        assert main(argv) == 0
+        files = sorted(out.iterdir())
+        assert files and set(files) <= set(written), command
+        first = [f.read_bytes() for f in files]
+        assert main(argv) == 0
+        assert sorted(out.iterdir()) == files
+        assert [f.read_bytes() for f in files] == first, command
+    capsys.readouterr()
+
+
+def test_no_writer_truncates_on_open():
+    # the source-level half of the guard above: no mode-"w" open of a path,
+    # no O_TRUNC, no pathlib writes (os.fdopen wraps an already-open file)
+    pattern = re.compile(r"\bopen\([^)]*[\"'][wxa]|os\.O_TRUNC|\.write_(text|bytes)\(")
+    for path in sorted((ROOT / "src" / "condcov").glob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            assert not pattern.search(line), f"{path.name}:{lineno}: {line}"
+
+
 def test_numerical_failure_exits_2(tmp_path, capsys):
     # zero-noise model plus duplicated observation rows: the conditioning
     # matrix is exactly singular and no admissible jitter rescues it

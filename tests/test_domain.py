@@ -155,3 +155,37 @@ def test_observations_unknown_variable(tmp_path):
     path.write_text("variable,x,value\nwind,0.25,1.5\n")
     with pytest.raises(ValidationError):
         load_observations(path, ["temp", "pres"])
+
+
+@pytest.mark.parametrize("over", ["longer", "shorter", "symlink"])
+def test_outputs_are_rewritten_in_place(tmp_path, over):
+    # the rewrite cuts the old file after writing instead of truncating it
+    # first: same bytes as a fresh write, same inode and mode, and a symlink
+    # at the path stays one
+    grid = regular_grid([(0.0, 1.0)], [4])
+    fresh = tmp_path / "fresh.csv"
+    save_mesh(grid, fresh)
+    want = fresh.read_bytes()
+    target = tmp_path / "target.csv"
+    target.write_bytes({"longer": want * 3, "shorter": want[:7],
+                        "symlink": want * 2}[over])
+    target.chmod(0o640)
+    path = target
+    if over == "symlink":
+        path = tmp_path / "link.csv"
+        path.symlink_to(target)
+    before = target.stat()
+    save_mesh(grid, path)
+    after = target.stat()
+    assert target.read_bytes() == want
+    assert path.is_symlink() == (over == "symlink")
+    assert (after.st_mode, after.st_ino) == (before.st_mode, before.st_ino)
+
+
+def test_a_new_output_gets_the_mode_open_gives(tmp_path):
+    plain = tmp_path / "plain.csv"
+    with open(plain, "w"):
+        pass
+    fresh = tmp_path / "fresh.csv"
+    save_mesh(regular_grid([(0.0, 1.0)], [4]), fresh)
+    assert fresh.stat().st_mode == plain.stat().st_mode

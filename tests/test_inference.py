@@ -279,6 +279,61 @@ def test_an_overflowing_covariance_scores_minus_inf():
             chol_with_jitter(np.array([[1.0, 0.0], [0.0, bad]]))
 
 
+def test_a_restart_rejected_everywhere_ends_after_its_simplex(monkeypatch):
+    # Nelder-Mead cannot order a simplex that is -inf everywhere; each
+    # restart used to run to max_evals (6,000 evaluations here)
+    import condcov.inference
+    from condcov.errors import OptimizationError
+
+    net = _bivariate(shifted_bisquare(1e200, 0.3, (-0.3,)))
+    obs = [Observations(q, _SITES, np.linspace(-1.0, 1.0, 5)) for q in range(2)]
+    free = ["y2~y1.amplitude", "y2~y1.aperture"]
+    calls = []
+    score = condcov.inference._loglik
+
+    def counted(*args):
+        calls.append(None)
+        return score(*args)
+
+    monkeypatch.setattr(condcov.inference, "_loglik", counted)
+    with pytest.raises(OptimizationError, match="-inf at every evaluation"):
+        fit_mle(GRID, net, obs, free=free,
+                config=OptimizerConfig(restarts=3, max_evals=2000))
+    assert len(calls) <= 3 * (len(free) + 1)
+
+
+def test_a_rejected_simplex_is_traced_as_not_converged(monkeypatch):
+    # the first restart's simplex (two points for one free parameter) fails
+    # to factor; the second restart fits as it does on its own
+    import condcov.inference
+    from condcov.errors import NumericalError
+
+    net = ProcessNetwork((ProcessNode("y", MaternParams(1.0, 5.0, 1.5),
+                                      noise=0.1),))
+    rng = np.random.default_rng(2)
+    obs = [Observations(0, rng.uniform(-1, 1, (10, 1)), rng.normal(size=10))]
+    cfg = OptimizerConfig(seed=0, restarts=2, max_evals=60)
+    clean = fit_mle(GRID, net, obs, free=["y.variance"], config=cfg)
+    calls = []
+    factor = condcov.inference.chol_with_jitter
+
+    def simplex_fails(mat, jitter_max):
+        calls.append(None)
+        if len(calls) <= 2:
+            raise NumericalError("refused")
+        return factor(mat, jitter_max)
+
+    monkeypatch.setattr(condcov.inference, "chol_with_jitter", simplex_fails)
+    fit = fit_mle(GRID, net, obs, free=["y.variance"], config=cfg)
+    first, second = fit.trace
+    assert first["nfev"] == 2
+    assert first["loglik"] == -np.inf
+    assert not first["converged"]
+    assert "initial simplex" in first["message"]
+    assert second == clean.trace[1]
+    assert fit.rejected == 2
+
+
 def test_fit_aic_identity_and_determinism():
     net = _bivariate(bisquare(5.0, 0.3))
     obs = _synthetic_obs(net, seed=42)

@@ -438,3 +438,39 @@ def test_one_location_fails_before_building_the_covariance(monkeypatch):
            Observations(1, site, np.array([2.0]))]
     with pytest.raises(InsufficientDataError, match="share one location"):
         loo_cv(_model(bisquare(5.0, 0.3)), obs)
+
+
+def test_an_overflowing_cross_covariance_fails_cleanly():
+    # y3 ~ y2 ~ y1 with amplitudes 1e200: cov(y3, y1) overflows to inf at an
+    # off-grid target while the covariance of the y1 observations is finite
+    g = regular_grid([(-1.0, 1.0)], [60])
+    net = ProcessNetwork((
+        ProcessNode("y1", M11, noise=0.25),
+        ProcessNode("y2", M21, parents=((0, bisquare(1e200, 0.3)),), noise=0.25),
+        ProcessNode("y3", M21, parents=((1, bisquare(1e200, 0.3)),), noise=0.25),
+    ))
+    obs = [Observations(0, np.linspace(-0.9, 0.9, 5)[:, None],
+                        np.linspace(-1.0, 1.0, 5))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="cross-covariance"):
+            cokrige(assemble_dag(g, net), obs, np.array([[0.123]]), "y3")
+
+
+def test_an_overflowing_mean_fails_cleanly():
+    # the residuals z = y - mean overflow to -inf for x > 0; every solve
+    # against z sees them checked once
+    from condcov import loglik
+
+    g = regular_grid([(-1.0, 1.0)], [60])
+    net = ProcessNetwork((
+        ProcessNode("y1", M11, noise=0.25,
+                    mean=MeanSpec(("const", "x"), (1e308, 1e308))),))
+    obs = [Observations(0, np.linspace(-0.9, 0.9, 5)[:, None],
+                        np.linspace(-1.0, 1.0, 5))]
+    model = assemble_dag(g, net)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError, match="residuals"):
+            cokrige(model, obs, np.array([[0.1]]), 0)
+        with pytest.raises(NumericalError, match="residuals"):
+            loo_cv(model, obs)
+        assert loglik(g, net, obs) == -np.inf
