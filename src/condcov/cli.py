@@ -67,11 +67,10 @@ thread count, reproduces the files byte for byte. Another BLAS library or
 thread count can change the last digits of fitted values (refit estimates
 differ in the 10th digit between one and two OpenBLAS threads).
 
-Outputs are rewritten in place: an existing file is overwritten without
-first being truncated to zero, then cut to the new length. It keeps its
-inode and permissions, and a symlink at the output path stays a symlink
-whose target is rewritten. A crash mid-write can leave new rows followed by
-stale bytes of the old file, where truncating first left only new rows.
+Outputs are rewritten in place: an existing file is no longer truncated to
+zero before it is written, but written over and then cut to the new length.
+A crash mid-write can leave new rows followed by stale bytes of the old
+file, where truncating first left only new rows.
 """
 
 from __future__ import annotations

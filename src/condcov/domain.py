@@ -47,10 +47,9 @@ def _rewrite(path):
     opened without ``O_TRUNC`` and cut to the written length when the block
     ends. Truncating a just-written file to zero on open, as text mode "w"
     does, can block for tens of milliseconds (ext4 flushes the old data on
-    replace-via-truncate); cutting it after the write does not. The file
-    keeps its inode and permissions, a symlink at ``path`` stays a symlink,
-    and a new file gets mode 0o666 less the umask, as with ``open``. A crash
-    mid-write can leave new rows followed by stale bytes of the old file.
+    replace-via-truncate); cutting it after the write does not. A new file
+    gets mode 0o666 less the umask, as with ``open``. A crash mid-write can
+    leave new rows followed by stale bytes of the old file.
     """
     with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
                    newline="") as fh:

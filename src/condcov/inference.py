@@ -250,7 +250,7 @@ class RankedFit(FitResult):
 
 
 class _SimplexRejected(Exception):
-    """Every point of a restart's initial simplex scored -inf."""
+    """Every evaluation of a restart scored -inf until its simplex shrank."""
 
 
 def _to_transformed(field: str, value: float) -> float:
@@ -295,10 +295,16 @@ def fit_mle(
     returned network.
     ``rejected`` counts the evaluations scored as -inf because the network
     was invalid or its covariance could not be factored; ``jitter`` is what
-    the Cholesky factorization needed at the returned optimum. A restart
-    whose whole initial simplex (its first n + 1 evaluations, n free
-    parameters) is rejected ends there, recorded in ``trace`` as not
-    converged.
+    the Cholesky factorization needed at the returned optimum. Nelder-Mead
+    cannot stop on a simplex that scores -inf everywhere (inf - inf is NaN)
+    and would shrink it until ``max_evals``, so a restart whose every
+    evaluation is rejected ends once its last n + 2 evaluations (n free
+    parameters; one step of the shrinking simplex) lie within the x
+    tolerance of each other, relative to each coordinate's size above 1,
+    recorded in ``trace`` as not converged. Until then it takes the path it
+    always took: a finite reflected, contracted or shrunk point still lets
+    it escape, and only a finite point closer than that tolerance is given
+    up.
     """
     config = config or OptimizerConfig()
     # checked once here: the objective scores any CondcovError as -inf, so
@@ -331,24 +337,28 @@ def fit_mle(
     geometry = _Geometry(grid)
     jitters = {}  # the jitter of each accepted point, by its coordinates
     rejected = 0
-    # rejected evaluations that open the current restart; -1 once one is
-    # accepted
-    streak = 0
+    # the points of the current restart while every one is rejected; None
+    # once one is accepted
+    opening = []
 
     def objective(x: np.ndarray) -> float:
-        nonlocal rejected, streak
+        nonlocal rejected, opening
         try:
             ev = CovarianceEvaluator(grid, apply(x), geometry)
             value, jitters[x.tobytes()] = _loglik(ev, kept, jitter_max)
         except CondcovError as exc:
             logger.debug("%s: evaluation scored -inf: %s", label, exc)
             rejected += 1
-            if streak >= 0:
-                streak += 1
-                if streak == x0.size + 1:
+            if opening is not None:
+                opening.append(x.copy())
+                # relative to the point: an amplitude of 1e200 is rounded
+                # far above any absolute tolerance
+                step = opening[-(x0.size + 2):]
+                if len(step) == x0.size + 2 and np.all(
+                        np.ptp(step, axis=0) <= _XATOL * (1.0 + np.abs(x))):
                     raise _SimplexRejected from None
             return np.inf
-        streak = -1
+        opening = None
         return -value
 
     # scipy.optimize is slow to import and only fitting uses it
@@ -362,7 +372,7 @@ def fit_mle(
         else:
             rng = rng_from_seed(config.seed, start)
             xs = x0 + _PERTURBATION * (1.0 + np.abs(x0)) * rng.standard_normal(x0.size)
-        streak = 0
+        opening = []
         try:
             res = minimize(
                 objective,
@@ -376,11 +386,10 @@ def fit_mle(
                 },
             )
         except _SimplexRejected:
-            # Nelder-Mead cannot order a simplex that is -inf everywhere
-            # (inf - inf is NaN) and would wander to max_evals
-            res = OptimizeResult(x=xs, fun=np.inf, nfev=streak, success=False,
-                                 message="every point of the initial simplex "
-                                         "was rejected")
+            res = OptimizeResult(x=xs, fun=np.inf, nfev=len(opening),
+                                 success=False,
+                                 message="every evaluation was rejected until "
+                                         "the simplex shrank below xatol")
         trace.append(
             {
                 "start": start,

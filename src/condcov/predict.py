@@ -83,6 +83,10 @@ def cokrige(
     kept = kept_observations(model.grid, model.network, obs)
     prior = cross_cov_matrix(model, tq, tq, targets, targets)
     prior_var = np.diag(prior).copy()
+    # the prior can overflow where the observation covariance does not, and
+    # inf - inf would give a NaN stderr
+    if not np.isfinite(prior_var).all():
+        raise NumericalError("prior variance has non-finite entries")
     mu_t = mean_at(model.network, tq, targets)
     if not kept:
         return PredictionResult(
@@ -99,8 +103,9 @@ def cokrige(
             for o in kept
         ]
     )
-    # a cross-covariance can overflow where the observation covariance
-    # does not, so it is checked once here for the solves below
+    # checked once for the solves below, which skip scipy's check; with the
+    # prior variance and the observation covariance finite it can only be
+    # non-finite through rounding
     if not np.isfinite(c).all():
         raise NumericalError("cross-covariance has non-finite entries")
     L, jitter = chol_with_jitter(C, model.jitter_max)

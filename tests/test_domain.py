@@ -159,9 +159,9 @@ def test_observations_unknown_variable(tmp_path):
 
 @pytest.mark.parametrize("over", ["longer", "shorter", "symlink"])
 def test_outputs_are_rewritten_in_place(tmp_path, over):
-    # the rewrite cuts the old file after writing instead of truncating it
-    # first: same bytes as a fresh write, same inode and mode, and a symlink
-    # at the path stays one
+    # over a longer or shorter file or through a symlink, the rewrite gives
+    # the bytes of a fresh write and keeps the inode, the mode and the link,
+    # as open(path, "w") did
     grid = regular_grid([(0.0, 1.0)], [4])
     fresh = tmp_path / "fresh.csv"
     save_mesh(grid, fresh)
@@ -180,6 +180,20 @@ def test_outputs_are_rewritten_in_place(tmp_path, over):
     assert target.read_bytes() == want
     assert path.is_symlink() == (over == "symlink")
     assert (after.st_mode, after.st_ino) == (before.st_mode, before.st_ino)
+
+
+def test_a_rewrite_does_not_truncate_on_open(tmp_path):
+    # truncating a just-written file to zero on open is what made each
+    # rewrite wait on the disk; until the writer is done, the old tail stays
+    from condcov.domain import _rewrite
+
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old,old,old\n")
+    with _rewrite(path) as fh:
+        fh.write("new")
+        fh.flush()
+        assert path.read_bytes() == b"new,old,old\n"
+    assert path.read_bytes() == b"new"
 
 
 def test_a_new_output_gets_the_mode_open_gives(tmp_path):

@@ -279,9 +279,12 @@ def test_an_overflowing_covariance_scores_minus_inf():
             chol_with_jitter(np.array([[1.0, 0.0], [0.0, bad]]))
 
 
-def test_a_restart_rejected_everywhere_ends_after_its_simplex(monkeypatch):
-    # Nelder-Mead cannot order a simplex that is -inf everywhere; each
-    # restart used to run to max_evals (6,000 evaluations here)
+def test_a_restart_rejected_everywhere_ends_once_its_simplex_has_shrunk(
+        monkeypatch):
+    # Nelder-Mead cannot stop on a simplex that is -inf everywhere; each
+    # restart used to run to max_evals (6,000 evaluations here). It now ends
+    # after the n + 1 simplex points and the steps of n + 2 evaluations that
+    # halve the simplex from its 5% start to within 1e-6 of the point
     import condcov.inference
     from condcov.errors import OptimizationError
 
@@ -296,42 +299,70 @@ def test_a_restart_rejected_everywhere_ends_after_its_simplex(monkeypatch):
         return score(*args)
 
     monkeypatch.setattr(condcov.inference, "_loglik", counted)
+    n = len(free)
+    steps = int(np.ceil(np.log2(0.05 / 1e-6))) + 2
     with pytest.raises(OptimizationError, match="-inf at every evaluation"):
         fit_mle(GRID, net, obs, free=free,
                 config=OptimizerConfig(restarts=3, max_evals=2000))
-    assert len(calls) <= 3 * (len(free) + 1)
+    assert len(calls) <= 3 * (n + 1 + steps * (n + 2))
 
 
-def test_a_rejected_simplex_is_traced_as_not_converged(monkeypatch):
-    # the first restart's simplex (two points for one free parameter) fails
-    # to factor; the second restart fits as it does on its own
+def _variance_capped(monkeypatch, cap):
+    """Make every covariance whose mean diagonal exceeds ``cap`` unfactorable."""
     import condcov.inference
     from condcov.errors import NumericalError
 
-    net = ProcessNetwork((ProcessNode("y", MaternParams(1.0, 5.0, 1.5),
-                                      noise=0.1),))
-    rng = np.random.default_rng(2)
-    obs = [Observations(0, rng.uniform(-1, 1, (10, 1)), rng.normal(size=10))]
-    cfg = OptimizerConfig(seed=0, restarts=2, max_evals=60)
-    clean = fit_mle(GRID, net, obs, free=["y.variance"], config=cfg)
-    calls = []
     factor = condcov.inference.chol_with_jitter
 
-    def simplex_fails(mat, jitter_max):
-        calls.append(None)
-        if len(calls) <= 2:
+    def capped(mat, jitter_max):
+        if np.mean(np.diag(mat)) > cap:
             raise NumericalError("refused")
         return factor(mat, jitter_max)
 
-    monkeypatch.setattr(condcov.inference, "chol_with_jitter", simplex_fails)
+    monkeypatch.setattr(condcov.inference, "chol_with_jitter", capped)
+
+
+def _one_node(variance):
+    net = ProcessNetwork((ProcessNode("y", MaternParams(variance, 5.0, 1.5),
+                                      noise=0.1),))
+    rng = np.random.default_rng(2)
+    return net, [Observations(0, rng.uniform(-1, 1, (10, 1)),
+                              rng.normal(size=10))]
+
+
+def test_a_rejected_restart_is_traced_as_not_converged(monkeypatch):
+    # variance 1e4 with variances above 1e3 refused: the first restart never
+    # leaves the refused region; with seed 3 the second starts at variance
+    # 1.1 and fits as it does when nothing is refused
+    net, obs = _one_node(1e4)
+    cfg = OptimizerConfig(seed=3, restarts=2, max_evals=200)
+    clean = fit_mle(GRID, net, obs, free=["y.variance"], config=cfg)
+    _variance_capped(monkeypatch, 1e3)
     fit = fit_mle(GRID, net, obs, free=["y.variance"], config=cfg)
     first, second = fit.trace
-    assert first["nfev"] == 2
+    assert first["nfev"] < 60
     assert first["loglik"] == -np.inf
     assert not first["converged"]
-    assert "initial simplex" in first["message"]
+    assert "rejected" in first["message"]
     assert second == clean.trace[1]
-    assert fit.rejected == 2
+    assert fit.rejected == first["nfev"]
+
+
+def test_a_rejected_start_still_escapes_to_a_finite_point(monkeypatch):
+    # variance 1060 with variances above 1e3 refused: the start and the
+    # other simplex point are refused, the reflected point (variance ~750)
+    # is not, and the restart goes on as plain Nelder-Mead does
+    net, obs = _one_node(1060.0)
+    cfg = OptimizerConfig(seed=0, restarts=1, max_evals=200)
+    _variance_capped(monkeypatch, 1e3)
+    fit = fit_mle(GRID, net, obs, free=["y.variance"], config=cfg)
+    fitted, ll, nfev = _fresh_evaluation_fit(GRID, net, obs, ["y.variance"],
+                                             cfg)
+    assert fit.rejected >= 2
+    assert np.isfinite(fit.loglik)
+    assert fit.network == fitted
+    assert fit.loglik == ll
+    assert [t["nfev"] for t in fit.trace] == nfev
 
 
 def test_fit_aic_identity_and_determinism():

@@ -440,20 +440,46 @@ def test_one_location_fails_before_building_the_covariance(monkeypatch):
         loo_cv(_model(bisquare(5.0, 0.3)), obs)
 
 
-def test_an_overflowing_cross_covariance_fails_cleanly():
-    # y3 ~ y2 ~ y1 with amplitudes 1e200: cov(y3, y1) overflows to inf at an
-    # off-grid target while the covariance of the y1 observations is finite
+def test_a_non_finite_cross_covariance_fails_cleanly(monkeypatch):
+    # the triangular solves skip scipy's finiteness check, so an inf in the
+    # target-to-observation covariance must stop cokrige before them; with a
+    # finite prior and observation covariance that takes rounding, so the
+    # block is made non-finite here
     g = regular_grid([(-1.0, 1.0)], [60])
     net = ProcessNetwork((
         ProcessNode("y1", M11, noise=0.25),
-        ProcessNode("y2", M21, parents=((0, bisquare(1e200, 0.3)),), noise=0.25),
-        ProcessNode("y3", M21, parents=((1, bisquare(1e200, 0.3)),), noise=0.25),
+        ProcessNode("y2", M21, parents=((0, bisquare(5.0, 0.3)),), noise=0.25),
     ))
     obs = [Observations(0, np.linspace(-0.9, 0.9, 5)[:, None],
                         np.linspace(-1.0, 1.0, 5))]
+    block = condcov.predict.cross_cov_matrix
+
+    def overflowing(model, a, b, xa, xb):
+        out = block(model, a, b, xa, xb)
+        return out if a == b else np.full_like(out, np.inf)
+
+    monkeypatch.setattr(condcov.predict, "cross_cov_matrix", overflowing)
+    with pytest.raises(NumericalError, match="cross-covariance"):
+        cokrige(assemble_dag(g, net), obs, np.array([[0.123]]), "y2")
+
+
+@pytest.mark.parametrize("observed", [True, False], ids=["y1-observed",
+                                                         "prior-only"])
+def test_an_overflowing_prior_variance_fails_cleanly(observed):
+    # y2 <- y1 through amplitude 1e308: var(y2) overflows at an off-grid
+    # target; it used to come out as a NaN stderr (inf - inf) with observed
+    # y1, and an infinite one with nothing observed
+    g = regular_grid([(-1.0, 1.0)], [60])
+    net = ProcessNetwork((
+        ProcessNode("y1", M11, noise=0.25),
+        ProcessNode("y2", M21, parents=((0, bisquare(1e308, 10.0)),),
+                    noise=0.25),
+    ))
+    obs = [Observations(0, np.linspace(-0.9, 0.9, 5)[:, None],
+                        np.linspace(-1.0, 1.0, 5))] if observed else []
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError, match="cross-covariance"):
-            cokrige(assemble_dag(g, net), obs, np.array([[0.123]]), "y3")
+        with pytest.raises(NumericalError, match="prior variance"):
+            cokrige(assemble_dag(g, net), obs, np.array([[0.123]]), "y2")
 
 
 def test_an_overflowing_mean_fails_cleanly():

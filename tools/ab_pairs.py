@@ -1,7 +1,7 @@
 """Alternating A/B pairs of the benchmark between two checkouts.
 
     python3 tools/ab_pairs.py PARENT CHANGE --workload map2d --pairs 10 \
-        --seconds 55 [--seed 0] [--json runs.json]
+        --seconds 55 [--seed 0]
 
 Each pair runs ``bench/run.py --trace 0`` once in each checkout, with the
 same workload, seed and run length, one after the other; even pairs run
@@ -53,8 +53,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=55.0)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json", type=Path,
-                        help="also write every run's result here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -76,12 +74,6 @@ def main(argv=None) -> int:
             f"{results[s]['correct']},{results[s]['failed']}" for s in SIDES)
         print(f"pair {pair} ({order[0]} first; parent/change) {values}  "
               f"correct,failed {verdicts}", flush=True)
-    if args.json:
-        args.json.write_text(json.dumps(
-            {"workload": args.workload, "seed": args.seed,
-             "seconds": args.seconds, "checkouts": {k: str(v) for k, v in
-                                                    checkouts.items()},
-             "pairs": runs}, indent=1) + "\n")
 
     print(f"\n{args.pairs} pairs, workload {args.workload}, seed {args.seed}, "
           f"{args.seconds:g} s per run")
