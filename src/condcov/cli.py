@@ -69,7 +69,8 @@ differ in the 10th digit between one and two OpenBLAS threads).
 
 Outputs are rewritten in place: an existing file is no longer truncated to
 zero before it is written, but written over and then cut to the new length.
-A crash mid-write can leave new rows followed by stale bytes of the old
+As before, it keeps its inode and permissions, and a symlink at the output
+path stays a symlink. A crash mid-write can leave new rows followed by stale bytes of the old
 file, where truncating first left only new rows.
 """
 
