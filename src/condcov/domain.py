@@ -68,6 +68,24 @@ def _embed_lonlat(points: np.ndarray, radius: float) -> np.ndarray:
     )
 
 
+def _squared_sum(diffs, shape) -> np.ndarray:
+    """diffs[0]**2 + diffs[1]**2 + ..., summed in that order, or zeros of
+    ``shape`` when there are none.
+
+    ``diffs`` yields fresh (m, n) float arrays, which are squared in place;
+    the first one becomes the sum. Taking them one at a time from an
+    iterator keeps at most two (m, n) arrays alive.
+    """
+    total = None
+    for diff in diffs:
+        np.square(diff, out=diff)
+        if total is None:
+            total = diff
+        else:
+            total += diff
+    return np.zeros(shape) if total is None else total
+
+
 @dataclass(frozen=True)
 class Metric:
     kind: str = "euclidean"
@@ -81,16 +99,30 @@ class Metric:
                 raise ValidationError("chordal metric needs a positive radius")
 
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Distance matrix between location arrays a (m, dim) and b (n, dim)."""
+        """Distance matrix between location arrays a (m, dim) and b (n, dim).
+
+        Built on one (m, n) array, axis by axis and in place: for k = 0,
+        1, ... the difference a[i, k] - b[j, k] is squared and added to the
+        sum of the axes before it, then the square root is taken. No
+        (m, n, dim) array of differences is formed. The chordal metric
+        sums over the 3-d embedding of its (lon, lat) points. Locations of
+        different dimension are a ValidationError.
+        """
         a = np.atleast_2d(np.asarray(a, dtype=float))
         b = np.atleast_2d(np.asarray(b, dtype=float))
+        if a.shape[1] != b.shape[1]:
+            raise ValidationError(
+                f"location dimensions differ: {a.shape[1]} vs {b.shape[1]}"
+            )
         if self.kind == "chordal":
-            if a.shape[1] != 2 or b.shape[1] != 2:
+            if a.shape[1] != 2:
                 raise ValidationError("chordal metric expects (lon, lat) locations")
             a = _embed_lonlat(a, self.radius)
             b = _embed_lonlat(b, self.radius)
-        diff = a[:, None, :] - b[None, :, :]
-        return np.sqrt(np.einsum("mnd,mnd->mn", diff, diff))
+        d2 = _squared_sum((np.subtract.outer(a[:, k], b[:, k])
+                           for k in range(a.shape[1])),
+                          (a.shape[0], b.shape[0]))
+        return np.sqrt(d2, out=d2)
 
 
 EUCLIDEAN = Metric("euclidean")

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import kv as _kv
 
+from .domain import _squared_sum
 from .errors import ParameterError, ValidationError
 
 __all__ = [
@@ -63,25 +64,40 @@ def matern_cov(params: MaternParams, d) -> Union[float, np.ndarray]:
     with the d = 0 limit handled analytically. Half-integer smoothness
     0.5 / 1.5 / 2.5 uses the closed exponential forms; any other goes
     through the Bessel function kv (see :func:`_kv_corr`).
+
+    Evaluated in place on fresh arrays, never on ``d``: x = scale * d and
+    e = exp(-x); the correlation is e (nu = 0.5), e * (1 + x) (nu = 1.5),
+    e * ((1 + x) + (x * x) / 3) (nu = 2.5), or else the kv correlation
+    clipped to [0, 1]; that is multiplied by variance. A scalar d gives a
+    float.
     """
-    d_arr = np.asarray(d, dtype=float)
-    if not np.all(np.isfinite(d_arr)) or np.any(d_arr < 0):
+    d_arr = np.atleast_1d(np.asarray(d, dtype=float))
+    # min and max read d without a temporary; a NaN makes both NaN, and
+    # every comparison with NaN is False
+    if d_arr.size and not (d_arr.min() >= 0.0 and d_arr.max() < np.inf):
         raise ParameterError("distances must be finite and nonnegative")
-    x = params.scale * d_arr
+    x = np.multiply(params.scale, d_arr)
     nu = params.smoothness
-    if nu == 0.5:
-        corr = np.exp(-x)
-    elif nu == 1.5:
-        corr = (1.0 + x) * np.exp(-x)
-    elif nu == 2.5:
-        corr = (1.0 + x + x * x / 3.0) * np.exp(-x)
+    if nu in (0.5, 1.5, 2.5):
+        corr = np.negative(x)
+        np.exp(corr, out=corr)
+        if nu == 1.5:
+            x += 1.0
+            corr *= x
+        elif nu == 2.5:
+            poly = np.multiply(x, x)
+            poly /= 3.0
+            x += 1.0
+            poly += x
+            corr *= poly
     else:
         # a correlation: rounding must not carry it past its bounds
-        corr = np.clip(_kv_corr(nu, x), 0.0, 1.0)
-    out = params.variance * corr
+        corr = _kv_corr(nu, x)
+        np.clip(corr, 0.0, 1.0, out=corr)
+    corr *= params.variance
     if np.ndim(d) == 0:
-        return float(out)
-    return out
+        return float(corr[0])
+    return corr
 
 
 def _kv_corr(nu: float, x: np.ndarray) -> np.ndarray:
@@ -273,11 +289,22 @@ def _squared_displacement(spec: InteractionSpec, S, V) -> np.ndarray:
     This is the part of a bisquare value that only ``shift`` changes; see
     :func:`_bisquare_profile` for the rest. S (m, dim) and V (n, dim) are float
     arrays of the same dim, as :func:`interaction_values` checks.
+
+    Built on one (m, n) array, axis by axis and in place: for k = 0, 1, ...
+    the component h_k = V[j, k] - S[i, k] (less shift[k] on a shifted edge)
+    is squared and added to the sum of the axes before it. No (m, n, dim)
+    array of displacements is formed.
     """
-    h = V[None, :, :] - S[:, None, :]
-    if spec.kind is InteractionKind.SHIFTED_BISQUARE:
-        h = h - np.asarray(spec.shift, dtype=float)
-    return np.einsum("mnd,mnd->mn", h, h)
+    shift = spec.shift if spec.kind is InteractionKind.SHIFTED_BISQUARE else None
+
+    def axis(k):
+        h = V[None, :, k] - S[:, None, k]
+        if shift is not None:
+            h -= shift[k]
+        return h
+
+    return _squared_sum((axis(k) for k in range(S.shape[1])),
+                        (S.shape[0], V.shape[0]))
 
 
 def _bisquare_profile(spec: InteractionSpec, d2: np.ndarray) -> np.ndarray:

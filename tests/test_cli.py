@@ -676,8 +676,9 @@ def test_overflowing_covariance_exits_2(tmp_path, capsys, command):
     data = yaml.safe_load(yaml.safe_dump(BASE))
     data["nodes"][1]["parents"][0]["amplitude"] = 1e200
     cfg_path = _write_cfg(tmp_path, data, name="overflow.yaml")
-    rc = main([command, "--config", str(cfg_path), "--data", str(obs_path),
-               "--out", str(tmp_path / "o")])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        rc = main([command, "--config", str(cfg_path), "--data", str(obs_path),
+                   "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
 

@@ -59,6 +59,27 @@ def test_grid_distance_euclidean():
     assert np.isclose(d[0, 1], 0.5)
 
 
+@pytest.mark.parametrize("a, b", [
+    # a 1-d point used to broadcast over both axes: [[5.]]
+    ([[0.0]], [[3.0, 4.0]]),
+    ([[0.0, 0.0]], [[1.0, 2.0, 3.0]]),
+    ([[1.0, 2.0, 3.0]], [[0.0]]),
+])
+def test_pairwise_rejects_locations_of_different_dimension(a, b):
+    with pytest.raises(ValidationError, match="location dimensions differ"):
+        Metric().pairwise(a, b)
+    with pytest.raises(ValidationError, match="location dimensions differ"):
+        chordal(6371.0).pairwise(a, b)
+
+
+def test_a_2d_grid_rejects_1d_points():
+    g = regular_grid([(0.0, 1.0), (0.0, 1.0)], [2, 2])
+    with pytest.raises(ValidationError, match="location dimensions differ"):
+        g.distance_matrix(np.array([[0.5]]))
+    with pytest.raises(ValidationError, match="location dimensions differ"):
+        g.distance_matrix(None, np.array([[0.5], [0.25]]))
+
+
 class TestChordal:
     def test_coincident(self):
         assert chordal_distance((10.0, 20.0), (10.0, 20.0), 6371.0) == 0.0

@@ -271,8 +271,10 @@ def test_an_overflowing_covariance_scores_minus_inf():
 
     net = _bivariate(shifted_bisquare(1e200, 0.3, (-0.3,)))
     obs = [Observations(q, _SITES, np.linspace(-1.0, 1.0, 5)) for q in range(2)]
-    assert loglik(GRID, net, obs) == -np.inf
-    with pytest.raises(OptimizationError, match="-inf at every evaluation"):
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert loglik(GRID, net, obs) == -np.inf
+    with pytest.warns(RuntimeWarning, match="overflow"), \
+            pytest.raises(OptimizationError, match="-inf at every evaluation"):
         fit_mle(GRID, net, obs, free=["y2~y1.amplitude"], config=_QUICK)
     for bad in (np.inf, np.nan):
         with pytest.raises(NumericalError, match="non-finite"):
@@ -301,7 +303,8 @@ def test_a_restart_rejected_everywhere_ends_once_its_simplex_has_shrunk(
     monkeypatch.setattr(condcov.inference, "_loglik", counted)
     n = len(free)
     steps = int(np.ceil(np.log2(0.05 / 1e-6))) + 2
-    with pytest.raises(OptimizationError, match="-inf at every evaluation"):
+    with pytest.warns(RuntimeWarning, match="overflow"), \
+            pytest.raises(OptimizationError, match="-inf at every evaluation"):
         fit_mle(GRID, net, obs, free=free,
                 config=OptimizerConfig(restarts=3, max_evals=2000))
     assert len(calls) <= 3 * (n + 1 + steps * (n + 2))

@@ -88,6 +88,23 @@ class TestMatern:
             assert vec[i] == matern_cov(p, float(di))
 
     @staticmethod
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+    @pytest.mark.parametrize("nu", [1.5, 0.7])
+    def test_distances_must_be_finite_and_nonnegative(bad, nu):
+        p = MaternParams(1.0, 2.0, nu)
+        for d in (bad, np.array([0.0, bad, 1.0]), np.array([[bad], [0.5]])):
+            with pytest.raises(ParameterError, match="finite and nonnegative"):
+                matern_cov(p, d)
+
+    @staticmethod
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 0.7])
+    def test_no_distances_give_no_covariances(nu):
+        p = MaternParams(1.0, 2.0, nu)
+        for shape in ((0,), (0, 3), (4, 0)):
+            got = matern_cov(p, np.empty(shape))
+            assert isinstance(got, np.ndarray) and got.shape == shape
+
+    @staticmethod
     def test_invalid_params_rejected():
         for bad in [(0.0, 1.0, 1.0), (1.0, -2.0, 1.0), (1.0, 1.0, 0.0)]:
             with pytest.raises(ParameterError):
