@@ -79,6 +79,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import sys
 from dataclasses import MISSING, dataclass, field
 from pathlib import Path
@@ -610,12 +611,37 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+def _csv_cell(text: str) -> str:
+    """``text`` as csv.writer writes it in a row: quoted where it must be."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([text])
+    return buf.getvalue()
+
+
+def _write_csv(path: Path, header: Sequence[str], rows, labels=None) -> None:
+    """Write ``header``, then ``rows``, as CSV.
+
+    ``rows`` is a sequence of rows of any cells, each formatted by ``_fmt``
+    and quoted by csv.writer, or a 2-d float array, written a row at a
+    time with one FLOAT_FMT-joined format per row. The bytes are the same:
+    FLOAT_FMT output (digits, sign, "e", ".", "inf", "nan") never needs
+    quoting. ``labels`` puts a string cell, quoted as csv.writer quotes
+    it, before each row of an array.
+    """
     with _rewrite(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        if not isinstance(rows, np.ndarray):
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
+            return
+        line = ",".join([FLOAT_FMT] * rows.shape[1]) + "\n"
+        if labels is None:
+            fh.writelines(line % tuple(row) for row in rows.tolist())
+            return
+        cells = {label: _csv_cell(label) + "," for label in set(labels)}
+        fh.writelines(cells[label] + line % tuple(row)
+                      for label, row in zip(labels, rows.tolist()))
 
 
 def _out_dir(args) -> Path:
@@ -668,26 +694,18 @@ def _cmd_simulate(args) -> int:
     grid = cfg.grid
     coords = list(_COORD_NAMES[:grid.dim])
 
-    rows = [
-        list(grid.vertices[i]) + [first.fields[q][i] for q in range(len(names))]
-        for i in range(grid.n)
-    ]
-    _write_csv(out / "fields.csv", coords + list(names), rows)
+    _write_csv(out / "fields.csv", coords + list(names),
+               np.column_stack([grid.vertices, first.fields.T]))
 
     arms = list(first.predictions)
     header = coords + ["truth"]
     for arm in arms:
         header += [f"{arm}_mean", f"{arm}_stderr"]
-    tv = grid.vertices[study.eval_mask]
-    y_true = first.fields[study.target][study.eval_mask]
-    rows = []
-    for i in range(tv.shape[0]):
-        row = list(tv[i]) + [y_true[i]]
-        for arm in arms:
-            pred = first.predictions[arm]
-            row += [pred.mean[i], pred.stderr[i]]
-        rows.append(row)
-    _write_csv(out / "predictors.csv", header, rows)
+    columns = [grid.vertices[study.eval_mask],
+               first.fields[study.target][study.eval_mask]]
+    for arm in arms:
+        columns += [first.predictions[arm].mean, first.predictions[arm].stderr]
+    _write_csv(out / "predictors.csv", header, np.column_stack(columns))
 
     est_names = list(study.refit_free) if study.refit_network is not None else []
     header = ["replicate"] + [f"rmse_{arm}" for arm in arms] + est_names
@@ -750,12 +768,9 @@ def _cmd_predict(args) -> int:
         raise ConfigError(f"--target-var: {exc}") from None
     pred = cokrige(model, obs, targets, tq)
     out = _out_dir(args)
-    rows = [
-        list(targets[i]) + [pred.mean[i], pred.stderr[i]]
-        for i in range(targets.shape[0])
-    ]
     _write_csv(out / "predictions.csv",
-               list(_COORD_NAMES[:grid.dim]) + ["mean", "stderr"], rows)
+               list(_COORD_NAMES[:grid.dim]) + ["mean", "stderr"],
+               np.column_stack([targets, pred.mean, pred.stderr]))
     print(f"predicted {network.names[tq]} at {targets.shape[0]} locations "
           f"from {sum(o.m for o in obs)} observations")
     return 0
@@ -767,16 +782,15 @@ def _cmd_cv(args) -> int:
     loo = loo_cv(model, obs)
     out = _out_dir(args)
     dim = model.grid.dim
-    rows = [
-        [network.names[f.variable]] + list(f.location)
-        + [f.observed, f.mean, f.stderr, f.error, f.crps]
+    rows = np.array([
+        f.location + (f.observed, f.mean, f.stderr, f.error, f.crps)
         for f in loo.folds
-    ]
+    ])
     _write_csv(
         out / "folds.csv",
         ["variable"] + list(_COORD_NAMES[:dim])
         + ["observed", "mean", "stderr", "error", "crps"],
-        rows,
+        rows, labels=[network.names[f.variable] for f in loo.folds],
     )
     rows = [
         [name, s["MAE"], s["RMSPE"], s["MCRPS"]]

@@ -213,6 +213,8 @@ class _Geometry:
         return idx
 
     def distance(self, i: int, j: int) -> np.ndarray:
+        """Distances between point sets i and j; for i == j, ``pairwise``
+        gets one array twice and builds a same-set block."""
         key = (i, j)
         if key not in self._dist:
             self._dist[key] = self.grid.metric.pairwise(self.sets[i], self.sets[j])
@@ -227,9 +229,10 @@ class _Geometry:
         return slot[1]
 
     def matern(self, q: int, params: MaternParams, i: int, j: int) -> np.ndarray:
-        """The Matern ``params`` of node q between point sets i and j."""
+        """The Matern ``params`` of node q between point sets i and j; a
+        same-set block (i == j) is evaluated on its upper triangle."""
         return self._kept(("matern", q, i, j), params, lambda: np.asarray(
-            matern_cov(params, self.distance(i, j))))
+            matern_cov(params, self.distance(i, j), symmetric=i == j)))
 
     def weighted(self, q: int, pos: int, spec: InteractionSpec, i: int) -> np.ndarray:
         """Quadrature-weighted values of edge ``pos`` of node q (``spec``),

@@ -151,28 +151,44 @@ def get_parameter(network: ProcessNetwork, name: str) -> float:
 
 def set_parameter(network: ProcessNetwork, name: str, value: float) -> ProcessNetwork:
     """Return a copy of the network with one named parameter replaced."""
-    kind, q, pos, field = _locate(network, name)
-    value = float(value)
+    return _substitute(network, [_locate(network, name)], [float(value)])
+
+
+def _substitute(network: ProcessNetwork, located, values) -> ProcessNetwork:
+    """The network with each parameter located by :func:`_locate` set to
+    the float beside it, built once.
+
+    Every changed MaternParams, InteractionSpec and ProcessNode is rebuilt
+    with all of its new values at once, and the ProcessNetwork once, so
+    each value passes the same dataclass checks as through
+    :func:`set_parameter`, which raise the same kinds of error.
+    """
+    changes = {}  # node -> {"covariance" / "node" / edge position: fields}
+    for (kind, q, pos, field), value in zip(located, values):
+        part = pos if kind == "edge" else (
+            "node" if field in ("nugget", "noise") else "covariance")
+        changes.setdefault(q, {}).setdefault(part, {})[field] = value
     nodes = list(network.nodes)
-    node = nodes[q]
-    if kind == "node":
-        if field in ("nugget", "noise"):
-            nodes[q] = dataclasses.replace(node, **{field: value})
-        else:
-            cov = dataclasses.replace(node.covariance, **{field: value})
-            nodes[q] = dataclasses.replace(node, covariance=cov)
-        return ProcessNetwork(tuple(nodes))
-    idx, spec = node.parents[pos]
-    if field.startswith("shift"):
-        comp = int(field[5:]) - 1
-        shift = list(spec.shift)
-        shift[comp] = value
-        spec = dataclasses.replace(spec, shift=tuple(shift))
-    else:
-        spec = dataclasses.replace(spec, **{field: value})
-    parents = list(node.parents)
-    parents[pos] = (idx, spec)
-    nodes[q] = dataclasses.replace(node, parents=tuple(parents))
+    for q, parts in changes.items():
+        node = nodes[q]
+        fields = dict(parts.pop("node", {}))
+        if "covariance" in parts:
+            fields["covariance"] = dataclasses.replace(
+                node.covariance, **parts.pop("covariance"))
+        if parts:
+            edges = list(node.parents)
+            for pos, edge_fields in parts.items():
+                idx, spec = edges[pos]
+                shifts = {f: edge_fields.pop(f) for f in list(edge_fields)
+                          if f.startswith("shift")}
+                if shifts:
+                    shift = list(spec.shift)
+                    for field, value in shifts.items():
+                        shift[int(field[5:]) - 1] = value
+                    edge_fields["shift"] = tuple(shift)
+                edges[pos] = (idx, dataclasses.replace(spec, **edge_fields))
+            fields["parents"] = tuple(edges)
+        nodes[q] = dataclasses.replace(node, **fields)
     return ProcessNetwork(tuple(nodes))
 
 
@@ -319,20 +335,15 @@ def fit_mle(
         raise ValidationError("fit needs at least one free parameter")
     if len(set(free_names)) != len(free_names):
         raise ValidationError(f"duplicate names in free parameters: {free_names}")
-    fields = []
-    x0 = []
-    for name in free_names:
-        value = get_parameter(network, name)  # validates the name
-        field = name.rpartition(".")[2]
-        fields.append(field)
-        x0.append(_to_transformed(field, value))
-    x0 = np.array(x0)
+    located = [_locate(network, name) for name in free_names]  # validates
+    fields = [loc[3] for loc in located]
+    x0 = np.array([_to_transformed(field, get_parameter(network, name))
+                   for name, field in zip(free_names, fields)])
 
     def apply(x: np.ndarray) -> ProcessNetwork:
-        net = network
-        for name, field, xi in zip(free_names, fields, x):
-            net = set_parameter(net, name, _from_transformed(field, float(xi)))
-        return net
+        # one network per evaluation, whatever the number of free names
+        return _substitute(network, located, [
+            _from_transformed(field, float(xi)) for field, xi in zip(fields, x)])
 
     geometry = _Geometry(grid)
     jitters = {}  # the jitter of each accepted point, by its coordinates

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import kv as _kv
 
-from .domain import _squared_sum
+from .domain import _squared_sum, _symmetric_fill
 from .errors import ParameterError, ValidationError
 
 __all__ = [
@@ -57,7 +57,8 @@ class MaternParams:
                 )
 
 
-def matern_cov(params: MaternParams, d) -> Union[float, np.ndarray]:
+def matern_cov(params: MaternParams, d, *,
+               symmetric: bool = False) -> Union[float, np.ndarray]:
     """Matern covariance at distance d (scalar or array, in metric units).
 
     C(d) = variance / (2^(nu-1) Gamma(nu)) * (scale*d)^nu * K_nu(scale*d),
@@ -70,34 +71,50 @@ def matern_cov(params: MaternParams, d) -> Union[float, np.ndarray]:
     e * ((1 + x) + (x * x) / 3) (nu = 2.5), or else the kv correlation
     clipped to [0, 1]; that is multiplied by variance. A scalar d gives a
     float.
+
+    ``symmetric=True`` says that d is a square matrix equal to its
+    transpose bit for bit, as ``Metric.pairwise(a, a)`` returns. Then only
+    its upper triangle is evaluated, in row tiles that stay in cache, and
+    mirrored: bitwise the full evaluation, for about half the work.
     """
     d_arr = np.atleast_1d(np.asarray(d, dtype=float))
     # min and max read d without a temporary; a NaN makes both NaN, and
     # every comparison with NaN is False
     if d_arr.size and not (d_arr.min() >= 0.0 and d_arr.max() < np.inf):
         raise ParameterError("distances must be finite and nonnegative")
-    x = np.multiply(params.scale, d_arr)
+    if symmetric:
+        if d_arr.ndim != 2 or d_arr.shape[0] != d_arr.shape[1]:
+            raise ValidationError(
+                f"a symmetric block needs a square matrix, got shape {d_arr.shape}")
+        return _symmetric_fill(d_arr.shape[0], lambda r0, r1, tile: _matern_into(
+            params, d_arr[r0:r1, r0:], tile))
+    corr = _matern_into(params, d_arr, np.empty(d_arr.shape))
+    if np.ndim(d) == 0:
+        return float(corr[0])
+    return corr
+
+
+def _matern_into(params: MaternParams, d: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the Matern of ``params`` at distances d into ``out``, d's shape."""
+    x = np.multiply(params.scale, d)
     nu = params.smoothness
     if nu in (0.5, 1.5, 2.5):
-        corr = np.negative(x)
-        np.exp(corr, out=corr)
+        np.negative(x, out=out)
+        np.exp(out, out=out)
         if nu == 1.5:
             x += 1.0
-            corr *= x
+            out *= x
         elif nu == 2.5:
             poly = np.multiply(x, x)
             poly /= 3.0
             x += 1.0
             poly += x
-            corr *= poly
+            out *= poly
     else:
         # a correlation: rounding must not carry it past its bounds
-        corr = _kv_corr(nu, x)
-        np.clip(corr, 0.0, 1.0, out=corr)
-    corr *= params.variance
-    if np.ndim(d) == 0:
-        return float(corr[0])
-    return corr
+        np.clip(_kv_corr(nu, x), 0.0, 1.0, out=out)
+    out *= params.variance
+    return out
 
 
 def _kv_corr(nu: float, x: np.ndarray) -> np.ndarray:
@@ -308,12 +325,21 @@ def _squared_displacement(spec: InteractionSpec, S, V) -> np.ndarray:
 
 
 def _bisquare_profile(spec: InteractionSpec, d2: np.ndarray) -> np.ndarray:
-    """amplitude * (1 - d2 / aperture^2)^2 inside the aperture, 0 outside."""
-    u2 = d2 / (spec.aperture ** 2)
-    out = np.zeros(u2.shape)
-    inside = u2 <= 1.0
-    out[inside] = spec.amplitude * (1.0 - u2[inside]) ** 2
-    return out
+    """amplitude * (1 - d2 / aperture^2)^2 inside the aperture, 0 outside.
+
+    Evaluated in place on one fresh array, u2 = d2 / aperture^2, never on
+    d2; "inside" is u2 <= 1, so a NaN is outside. Outside entries are
+    evaluated too, where they may overflow, and then set to 0.
+    """
+    u2 = np.divide(d2, spec.aperture ** 2)
+    outside = np.less_equal(u2, 1.0)
+    np.logical_not(outside, out=outside)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(1.0, u2, out=u2)
+        np.square(u2, out=u2)
+        u2 *= spec.amplitude
+    np.copyto(u2, 0.0, where=outside)
+    return u2
 
 
 def interaction_eval(spec: InteractionSpec, s, v) -> float:

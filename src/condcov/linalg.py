@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 from scipy import linalg as sla
+from scipy.linalg.lapack import dpotri
 
 from .errors import InvalidModelError, NumericalError, ParameterError
 
@@ -99,6 +100,23 @@ def chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     y = sla.solve_triangular(L, b, lower=True, check_finite=False)
     return sla.solve_triangular(L.T, y, lower=False, check_finite=False)
+
+
+def chol_inverse(L: np.ndarray) -> np.ndarray:
+    """(L L^T)^-1 given the lower factor, by LAPACK's Cholesky inverse.
+
+    ``L`` comes from :func:`chol_with_jitter`, whose upper triangle is 0.
+    ``potri`` writes the inverse's lower triangle over L's and leaves that
+    0, so P + P^T is the symmetric inverse once its doubled diagonal is
+    put back. A zero on L's diagonal (a singular factor) is a
+    NumericalError.
+    """
+    P, info = dpotri(L, lower=1)
+    if info != 0:
+        raise NumericalError(f"cholesky inverse failed (potri info {info})")
+    full = P + P.T
+    np.fill_diagonal(full, np.diagonal(P))
+    return full
 
 
 def chol_logdet(L: np.ndarray) -> float:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.special import ndtr as _ndtr
 
 from .conditional import (
@@ -31,7 +32,7 @@ from .errors import (
     ParameterError,
     ValidationError,
 )
-from .linalg import chol_solve, chol_with_jitter
+from .linalg import chol_inverse, chol_solve, chol_with_jitter
 
 __all__ = [
     "PredictionResult",
@@ -73,6 +74,12 @@ def cokrige(
 
     With no usable observations this degrades to the prior (configured mean
     and marginal standard deviation).
+
+    With C = L L^T the observation covariance (plus the jitter its
+    factorization needed, reported as ``jitter``) and c the target-by-
+    observation cross-covariance, the mean is c C^-1 z and the variance is
+    the prior variance less the diagonal of c C^-1 c^T, read as the column
+    sums of v * v with v = L^-1 c^T: one forward triangular solve.
     """
     tq = _resolve_variable(model, target_var)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -111,8 +118,8 @@ def cokrige(
     L, jitter = chol_with_jitter(C, model.jitter_max)
     alpha = chol_solve(L, z)
     mean = mu_t + c @ alpha
-    w = chol_solve(L, c.T)
-    var = prior_var - np.einsum("tm,mt->t", c, w)
+    v = solve_triangular(L, c.T, lower=True, check_finite=False)
+    var = prior_var - np.einsum("mt,mt->t", v, v)
     return PredictionResult(
         variable=tq,
         locations=targets,
@@ -202,11 +209,13 @@ def loo_cv(
     includes measurement error. Summary is per variable name.
 
     The observation covariance C is factored once and every fold is read
-    from its inverse P (Dubrule 1983): with z the observations y minus their
-    means and H the indices held out together, the fold error is
+    from its inverse P (Dubrule 1983), which LAPACK's Cholesky inverse makes
+    from that factor: with z the observations y minus their means and H the
+    indices held out together, the fold error is
     y_H - mean_H = (P_HH)^-1 (P z)_H and the fold variance is
-    diag((P_HH)^-1). When that factorization needs jitter (reported as
-    ``jitter``), the folds are those of C + jitter * I.
+    diag((P_HH)^-1). The blocks P_HH of all locations with the same number
+    of observations are inverted in one batch. When the factorization needs
+    jitter (reported as ``jitter``), the folds are those of C + jitter * I.
     """
     kept = kept_observations(model.grid, model.network, obs)
     total = int(np.sum([o.m for o in kept]))
@@ -226,17 +235,20 @@ def loo_cv(
         )
     C, z = observation_covariance(model.evaluator, kept)
     L, jitter = chol_with_jitter(C, model.jitter_max)
-    P = chol_solve(L, np.eye(total))
+    P = chol_inverse(L)
     alpha = P @ z
     keys = sorted(groups)
     order = np.concatenate([groups[key] for key in keys])
+    by_size = {}
+    for held in groups.values():
+        by_size.setdefault(len(held), []).append(held)
     error = np.empty(total)
     var = np.empty(total)
-    for key in keys:
-        held = groups[key]
-        P_inv = np.linalg.inv(P[np.ix_(held, held)])
-        error[held] = P_inv @ alpha[held]
-        var[held] = np.diag(P_inv)
+    for held in map(np.array, by_size.values()):
+        # (g, s, s) blocks of the g locations with s observations each
+        P_inv = np.linalg.inv(P[held[:, :, None], held[:, None, :]])
+        error[held] = (P_inv @ alpha[held][:, :, None])[:, :, 0]
+        var[held] = np.diagonal(P_inv, axis1=1, axis2=2)
     mean = values - error
     sd = np.sqrt(np.clip(var, 0.0, None))
     crps = crps_gaussian(mean[order], sd[order], values[order])

@@ -758,3 +758,39 @@ def test_commands_import_only_the_scipy_they_use(tmp_path):
     assert "scipy.optimize" in seen["fit"]
     assert "scipy.interpolate" not in seen["fit"]
     assert "scipy.interpolate" in seen["tabulated"]
+
+
+def _write_csv_reference(path, header, rows):
+    """The path numeric tables took before: csv.writer over _fmt cells."""
+    import csv
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([condcov.cli._fmt(v) for v in row])
+
+
+_AWKWARD_FLOATS = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300,
+                   3.0, -12.0, 2.0 ** 53, 0.1, 1.0 / 3.0, -2.5e-308]
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+def test_numeric_tables_are_written_byte_identically(tmp_path, labelled):
+    rng = np.random.default_rng(2)
+    values = np.array(_AWKWARD_FLOATS + list(rng.normal(size=10) * 1e5))
+    table = np.column_stack([values, values[::-1], np.roll(values, 3)])
+    header = ["x", "y,z", 'q"uote']
+    labels = None
+    rows = list(table)
+    if labelled:
+        names = ['y"1', "plain", "with space", "semi;colon"]
+        labels = [names[i % len(names)] for i in range(table.shape[0])]
+        header = ["variable"] + header
+        rows = [[label] + list(row) for label, row in zip(labels, table)]
+    condcov.cli._write_csv(tmp_path / "new.csv", header, table, labels=labels)
+    _write_csv_reference(tmp_path / "old.csv", header, rows)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    if labelled:
+        assert b'\n"y""1",' in new

@@ -681,3 +681,71 @@ def test_fit_accepts_an_array_shift_on_a_2d_grid():
     assert fits[0].estimates == fits[1].estimates
     assert fits[0].loglik == fits[1].loglik
     assert fits[0].network.nodes[1].parents[0][1].shift == (0.1, -0.2)
+
+
+def _chained_substitute():
+    """The per-name path that fit_mle's apply replaced: one network per name."""
+    from condcov.inference import _substitute
+
+    def chained(network, located, values):
+        for loc, value in zip(located, values):
+            network = _substitute(network, [loc], [value])
+        return network
+
+    return chained
+
+
+@pytest.mark.parametrize("network, step", [
+    pytest.param(_bivariate(), _BIVARIATE_STEPS[4], id="node-and-edge"),
+    pytest.param(_bivariate(), {"y1.scale": 3.0, "y1.noise": 0.4,
+                                "y2~y1.shift1": 0.2, "y2~y1.aperture": 0.6,
+                                "y2.variance": 0.7}, id="shift"),
+    pytest.param(_three_nodes(), {"y3~y2.shift1": 0.3, "y3~y2.amplitude": -1.0,
+                                  "y2~y1.amplitude": 0.2, "y3.nugget": 0.0,
+                                  "y2.smoothness": 2.5}, id="three-nodes"),
+])
+def test_one_network_per_evaluation_equals_chained_set_parameter(network, step):
+    from condcov.inference import _locate, _substitute
+
+    located = [_locate(network, name) for name in step]
+    got = _substitute(network, located, list(step.values()))
+    want = network
+    for name, value in step.items():
+        want = set_parameter(want, name, value)
+    assert got == want
+    for name, value in step.items():
+        assert get_parameter(got, name) == value
+
+
+@pytest.mark.parametrize("name, value", [
+    ("y1.variance", -1.0), ("y1.scale", float("inf")), ("y1.nugget", -0.1),
+    ("y2~y1.aperture", 0.0), ("y2~y1.shift1", float("nan")),
+    ("y2~y1.amplitude", float("inf")),
+])
+def test_one_network_per_evaluation_rejects_what_set_parameter_rejects(name, value):
+    from condcov.errors import CondcovError
+    from condcov.inference import _locate, _substitute
+
+    network = _bivariate()
+    with pytest.raises(CondcovError) as chained:
+        set_parameter(set_parameter(network, "y1.smoothness", 2.0), name, value)
+    with pytest.raises(type(chained.value)):
+        _substitute(network, [_locate(network, "y1.smoothness"),
+                              _locate(network, name)], [2.0, value])
+
+
+def test_fit_with_one_network_per_evaluation_is_unchanged(monkeypatch):
+    import condcov.inference
+
+    network = _bivariate()
+    free = ["y1.scale", "y2.variance", "y2~y1.amplitude", "y2~y1.shift1"]
+    rng = np.random.default_rng(6)
+    obs = [Observations(q, rng.uniform(-1, 1, (12, 1)), rng.normal(size=12))
+           for q in range(network.p)]
+    cfg = OptimizerConfig(seed=2, restarts=2, max_evals=120)
+    fit = fit_mle(GRID, network, obs, free=free, config=cfg)
+    monkeypatch.setattr(condcov.inference, "_substitute", _chained_substitute())
+    old = fit_mle(GRID, network, obs, free=free, config=cfg)
+    assert fit.trace == old.trace
+    assert fit.estimates == old.estimates
+    assert fit.loglik == old.loglik and fit.rejected == old.rejected

@@ -13,7 +13,11 @@ forms are kept here as references.
   three nonnegative terms differ by less than that.
 - The Matern closed forms must agree bit for bit, on arrays and on
   scalars, and so must the clipped kv path.
+- Same-set blocks, built on one triangle and mirrored, and the in-place
+  bisquare profile must agree bit for bit with the full forms.
 """
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,14 +25,22 @@ from hypothesis.extra.numpy import arrays
 
 from condcov import (
     EUCLIDEAN,
+    Grid,
     MaternParams,
+    ValidationError,
     bisquare,
     chordal,
     matern_cov,
     shifted_bisquare,
 )
-from condcov.domain import _embed_lonlat
-from condcov.kernels import InteractionKind, _kv_corr, _squared_displacement
+from condcov.conditional import _Geometry
+from condcov.domain import _ROW_TILE, _embed_lonlat
+from condcov.kernels import (
+    InteractionKind,
+    _bisquare_profile,
+    _kv_corr,
+    _squared_displacement,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -169,3 +181,85 @@ def test_matern_leaves_its_distances_alone(nu):
     d.setflags(write=False)
     _assert_bitwise(matern_cov(params, d), _matern_reference(params, before))
     assert np.array_equal(d, before)
+
+
+# Same-set blocks: pairwise(a, a) and matern_cov(..., symmetric=True) fill
+# the upper triangle in row tiles and mirror it; they must equal the full
+# evaluation (pairwise of two distinct arrays) bit for bit.
+
+TILE = _ROW_TILE
+SAME_SET_SIZES = [1, TILE - 1, TILE, TILE + 1, 1600]
+SAME_SET_MATERNS = [MaternParams(1.3, 8.0, nu) for nu in (0.5, 1.5, 2.5, 0.8)]
+
+
+def _same_set_points(n, dim, seed=0):
+    rng = np.random.default_rng([seed, n, dim])
+    points = rng.uniform(-3.0, 3.0, (n, dim))
+    if n > 2:
+        points[-1] = points[0]  # a repeated point: a zero off the diagonal
+    return points
+
+
+@pytest.mark.parametrize("n", SAME_SET_SIZES)
+@pytest.mark.parametrize("metric, dim", [
+    (EUCLIDEAN, 1), (EUCLIDEAN, 2), (EUCLIDEAN, 3), (chordal(6371.0), 2)])
+def test_same_set_blocks_equal_the_full_evaluation(metric, dim, n):
+    a = _same_set_points(n, dim)
+    if metric.kind == "chordal":
+        a = a * np.array([60.0, 30.0])  # (lon, lat) degrees
+    full = metric.pairwise(a, a.copy())
+    same = metric.pairwise(a, a)
+    _assert_bitwise(same, full)
+    for params in SAME_SET_MATERNS:
+        _assert_bitwise(matern_cov(params, same, symmetric=True),
+                        matern_cov(params, full))
+
+
+@pytest.mark.parametrize("n", [1, TILE + 1, 1600])
+def test_geometry_builds_same_set_blocks_on_one_triangle(n):
+    grid = Grid(_same_set_points(n, 2, seed=1), np.ones(n))
+    geometry = _Geometry(grid)
+    i = geometry.add_points(_same_set_points(7, 2, seed=2))
+    full = grid.metric.pairwise(grid.vertices, grid.vertices.copy())
+    _assert_bitwise(geometry.distance(0, 0), full)
+    _assert_bitwise(geometry.distance(0, i),
+                    grid.metric.pairwise(grid.vertices, geometry.sets[i]))
+    for q, params in enumerate(SAME_SET_MATERNS):
+        _assert_bitwise(geometry.matern(q, params, 0, 0),
+                        matern_cov(params, full))
+
+
+def test_a_same_set_matern_needs_a_square_matrix():
+    with pytest.raises(ValidationError, match="square"):
+        matern_cov(MaternParams(1.0, 1.0, 1.5), np.zeros((2, 3)),
+                   symmetric=True)
+
+
+def _bisquare_profile_reference(spec, d2):
+    u2 = d2 / (spec.aperture ** 2)
+    out = np.zeros(u2.shape)
+    inside = u2 <= 1.0
+    out[inside] = spec.amplitude * (1.0 - u2[inside]) ** 2
+    return out
+
+
+@pytest.mark.parametrize("amplitude, aperture", [
+    (2.5, 0.7), (-1.5, 1.0), (0.0, 2.0), (1e200, 0.3), (-3.0, 1e-150)])
+def test_bisquare_profile_matches_the_masked_form(amplitude, aperture):
+    rng = np.random.default_rng(8)
+    d2 = rng.uniform(0.0, 2.0 * aperture ** 2, (40, 30))
+    d2.flat[:5] = aperture ** 2  # u2 exactly 1: inside
+    d2.flat[5:9] = [np.nan, np.inf, 1e300, 0.0]
+    d2.setflags(write=False)
+    spec = bisquare(amplitude, aperture)
+    with warnings.catch_warnings(record=True) as before:
+        warnings.simplefilter("always")
+        want = _bisquare_profile_reference(spec, d2)
+    with warnings.catch_warnings(record=True) as after:
+        warnings.simplefilter("always")
+        got = _bisquare_profile(spec, d2)
+    _assert_bitwise(got, want)
+    # outside entries may overflow, quietly: no warning the masked form
+    # does not give
+    assert {str(w.message) for w in after} <= {str(w.message) for w in before}
+    assert np.count_nonzero(np.isnan(d2)) == 1  # d2 left alone

@@ -500,3 +500,60 @@ def test_an_overflowing_mean_fails_cleanly():
         with pytest.raises(NumericalError, match="residuals"):
             loo_cv(model, obs)
         assert loglik(g, net, obs) == -np.inf
+
+
+def _cokrige_two_solves(model, obs, targets, q):
+    """cokrige's mean and stderr with the variance from two triangular
+    solves, c (C^-1 c^T) read on the diagonal, as before one forward solve."""
+    kept = kept_observations(model.grid, model.network, obs)
+    prior = np.diag(condcov.conditional.cross_cov_matrix(model, q, q, targets, targets))
+    C, z = observation_covariance(model.evaluator, kept)
+    c = np.hstack([condcov.conditional.cross_cov_matrix(
+        model, q, o.variable, targets, o.locations) for o in kept])
+    L, jitter = chol_with_jitter(C, model.jitter_max)
+    mean = mean_at(model.network, q, targets) + c @ chol_solve(L, z)
+    var = prior - np.einsum("tm,mt->t", c, chol_solve(L, c.T))
+    return mean, np.sqrt(np.clip(var, 0.0, None)), prior, jitter
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(_loo_case_1d_bisquare, id="1d"),
+    pytest.param(_loo_case_2d_shifted, id="2d-shifted"),
+    pytest.param(_loo_case_jittered, id="1d-jittered"),
+])
+@pytest.mark.parametrize("on_grid", [True, False], ids=["on-grid", "off-grid"])
+def test_cokrige_stderr_matches_the_two_solve_form(case, on_grid):
+    model, obs = case()
+    if on_grid:
+        targets = model.grid.vertices
+    else:
+        rng = np.random.default_rng(12)
+        targets = rng.uniform(-1.0, 1.0, (37, model.grid.dim))
+    for q in range(model.p):
+        got = cokrige(model, obs, targets, q)
+        mean, stderr, prior, jitter = _cokrige_two_solves(model, obs, targets, q)
+        assert got.jitter == jitter
+        assert (jitter > 0.0) == (case is _loo_case_jittered)
+        assert np.array_equal(got.mean, mean)
+        # the variance is prior - c C^-1 c^T, so both forms round it on the
+        # scale of the prior; where the data explain nearly all of the prior
+        # a stderr is far smaller than that scale, and only the variance
+        # keeps the relative bound
+        np.testing.assert_allclose(got.stderr ** 2, stderr ** 2, rtol=0.0,
+                                   atol=1e-12 * prior.max())
+        kept = stderr ** 2 >= 1e-2 * prior
+        assert kept.sum() >= targets.shape[0] // 2
+        np.testing.assert_allclose(got.stderr[kept], stderr[kept],
+                                   rtol=1e-12, atol=0.0)
+
+
+def test_a_singular_factor_fails_the_cholesky_inverse_cleanly():
+    from condcov.linalg import chol_inverse
+
+    L = np.array([[1.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(NumericalError, match="potri"):
+        chol_inverse(L)
+    A = np.array([[4.0, 2.0, 0.4], [2.0, 3.0, 0.5], [0.4, 0.5, 2.0]])
+    P = chol_inverse(np.linalg.cholesky(A))
+    assert np.array_equal(P, P.T)
+    np.testing.assert_allclose(P @ A, np.eye(3), atol=1e-14)

@@ -7,12 +7,11 @@ Each pair runs ``bench/run.py --trace 0`` once in each checkout, with the
 same workload, seed and run length, one after the other; even pairs run
 PARENT first and odd pairs CHANGE first, so that drift of the machine falls
 on both sides alike. Each checkout runs its own benchmark files. Prints every
-pair's end-to-end metrics, then per metric each side's median and quartiles
-and how many pairs CHANGE won (ties count for neither side), and whether the
-rule for claiming a gain holds: CHANGE wins at least nine tenths of the pairs
-and the medians differ by more than the distance between PARENT's quartiles.
-A metric's direction ("better": higher or lower) comes from PARENT's
-BENCHMARK.json. Standard library only.
+pair's end-to-end metrics, then per metric each side's median and quartiles,
+the relative change of the medians, how many pairs CHANGE won, and whether
+the rule for claiming a gain holds (see :func:`compare`). A metric's
+direction ("better": higher or lower) comes from PARENT's BENCHMARK.json.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -42,6 +41,28 @@ def _quartiles(values):
     if len(values) < 2:
         return values[0], values[0], values[0]
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def compare(parent, change, higher: bool) -> dict:
+    """One metric's A/B verdict from its per-pair values on each side.
+
+    Pair k of ``parent`` and ``change`` ran back to back. CHANGE wins a
+    pair when its value is better (above PARENT's if ``higher``, else
+    below) and loses it when worse; a tie counts for neither side. A gain
+    holds when CHANGE's median is on the better side, CHANGE wins at least
+    nine tenths of the pairs, and the medians differ by more than the
+    distance between PARENT's quartiles.
+    """
+    wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+    losses = sum((c < p) if higher else (c > p) for p, c in zip(parent, change))
+    quart = {"parent": _quartiles(parent), "change": _quartiles(change)}
+    before, after = quart["parent"][1], quart["change"][1]
+    iqr = quart["parent"][2] - quart["parent"][0]
+    gain = ((after > before) == higher and wins >= 0.9 * len(parent)
+            and abs(after - before) > iqr)
+    return {"quartiles": quart, "wins": wins, "losses": losses,
+            "relative": (after - before) / before if before else float("nan"),
+            "gain": gain}
 
 
 def main(argv=None) -> int:
@@ -81,20 +102,15 @@ def main(argv=None) -> int:
         higher = better[name.rpartition(".")[2]] == "higher"
         series = {s: [r[s]["metrics"][name]["value"] for r in runs]
                   for s in SIDES}
-        wins = sum((c > p) if higher else (c < p)
-                   for p, c in zip(series["parent"], series["change"]))
-        losses = sum((c < p) if higher else (c > p)
-                     for p, c in zip(series["parent"], series["change"]))
-        quart = {s: _quartiles(series[s]) for s in SIDES}
-        gap = abs(quart["change"][1] - quart["parent"][1])
-        iqr = quart["parent"][2] - quart["parent"][0]
-        gain = ((quart["change"][1] > quart["parent"][1]) == higher
-                and wins >= 0.9 * args.pairs and gap > iqr)
+        verdict = compare(series["parent"], series["change"], higher)
+        quart = verdict["quartiles"]
         sides = "  ".join(
             f"{s} {quart[s][1]:.4g} [{quart[s][0]:.4g}, {quart[s][2]:.4g}]"
             for s in SIDES)
-        print(f"{name:22s} {sides}  change wins {wins}/{args.pairs} "
-              f"(loses {losses})  gain {'holds' if gain else 'not shown'}")
+        print(f"{name:22s} {sides}  median {verdict['relative']:+.1%}  "
+              f"change wins {verdict['wins']}/{args.pairs} "
+              f"(loses {verdict['losses']})  "
+              f"gain {'holds' if verdict['gain'] else 'not shown'}")
     correct = all(r[s]["correct"] for r in runs for s in SIDES)
     print(f"every run correct: {str(correct).lower()}")
     return 0 if correct else 1
