@@ -32,6 +32,7 @@ from .kernels import (
     InteractionSpec,
     MaternParams,
     _bisquare_profile,
+    _matern_of_squared,
     _squared_displacement,
     interaction_values,
     matern_cov,
@@ -173,16 +174,110 @@ def build_interaction_matrix(grid: Grid, spec: InteractionSpec) -> np.ndarray:
     if spec.kind is InteractionKind.DIRAC:
         return spec.amplitude * np.eye(grid.n)
     vals = interaction_values(spec, grid.vertices, grid.vertices)
-    return vals * grid.weights[None, :]
+    vals *= grid.weights
+    return vals
+
+
+# rows per group of a windowed product; 32 measured best on a 40 x 40 grid
+_GROUP_ROWS = 32
+# what one group of a windowed product costs beyond its multiply-adds,
+# counted in multiply-adds: about 6.5 us per np.dot call, at about 23 G
+# multiply-adds per second (one OpenBLAS thread on a 2-vCPU x86-64 host)
+_GROUP_COST = 150_000
+
+
+class _Operator:
+    """Edge operator B_a(i) of the two rules, and its product ``left``.
+
+    ``values`` is a dirac edge's amplitude (a scalar), or the quadrature-
+    weighted values of any other edge from point set i (m points) into the
+    grid (n vertices), an m x n array. ``left(X)`` is B X, reading X row
+    by row; both rules apply B from the left (see ``CovarianceEvaluator``).
+
+    A compactly supported kernel is 0 in row r of B outside a window
+    [lo_r, hi_r) of grid columns. The rows, sorted by lo_r, are taken in
+    groups of _GROUP_ROWS, and a group G is multiplied on its window
+    [lo, hi) = [min lo_r, max hi_r) only: B[G, lo:hi] X[lo:hi]. A product
+    is windowed when the multiply-adds that the windows save exceed
+    _GROUP_COST per group and X is stored row by row; otherwise, and for a
+    scalar, it is one np.dot. Leaving out the zero terms moves sums in
+    their last bits, and rows of X that no group's window reads are not
+    read, so where they are not finite the product does not turn 0 * inf
+    into a NaN there.
+    """
+
+    def __init__(self, values):
+        self.values = values
+        self.scalar = np.ndim(values) == 0
+
+    def left(self, X: np.ndarray) -> np.ndarray:
+        """B X."""
+        B = self.values
+        if not self._worth(X):
+            return np.dot(B, X)
+        _, order, groups = self._windows
+        out = np.empty((B.shape[0], X.shape[1]))
+        for g0, g1, lo, hi, block in groups:
+            if block is None:
+                out[g0:g1] = 0.0
+            else:
+                np.dot(block, X[lo:hi], out=out[g0:g1])
+        if order is not None:
+            by_window, out = out, np.empty_like(out)
+            out[order] = by_window
+        return out
+
+    def _worth(self, X: np.ndarray) -> bool:
+        """Does a windowed B X save more than it costs?"""
+        B = self.values
+        if self.scalar or X.strides[1] != X.itemsize:
+            return False
+        k = X.shape[1]
+        cost = -(-B.shape[0] // _GROUP_ROWS) * _GROUP_COST
+        # the windows are found only where they can pay off at all
+        return B.size * k > cost and self._windows[0] * k > cost
+
+    @cached_property
+    def _windows(self):
+        """(entries of B that the windows leave out, the row order by
+        window or None if the rows are in it already, and per group
+        (g0, g1, lo, hi, B[G, lo:hi] or None where that is empty))."""
+        B = self.values
+        m, n = B.shape
+        # a NaN is nonzero; a row without a nonzero entry gets [n, 0)
+        nonzero = B != 0.0
+        lo = nonzero.argmax(axis=1)
+        hit = nonzero[np.arange(m), lo]
+        hi = np.where(hit, n - nonzero[:, ::-1].argmax(axis=1), 0)
+        lo[~hit] = n
+        order = np.argsort(lo, kind="stable")
+        starts = np.arange(0, m, _GROUP_ROWS)
+        ends = np.minimum(starts + _GROUP_ROWS, m)
+        group_lo = lo[order[starts]]
+        group_hi = np.maximum.reduceat(hi[order], starts)
+        if np.all(lo[1:] >= lo[:-1]):
+            order = None
+        groups, kept = [], 0
+        for g0, g1, a, b in zip(starts.tolist(), ends.tolist(),
+                                group_lo.tolist(), group_hi.tolist()):
+            if a >= b:
+                block = None
+            elif order is None:
+                block = B[g0:g1, a:b]
+            else:
+                block = B[order[g0:g1], a:b]
+            kept += 0 if block is None else block.size
+            groups.append((g0, g1, a, b, block))
+        return m * n - kept, order, groups
 
 
 class _Geometry:
     """What no model parameter changes, and the leaf blocks built from it.
 
     Set 0 is always the grid (the integration nodes); the geometry keeps
-    every registered point set and the distances between them. ``matern``
-    keeps one block per (node, point-set pair), reused while the node's
-    MaternParams are equal, and ``weighted`` keeps one array of squared
+    every registered point set and the distances between two sets.
+    ``matern`` keeps one block per (node, point-set pair), reused while the
+    node's MaternParams are equal, and ``weighted`` keeps one array of squared
     displacements per (bisquare edge, point set), reused while the edge's
     shift is equal, so that a new amplitude or aperture costs only the
     profile. Each slot holds one entry, and kept blocks are read-only, so no
@@ -214,7 +309,8 @@ class _Geometry:
 
     def distance(self, i: int, j: int) -> np.ndarray:
         """Distances between point sets i and j; for i == j, ``pairwise``
-        gets one array twice and builds a same-set block."""
+        gets one array twice and builds a same-set block. Kept: a Matern
+        between two sets reads them, and a nugget reads where they are 0."""
         key = (i, j)
         if key not in self._dist:
             self._dist[key] = self.grid.metric.pairwise(self.sets[i], self.sets[j])
@@ -229,10 +325,18 @@ class _Geometry:
         return slot[1]
 
     def matern(self, q: int, params: MaternParams, i: int, j: int) -> np.ndarray:
-        """The Matern ``params`` of node q between point sets i and j; a
-        same-set block (i == j) is evaluated on its upper triangle."""
-        return self._kept(("matern", q, i, j), params, lambda: np.asarray(
-            matern_cov(params, self.distance(i, j), symmetric=i == j)))
+        """The Matern ``params`` of node q between point sets i and j. A
+        same-set block (i == j) is evaluated from the points, tile by tile
+        on its upper triangle (``Metric._same_set``), and keeps no
+        distances; it is bitwise matern_cov of ``distance(i, i)``."""
+        if i == j:
+            def build():
+                return self.grid.metric._same_set(
+                    self.sets[i], partial(_matern_of_squared, params))
+        else:
+            def build():
+                return np.asarray(matern_cov(params, self.distance(i, j)))
+        return self._kept(("matern", q, i, j), params, build)
 
     def weighted(self, q: int, pos: int, spec: InteractionSpec, i: int) -> np.ndarray:
         """Quadrature-weighted values of edge ``pos`` of node q (``spec``),
@@ -243,7 +347,8 @@ class _Geometry:
             vals = _bisquare_profile(spec, d2)
         else:
             vals = interaction_values(spec, self.sets[i], self.grid.vertices)
-        return vals * self.grid.weights[None, :]
+        vals *= self.grid.weights  # in place on the fresh values
+        return vals
 
 
 class CovarianceEvaluator:
@@ -253,14 +358,21 @@ class CovarianceEvaluator:
     cov{Y_q(P_i), Y_r(P_j)} as a matrix, built bottom-up through the network
     by the construction's two rules, C_22 = C_2|1 + B C_11 B' and
     C_21 = B C_11. Each nonzero edge of a node, seen from point set i, is
-    one operator B_a(i): a dirac edge is its amplitude on set i, any other
-    edge its quadrature-weighted values from set i into the grid. So
+    one operator B_a(i) (an :class:`_Operator`): a dirac edge is its
+    amplitude on set i, any other edge its quadrature-weighted values from
+    set i into the grid, multiplied on the kernel's support only. So
 
     - a marginal block is the node's own Matern (plus its nugget) plus, for
       each edge, B_a(i) applied to the cross block with that parent,
       cov(q, q, i, j) = M_q(i, j) + sum_a B_a(i) cov(a, q, ., j);
     - a cross block pushes the later variable's operators onto earlier
-      blocks, cov(q, r, i, j) = sum_a cov(q, a, i, .) B_a(j)' over r's edges.
+      blocks, cov(q, r, i, j) = sum_a cov(q, a, i, .) B_a(j)' over r's
+      edges. An integral edge's term is made as C_21 = B C_11 is written,
+      the transpose of B_a(j) cov(a, q, 0, i), so that its product reads
+      the kept block row by row. That block is the transpose of
+      cov(q, a, i, 0) bit for bit, except that a same-set marginal
+      (a = q, i = 0) is read as its own transpose: exact for a node
+      without edges, whose block is a Matern, and to roundoff otherwise.
 
     Every block is kept for the life of the evaluator, so a marginal block
     reads the cross blocks that predictions read too; blocks are shared with
@@ -278,6 +390,7 @@ class CovarianceEvaluator:
         self._geometry = geometry if geometry is not None else _Geometry(grid)
         self._cov = {}
         self._ops = {}
+        self._diag = {}
 
     def add_points(self, points) -> int:
         """Register a point set and return its handle.
@@ -289,13 +402,13 @@ class CovarianceEvaluator:
 
     def _edges(self, q: int, i: int) -> list:
         """(parent, point set it is read on, operator B_a(i)) of each nonzero
-        edge of node q seen from point set i; np.dot applies either kind."""
+        edge of node q seen from point set i."""
         key = (q, i)
         if key not in self._ops:
             self._ops[key] = [
-                (a, i, np.float64(spec.amplitude))
+                (a, i, _Operator(np.float64(spec.amplitude)))
                 if spec.kind is InteractionKind.DIRAC
-                else (a, 0, self._geometry.weighted(q, pos, spec, i))
+                else (a, 0, _Operator(self._geometry.weighted(q, pos, spec, i)))
                 for pos, (a, spec) in enumerate(self.network.nodes[q].parents)
                 if spec.kind is not InteractionKind.ZERO
             ]
@@ -318,13 +431,52 @@ class CovarianceEvaluator:
             if node.nugget:
                 mat = mat + node.nugget * (self._geometry.distance(i, j) == 0.0)
             for a, k, op in self._edges(q, i):
-                mat = mat + np.dot(op, self.cov(a, q, k, j))
+                mat = mat + op.left(self.cov(a, q, k, j))
             return mat
         sets = self._geometry.sets
         mat = np.zeros((sets[i].shape[0], sets[j].shape[0]))
         for a, k, op in self._edges(r, j):
-            mat = mat + np.dot(self.cov(q, a, i, k), op.T)
+            if op.scalar:
+                mat = mat + np.dot(self.cov(q, a, i, k), op.values)
+            else:
+                # C_21 = B C_11 as written: cov(r, q, j, i) is
+                # B_a(j) cov(a, q, k, i), read row by row
+                mat = mat + op.left(self.cov(a, q, k, i)).T
         return mat
+
+    def variance(self, q: int, i: int) -> np.ndarray:
+        """The diagonal of cov(q, q, i, i), without building the block."""
+        return self._diagonal(q, q, i)
+
+    def _diagonal(self, q: int, r: int, i: int) -> np.ndarray:
+        """The diagonal of cov(q, r, i, i), by the two rules read on it.
+
+        On a marginal (q == r) the Matern and the nugget give the node's
+        variance plus nugget, as every point is at distance 0 from itself.
+        Each edge a of the later variable adds, for an integral edge, the
+        row sums of B_a(i) o cov(q, a, i, 0) (o the elementwise product),
+        and for a dirac edge its amplitude times the diagonal of
+        cov(q, a, i, i).
+        """
+        key = (min(q, r), max(q, r), i)
+        if key in self._diag:
+            return self._diag[key]
+        q, r, _ = key
+        if q == r:
+            node = self.network.nodes[q]
+            diag = np.full(self._geometry.sets[i].shape[0],
+                           node.covariance.variance + node.nugget)
+        else:
+            diag = np.zeros(self._geometry.sets[i].shape[0])
+        for a, k, op in self._edges(r, i):
+            if op.scalar:
+                diag = diag + op.values * self._diagonal(q, a, i)
+            else:
+                diag = diag + np.einsum("tl,tl->t", self.cov(q, a, i, k),
+                                        op.values)
+        diag.setflags(write=False)
+        self._diag[key] = diag
+        return diag
 
 
 class JointModel:

@@ -132,34 +132,50 @@ class Metric:
         sums over the 3-d embedding of its (lon, lat) points. Locations of
         different dimension are a ValidationError.
 
-        ``pairwise(a, a)``, with one object as both arguments, is a same-set
-        block: it is built on its upper triangle in row tiles and mirrored
-        (see :func:`_symmetric_fill`), bitwise equal to the full evaluation
-        because (a_i - a_j)^2 = (a_j - a_i)^2 exactly.
+        ``pairwise(a, a)``, with one object as both arguments, is a
+        same-set block, built on one triangle (see :meth:`_same_set`).
         """
-        same = b is a
+        if b is a:
+            return self._same_set(a, lambda d2, tile: np.sqrt(d2, out=tile))
         a = np.atleast_2d(np.asarray(a, dtype=float))
-        b = a if same else np.atleast_2d(np.asarray(b, dtype=float))
+        b = np.atleast_2d(np.asarray(b, dtype=float))
         if a.shape[1] != b.shape[1]:
             raise ValidationError(
                 f"location dimensions differ: {a.shape[1]} vs {b.shape[1]}"
             )
+        d2 = _squared_distances(self._embedded(a), self._embedded(b))
+        return np.sqrt(d2, out=d2)
+
+    def _same_set(self, a: np.ndarray, into) -> np.ndarray:
+        """f(D) for the distances D among the locations a (n, dim).
+
+        Built on the upper triangle in row tiles that stay in cache, and
+        mirrored (see :func:`_symmetric_fill`): per tile, the squared
+        distances are summed axis by axis as in :meth:`pairwise`, then
+        ``into(d2, tile)`` writes f of their square roots into the tile,
+        and may overwrite d2 on the way. Entry (i, j) is bitwise that of
+        f(pairwise(a, a.copy())), because (a_i - a_j)^2 = (a_j - a_i)^2
+        exactly, and no n x n array but the result is formed.
+        """
+        a = self._embedded(a)
+        return _symmetric_fill(a.shape[0], lambda r0, r1, tile: into(
+            _squared_distances(a[r0:r1], a[r0:]), tile))
+
+    def _embedded(self, a) -> np.ndarray:
+        """Float (n, dim) locations; the chordal metric's 3-d embedding."""
+        a = np.atleast_2d(np.asarray(a, dtype=float))
         if self.kind == "chordal":
             if a.shape[1] != 2:
                 raise ValidationError("chordal metric expects (lon, lat) locations")
             a = _embed_lonlat(a, self.radius)
-            b = a if same else _embed_lonlat(b, self.radius)
+        return a
 
-        def squared(p, q):
-            return _squared_sum((np.subtract.outer(p[:, k], q[:, k])
-                                 for k in range(p.shape[1])),
-                                (p.shape[0], q.shape[0]))
 
-        if same:
-            return _symmetric_fill(a.shape[0], lambda r0, r1, tile: np.sqrt(
-                squared(a[r0:r1], a[r0:]), out=tile))
-        d2 = squared(a, b)
-        return np.sqrt(d2, out=d2)
+def _squared_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(m, n) squared distances between float arrays p (m, dim), q (n, dim)."""
+    return _squared_sum((np.subtract.outer(p[:, k], q[:, k])
+                         for k in range(p.shape[1])),
+                        (p.shape[0], q.shape[0]))
 
 
 EUCLIDEAN = Metric("euclidean")

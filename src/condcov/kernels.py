@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import kv as _kv
 
-from .domain import _squared_sum, _symmetric_fill
+from .domain import _squared_sum
 from .errors import ParameterError, ValidationError
 
 __all__ = [
@@ -57,8 +57,7 @@ class MaternParams:
                 )
 
 
-def matern_cov(params: MaternParams, d, *,
-               symmetric: bool = False) -> Union[float, np.ndarray]:
+def matern_cov(params: MaternParams, d) -> Union[float, np.ndarray]:
     """Matern covariance at distance d (scalar or array, in metric units).
 
     C(d) = variance / (2^(nu-1) Gamma(nu)) * (scale*d)^nu * K_nu(scale*d),
@@ -71,27 +70,29 @@ def matern_cov(params: MaternParams, d, *,
     e * ((1 + x) + (x * x) / 3) (nu = 2.5), or else the kv correlation
     clipped to [0, 1]; that is multiplied by variance. A scalar d gives a
     float.
-
-    ``symmetric=True`` says that d is a square matrix equal to its
-    transpose bit for bit, as ``Metric.pairwise(a, a)`` returns. Then only
-    its upper triangle is evaluated, in row tiles that stay in cache, and
-    mirrored: bitwise the full evaluation, for about half the work.
     """
     d_arr = np.atleast_1d(np.asarray(d, dtype=float))
-    # min and max read d without a temporary; a NaN makes both NaN, and
-    # every comparison with NaN is False
-    if d_arr.size and not (d_arr.min() >= 0.0 and d_arr.max() < np.inf):
-        raise ParameterError("distances must be finite and nonnegative")
-    if symmetric:
-        if d_arr.ndim != 2 or d_arr.shape[0] != d_arr.shape[1]:
-            raise ValidationError(
-                f"a symmetric block needs a square matrix, got shape {d_arr.shape}")
-        return _symmetric_fill(d_arr.shape[0], lambda r0, r1, tile: _matern_into(
-            params, d_arr[r0:r1, r0:], tile))
+    _check_distances(d_arr)
     corr = _matern_into(params, d_arr, np.empty(d_arr.shape))
     if np.ndim(d) == 0:
         return float(corr[0])
     return corr
+
+
+def _check_distances(d: np.ndarray) -> None:
+    # min and max read d without a temporary; a NaN makes both NaN, and
+    # every comparison with NaN is False
+    if d.size and not (d.min() >= 0.0 and d.max() < np.inf):
+        raise ParameterError("distances must be finite and nonnegative")
+
+
+def _matern_of_squared(params: MaternParams, d2: np.ndarray,
+                       out: np.ndarray) -> np.ndarray:
+    """matern_cov(params, sqrt(d2)) written into ``out``; d2 becomes the
+    distances. This is ``into`` of ``Metric._same_set`` for a Matern block."""
+    d = np.sqrt(d2, out=d2)
+    _check_distances(d)
+    return _matern_into(params, d, out)
 
 
 def _matern_into(params: MaternParams, d: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -181,18 +182,28 @@ class TabulatedValues:
         self.s_axis = s_axis
         self.v_axis = v_axis
         self.values = values
-        # scipy.interpolate is slow to import and only tabulated edges use it
-        from scipy.interpolate import RegularGridInterpolator
 
-        self._interp = RegularGridInterpolator(
-            (s_axis, v_axis), values, method="linear",
-            bounds_error=False, fill_value=0.0,
-        )
+    def __call__(self, s, v) -> np.ndarray:
+        """(m, n) values at the product of 1-d locations s (m,) and v (n,).
 
-    def __call__(self, s, v):
-        pts = np.stack([np.broadcast_to(s, np.shape(v)), v], axis=-1) \
-            if np.shape(s) != np.shape(v) else np.stack([s, v], axis=-1)
-        return self._interp(pts)
+        The lookup is separable: per axis, each location gets the index of
+        its cell and the weights of the cell's two nodes (both 0 outside
+        the axis). The table is first interpolated along s, to an
+        (m, len(v_axis)) array, and that along v, so no more than two
+        (m, n) arrays are formed.
+        """
+        s_lo, s_w0, s_w1 = _linear_weights(self.s_axis, s)
+        v_lo, v_w0, v_w1 = _linear_weights(self.v_axis, v)
+        s_hi = np.minimum(s_lo + 1, self.s_axis.size - 1)
+        v_hi = np.minimum(v_lo + 1, self.v_axis.size - 1)
+        along_s = (s_w0[:, None] * self.values[s_lo]
+                   + s_w1[:, None] * self.values[s_hi])
+        out = along_s[:, v_lo]
+        out *= v_w0
+        upper = along_s[:, v_hi]
+        upper *= v_w1
+        out += upper
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, TabulatedValues):
@@ -202,6 +213,25 @@ class TabulatedValues:
             and np.array_equal(self.v_axis, other.v_axis)
             and np.array_equal(self.values, other.values)
         )
+
+
+def _linear_weights(axis: np.ndarray, x) -> tuple:
+    """(lo, w0, w1): linear interpolation on ``axis`` at the points x (1-d)
+    is w0 * f[lo] + w1 * f[lo + 1]. Outside [axis[0], axis[-1]] both
+    weights are 0; on a one-point axis, w0 is 1 at that point and w1 is 0.
+    """
+    x = np.asarray(x, dtype=float)
+    last = axis.size - 1
+    lo = np.searchsorted(axis, x, side="right") - 1
+    np.clip(lo, 0, max(last - 1, 0), out=lo)
+    if last:
+        w1 = (x - axis[lo]) / (axis[lo + 1] - axis[lo])
+    else:
+        w1 = np.zeros(x.shape)
+    inside = (x >= axis[0]) & (x <= axis[-1])
+    w0 = np.where(inside, 1.0 - w1, 0.0)
+    w1 = np.where(inside, w1, 0.0)
+    return lo, w0, w1
 
 
 @dataclass(frozen=True)
@@ -290,9 +320,7 @@ def interaction_values(spec: InteractionSpec, S, V) -> np.ndarray:
             raise ValidationError(
                 "tabulated interactions support one dimensional locations only"
             )
-        ss = np.broadcast_to(S[:, None, 0], (S.shape[0], V.shape[0]))
-        vv = np.broadcast_to(V[None, :, 0], (S.shape[0], V.shape[0]))
-        return np.asarray(spec.table(ss, vv))
+        return spec.table(S[:, 0], V[:, 0])
     if kind is InteractionKind.SHIFTED_BISQUARE and len(spec.shift) != S.shape[1]:
         raise ValidationError(
             f"shift has {len(spec.shift)} components for {S.shape[1]}-d locations"

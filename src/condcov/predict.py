@@ -73,7 +73,9 @@ def cokrige(
     """Simple cokriging of one variable from observations of any subset.
 
     With no usable observations this degrades to the prior (configured mean
-    and marginal standard deviation).
+    and marginal standard deviation). The prior variance is the diagonal of
+    the targets' covariance, built without the T x T block
+    (``CovarianceEvaluator.variance``).
 
     With C = L L^T the observation covariance (plus the jitter its
     factorization needed, reported as ``jitter``) and c the target-by-
@@ -88,8 +90,8 @@ def cokrige(
             f"targets are {targets.shape[1]}-d, grid is {model.grid.dim}-d"
         )
     kept = kept_observations(model.grid, model.network, obs)
-    prior = cross_cov_matrix(model, tq, tq, targets, targets)
-    prior_var = np.diag(prior).copy()
+    ev = model.evaluator
+    prior_var = ev.variance(tq, ev.add_points(targets))
     # the prior can overflow where the observation covariance does not, and
     # inf - inf would give a NaN stderr
     if not np.isfinite(prior_var).all():

@@ -526,3 +526,22 @@ def test_off_grid_blocks_equal_the_four_way_recursion(dim, kinds):
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), \
                     (q, r, i, j)
+
+
+@pytest.mark.parametrize("dim, kinds", list(_trivariate_cases()))
+def test_variance_is_the_diagonal_of_the_block(dim, kinds):
+    """The diagonal-only recursion against np.diag of the full block, on
+    the grid and off it; the block itself is never built."""
+    grid = _GRIDS[dim]
+    net = _trivariate(dim, kinds)
+    off = np.random.default_rng(9).uniform(-0.9, 0.9, (13, dim))
+    full = assemble_dag(grid, net).evaluator
+    for points in (grid.vertices, off):
+        for q in range(net.p):
+            ev = assemble_dag(grid, net).evaluator
+            i = ev.add_points(points)
+            got = ev.variance(q, i)
+            assert (q, q, i, i) not in ev._cov
+            want = np.diag(full.cov(q, q, full.add_points(points),
+                                    full.add_points(points)))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

@@ -238,6 +238,59 @@ class TestTabulated:
         with pytest.raises(ValidationError):
             interaction_values(spec, np.zeros((2, 2)), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("sizes", [(2, 3), (17, 9), (1, 4), (5, 1), (1, 1)])
+    def test_separable_lookup_matches_scipy(self, sizes):
+        """Against RegularGridInterpolator (linear, 0 outside), within
+        1e-15 of the table's largest value (a few ulp): both combine the
+        same four corner values, in another order."""
+        from scipy.interpolate import RegularGridInterpolator
+
+        rng = np.random.default_rng(list(sizes))
+
+        def axis(size):
+            if size == 1:
+                return np.array([0.25])
+            return np.sort(rng.uniform(-1.0, 1.0, size))
+
+        s_axis, v_axis = axis(sizes[0]), axis(sizes[1])
+        values = rng.normal(size=sizes) * 10.0
+        table = TabulatedValues(s_axis, v_axis, values)
+
+        def queries(ax):
+            # inside, outside, on every node and just outside each end
+            return np.concatenate([
+                rng.uniform(-1.5, 1.5, 40), ax,
+                [np.nextafter(ax[0], -np.inf), np.nextafter(ax[-1], np.inf)]])
+
+        s, v = queries(s_axis), queries(v_axis)
+        ref = RegularGridInterpolator(
+            (s_axis, v_axis), values, method="linear", bounds_error=False,
+            fill_value=0.0)(np.stack(np.broadcast_arrays(s[:, None], v[None, :]), -1))
+        got = table(s, v)
+        assert got.shape == (s.size, v.size)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(values))
+        assert np.all(got[(s < s_axis[0]) | (s > s_axis[-1])] == 0.0)
+        assert np.all(got[:, (v < v_axis[0]) | (v > v_axis[-1])] == 0.0)
+
+    def test_lookup_forms_no_query_array(self):
+        """Peak allocation of a product-grid lookup is two result arrays
+        (tracemalloc), not the (m, n, 2) query points and more."""
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        table = TabulatedValues(np.linspace(-1.0, 1.0, 41),
+                                np.linspace(-1.0, 1.0, 31),
+                                rng.normal(size=(41, 31)))
+        x = np.linspace(-1.2, 1.2, 800)
+        tracemalloc.start()
+        try:
+            out = table(x, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (800, 800)
+        assert peak <= 2.2 * out.nbytes
+
 
 def test_load_tabulated_roundtrip(tmp_path):
     path = tmp_path / "table.csv"

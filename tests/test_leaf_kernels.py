@@ -14,9 +14,12 @@ forms are kept here as references.
 - The Matern closed forms must agree bit for bit, on arrays and on
   scalars, and so must the clipped kv path.
 - Same-set blocks, built on one triangle and mirrored, and the in-place
-  bisquare profile must agree bit for bit with the full forms.
+  bisquare profile must agree bit for bit with the full forms. A same-set
+  Matern, evaluated tile by tile from the points, must agree bit for bit
+  with the two-pass form: the full distance matrix, then ``matern_cov``.
 """
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from condcov import (
     EUCLIDEAN,
     Grid,
     MaternParams,
-    ValidationError,
+    ParameterError,
     bisquare,
     chordal,
     matern_cov,
@@ -39,6 +42,7 @@ from condcov.kernels import (
     InteractionKind,
     _bisquare_profile,
     _kv_corr,
+    _matern_of_squared,
     _squared_displacement,
 )
 
@@ -183,13 +187,14 @@ def test_matern_leaves_its_distances_alone(nu):
     assert np.array_equal(d, before)
 
 
-# Same-set blocks: pairwise(a, a) and matern_cov(..., symmetric=True) fill
-# the upper triangle in row tiles and mirror it; they must equal the full
-# evaluation (pairwise of two distinct arrays) bit for bit.
+# Same-set blocks: pairwise(a, a) and a same-set Matern fill the upper
+# triangle in row tiles and mirror it; they must equal the full evaluation
+# (pairwise of two distinct arrays, then matern_cov) bit for bit.
 
 TILE = _ROW_TILE
 SAME_SET_SIZES = [1, TILE - 1, TILE, TILE + 1, 1600]
-SAME_SET_MATERNS = [MaternParams(1.3, 8.0, nu) for nu in (0.5, 1.5, 2.5, 0.8)]
+SAME_SET_MATERNS = [MaternParams(1.3, 8.0, nu)
+                    for nu in (0.5, 1.5, 2.5, 0.7, 0.8)]
 
 
 def _same_set_points(n, dim, seed=0):
@@ -208,10 +213,9 @@ def test_same_set_blocks_equal_the_full_evaluation(metric, dim, n):
     if metric.kind == "chordal":
         a = a * np.array([60.0, 30.0])  # (lon, lat) degrees
     full = metric.pairwise(a, a.copy())
-    same = metric.pairwise(a, a)
-    _assert_bitwise(same, full)
+    _assert_bitwise(metric.pairwise(a, a), full)
     for params in SAME_SET_MATERNS:
-        _assert_bitwise(matern_cov(params, same, symmetric=True),
+        _assert_bitwise(metric._same_set(a, partial(_matern_of_squared, params)),
                         matern_cov(params, full))
 
 
@@ -227,12 +231,23 @@ def test_geometry_builds_same_set_blocks_on_one_triangle(n):
     for q, params in enumerate(SAME_SET_MATERNS):
         _assert_bitwise(geometry.matern(q, params, 0, 0),
                         matern_cov(params, full))
+    # the same-set Materns were built from the points: no distances kept
+    geometry._dist.clear()
+    for q, params in enumerate(SAME_SET_MATERNS):
+        geometry.matern(q + len(SAME_SET_MATERNS), params, i, i)
+    assert geometry._dist == {}
 
 
-def test_a_same_set_matern_needs_a_square_matrix():
-    with pytest.raises(ValidationError, match="square"):
-        matern_cov(MaternParams(1.0, 1.0, 1.5), np.zeros((2, 3)),
-                   symmetric=True)
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_same_set_matern_rejects_overflowing_distances():
+    # finite points whose distance overflows to inf, as matern_cov rejects
+    points = np.array([[0.0, -1e308], [0.0, 1e308]])
+    grid = Grid(points, np.ones(2))
+    params = MaternParams(1.0, 1.0, 1.5)
+    with pytest.raises(ParameterError, match="finite"):
+        matern_cov(params, grid.metric.pairwise(points, points.copy()))
+    with pytest.raises(ParameterError, match="finite"):
+        _Geometry(grid).matern(0, params, 0, 0)
 
 
 def _bisquare_profile_reference(spec, d2):

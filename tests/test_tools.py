@@ -59,3 +59,28 @@ def test_ties_count_for_neither_side():
     verdict = ab_pairs.compare(PARENT, list(PARENT), higher=True)
     assert (verdict["wins"], verdict["losses"]) == (0, 0)
     assert verdict["relative"] == 0.0 and not verdict["gain"]
+
+
+def test_worse_beyond_bound_follows_the_better_direction():
+    # medians 10.0 -> 7.0: -30% where higher is better, beyond a 25% bound
+    verdict = ab_pairs.compare(PARENT, _shifted(-3.0), True, bound=0.25)
+    assert verdict["relative"] == pytest.approx(-0.3)
+    assert verdict["worse"] and not verdict["gain"]
+    assert not ab_pairs.compare(PARENT, _shifted(-3.0), True, bound=0.35)["worse"]
+    # the same move is a gain where lower is better, never worse
+    verdict = ab_pairs.compare(PARENT, _shifted(-3.0), False, bound=0.25)
+    assert verdict["gain"] and not verdict["worse"]
+    # +30% is worse where lower is better, and a gain where higher is
+    assert ab_pairs.compare(PARENT, _shifted(3.0), False, bound=0.25)["worse"]
+    assert not ab_pairs.compare(PARENT, _shifted(3.0), True, bound=0.25)["worse"]
+
+
+def test_worse_needs_more_than_the_bound():
+    # 9% and 11% worse where lower is better, against a 10% bound
+    verdict = ab_pairs.compare(PARENT, [p * 1.09 for p in PARENT], False,
+                               bound=0.1)
+    assert verdict["losses"] == 10 and not verdict["worse"]
+    assert ab_pairs.compare(PARENT, [p * 1.11 for p in PARENT], False,
+                            bound=0.1)["worse"]
+    # without a bound, never worse
+    assert not ab_pairs.compare(PARENT, _shifted(5.0), False)["worse"]

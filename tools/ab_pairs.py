@@ -8,10 +8,11 @@ same workload, seed and run length, one after the other; even pairs run
 PARENT first and odd pairs CHANGE first, so that drift of the machine falls
 on both sides alike. Each checkout runs its own benchmark files. Prints every
 pair's end-to-end metrics, then per metric each side's median and quartiles,
-the relative change of the medians, how many pairs CHANGE won, and whether
-the rule for claiming a gain holds (see :func:`compare`). A metric's
-direction ("better": higher or lower) comes from PARENT's BENCHMARK.json.
-Standard library only.
+the relative change of the medians, how many pairs CHANGE won, whether
+the rule for claiming a gain holds, and whether CHANGE is worse beyond the
+metric's bound (see :func:`compare`). A metric's direction ("better":
+higher or lower) and bound come from PARENT's BENCHMARK.json. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def _quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def compare(parent, change, higher: bool) -> dict:
+def compare(parent, change, higher: bool, bound=None) -> dict:
     """One metric's A/B verdict from its per-pair values on each side.
 
     Pair k of ``parent`` and ``change`` ran back to back. CHANGE wins a
@@ -51,7 +52,9 @@ def compare(parent, change, higher: bool) -> dict:
     below) and loses it when worse; a tie counts for neither side. A gain
     holds when CHANGE's median is on the better side, CHANGE wins at least
     nine tenths of the pairs, and the medians differ by more than the
-    distance between PARENT's quartiles.
+    distance between PARENT's quartiles. CHANGE is ``worse`` when its
+    median moved the wrong way by more than ``bound``, a fraction of
+    PARENT's median (never, without a bound).
     """
     wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
     losses = sum((c < p) if higher else (c > p) for p, c in zip(parent, change))
@@ -60,9 +63,10 @@ def compare(parent, change, higher: bool) -> dict:
     iqr = quart["parent"][2] - quart["parent"][0]
     gain = ((after > before) == higher and wins >= 0.9 * len(parent)
             and abs(after - before) > iqr)
+    relative = (after - before) / before if before else float("nan")
+    worse = bound is not None and (-relative if higher else relative) > bound
     return {"quartiles": quart, "wins": wins, "losses": losses,
-            "relative": (after - before) / before if before else float("nan"),
-            "gain": gain}
+            "relative": relative, "gain": gain, "worse": worse}
 
 
 def main(argv=None) -> int:
@@ -80,6 +84,7 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m.get("bound") for m in spec["end_to_end"]}
 
     runs = []  # one {"parent": result, "change": result} per pair
     for pair in range(args.pairs):
@@ -99,10 +104,11 @@ def main(argv=None) -> int:
     print(f"\n{args.pairs} pairs, workload {args.workload}, seed {args.seed}, "
           f"{args.seconds:g} s per run")
     for name in runs[0]["parent"]["metrics"]:
-        higher = better[name.rpartition(".")[2]] == "higher"
+        metric = name.rpartition(".")[2]
         series = {s: [r[s]["metrics"][name]["value"] for r in runs]
                   for s in SIDES}
-        verdict = compare(series["parent"], series["change"], higher)
+        verdict = compare(series["parent"], series["change"],
+                          better[metric] == "higher", bound[metric])
         quart = verdict["quartiles"]
         sides = "  ".join(
             f"{s} {quart[s][1]:.4g} [{quart[s][0]:.4g}, {quart[s][2]:.4g}]"
@@ -110,7 +116,9 @@ def main(argv=None) -> int:
         print(f"{name:22s} {sides}  median {verdict['relative']:+.1%}  "
               f"change wins {verdict['wins']}/{args.pairs} "
               f"(loses {verdict['losses']})  "
-              f"gain {'holds' if verdict['gain'] else 'not shown'}")
+              f"gain {'holds' if verdict['gain'] else 'not shown'}"
+              + (f"  WORSE beyond bound {bound[metric]:.0%}"
+                 if verdict["worse"] else ""))
     correct = all(r[s]["correct"] for r in runs for s in SIDES)
     print(f"every run correct: {str(correct).lower()}")
     return 0 if correct else 1
