@@ -25,7 +25,7 @@ Config layout (strict: unknown keys are errors)::
             aperture: 0.3
             shift: [-0.3]
     fit:                         # used by fit / compare-directions / refits
-      label: model
+      label: model               # one line: it heads params.txt
       free: [y1.variance]        # default: every parameter except *.noise
       restarts: 3
       max_evals: 2000
@@ -61,17 +61,18 @@ The whole config is checked when it is read, each fault with its key path:
 both networks, every node name and ``free`` parameter, and the study, which
 observes some vertex, evaluates at least one and runs at least one replicate.
 
-All numeric CSV output is written with 17 significant digits, so re-running a
-command with the same config, data and seed, under the same BLAS library and
-thread count, reproduces the files byte for byte. Another BLAS library or
-thread count can change the last digits of fitted values (refit estimates
-differ in the 10th digit between one and two OpenBLAS threads).
+Every CSV the package writes, here and in ``save_mesh`` and
+``save_observations``, has one format: floats with 17 significant digits,
+cells joined by "," and lines ended by "\\n". So re-running a command with the
+same config, data and seed, under the same BLAS library and thread count,
+reproduces the files byte for byte. Another BLAS library or thread count can
+change the last digits of fitted values (refit estimates differ in the 10th
+digit between one and two OpenBLAS threads).
 
-Outputs are rewritten in place: an existing file is no longer truncated to
-zero before it is written, but written over and then cut to the new length.
-As before, it keeps its inode and permissions, and a symlink at the output
-path stays a symlink. A crash mid-write can leave new rows followed by stale bytes of the old
-file, where truncating first left only new rows.
+Every output file is rewritten in place: written over, then cut to its new
+length. It keeps its inode and permissions, and a symlink at the output path
+stays a symlink. A crash mid-write can leave new rows followed by stale bytes
+of the old file.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import sys
 from dataclasses import MISSING, dataclass, field
 from pathlib import Path
@@ -97,10 +97,9 @@ from .conditional import (
 )
 from .domain import (
     _COORD_NAMES,
-    _rewrite,
     _variable_index,
+    _write_table,
     EUCLIDEAN,
-    FLOAT_FMT,
     Grid,
     chordal,
     load_mesh,
@@ -117,6 +116,7 @@ from .errors import (
 )
 from .inference import (
     OptimizerConfig,
+    _one_line,
     compare_directions,
     fit_mle,
     get_parameter,
@@ -454,6 +454,7 @@ def _parse_fit(sec: _Section, network: ProcessNetwork) -> FitSettings:
     fit = _fill(sec, FitSettings,
                 optimizer=OptimizerConfig(**_flat(sec, OptimizerConfig)))
     _check_free(sec.where, fit.free, network)
+    _located(f"{sec.where}: label", _one_line, fit.label)
     return fit
 
 
@@ -601,49 +602,6 @@ def parse_config(path) -> ParsedConfig:
 # ------------------------------------------------------------- commands
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return FLOAT_FMT % float(value)
-    return str(value)
-
-
-def _csv_cell(text: str) -> str:
-    """``text`` as csv.writer writes it in a row: quoted where it must be."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow([text])
-    return buf.getvalue()
-
-
-def _write_csv(path: Path, header: Sequence[str], rows, labels=None) -> None:
-    """Write ``header``, then ``rows``, as CSV.
-
-    ``rows`` is a sequence of rows of any cells, each formatted by ``_fmt``
-    and quoted by csv.writer, or a 2-d float array, written a row at a
-    time with one FLOAT_FMT-joined format per row. The bytes are the same:
-    FLOAT_FMT output (digits, sign, "e", ".", "inf", "nan") never needs
-    quoting. ``labels`` puts a string cell, quoted as csv.writer quotes
-    it, before each row of an array.
-    """
-    with _rewrite(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        if not isinstance(rows, np.ndarray):
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
-            return
-        line = ",".join([FLOAT_FMT] * rows.shape[1]) + "\n"
-        if labels is None:
-            fh.writelines(line % tuple(row) for row in rows.tolist())
-            return
-        cells = {label: _csv_cell(label) + "," for label in set(labels)}
-        fh.writelines(cells[label] + line % tuple(row)
-                      for label, row in zip(labels, rows.tolist()))
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -694,35 +652,35 @@ def _cmd_simulate(args) -> int:
     grid = cfg.grid
     coords = list(_COORD_NAMES[:grid.dim])
 
-    _write_csv(out / "fields.csv", coords + list(names),
-               np.column_stack([grid.vertices, first.fields.T]))
+    _write_table(out / "fields.csv", coords + list(names),
+                 [*grid.vertices.T, *first.fields])
 
     arms = list(first.predictions)
-    header = coords + ["truth"]
+    header, columns = coords + ["truth"], [
+        *grid.vertices[study.eval_mask].T,
+        first.fields[study.target][study.eval_mask]]
     for arm in arms:
         header += [f"{arm}_mean", f"{arm}_stderr"]
-    columns = [grid.vertices[study.eval_mask],
-               first.fields[study.target][study.eval_mask]]
-    for arm in arms:
         columns += [first.predictions[arm].mean, first.predictions[arm].stderr]
-    _write_csv(out / "predictors.csv", header, np.column_stack(columns))
+    _write_table(out / "predictors.csv", header, columns)
 
+    scores = result.scores
     est_names = list(study.refit_free) if study.refit_network is not None else []
-    header = ["replicate"] + [f"rmse_{arm}" for arm in arms] + est_names
-    rows = [
-        [s.replicate] + [s.rmse[arm] for arm in arms]
-        + [s.estimates[nm] for nm in est_names]
-        for s in result.scores
-    ]
-    _write_csv(out / "replicates.csv", header, rows)
+    _write_table(
+        out / "replicates.csv",
+        ["replicate"] + [f"rmse_{arm}" for arm in arms] + est_names,
+        [[s.replicate for s in scores]]
+        + [[s.rmse[arm] for s in scores] for arm in arms]
+        + [[s.estimates[nm] for s in scores] for nm in est_names])
 
-    rows = [["replicates", result.summary["replicates"]]]
+    summary = {"replicates": result.summary["replicates"]}
     for arm in arms:
-        rows.append([f"mean_rmse_{arm}", result.summary["mean_rmse"][arm]])
+        summary[f"mean_rmse_{arm}"] = result.summary["mean_rmse"][arm]
     for key in ("cokriging_wins_vs_kriging", "cokriging_wins_vs_refit"):
         if key in result.summary:
-            rows.append([key, result.summary[key]])
-    _write_csv(out / "summary.csv", ["key", "value"], rows)
+            summary[key] = result.summary[key]
+    _write_table(out / "summary.csv", ["key", "value"],
+                 [list(summary), list(summary.values())])
 
     parts = [
         f"{arm} mean RMSE {result.summary['mean_rmse'][arm]:.4f}" for arm in arms
@@ -740,11 +698,8 @@ def _cmd_fit(args) -> int:
     )
     out = _out_dir(args)
     write_fit_result(out / "params.txt", fit)
-    _write_csv(
-        out / "fit.csv",
-        ["label", "k", "loglik", "aic", "converged"],
-        [[fit.label, fit.k, fit.loglik, fit.aic, fit.converged]],
-    )
+    _write_table(out / "fit.csv", ["label", "k", "loglik", "aic", "converged"],
+                 [[fit.label], [fit.k], [fit.loglik], [fit.aic], [fit.converged]])
     note = "" if fit.converged else " (not converged)"
     print(f"{fit.label}: loglik {fit.loglik:.4f}, k={fit.k}, "
           f"aic {fit.aic:.4f}{note}")
@@ -768,9 +723,9 @@ def _cmd_predict(args) -> int:
         raise ConfigError(f"--target-var: {exc}") from None
     pred = cokrige(model, obs, targets, tq)
     out = _out_dir(args)
-    _write_csv(out / "predictions.csv",
-               list(_COORD_NAMES[:grid.dim]) + ["mean", "stderr"],
-               np.column_stack([targets, pred.mean, pred.stderr]))
+    _write_table(out / "predictions.csv",
+                 [*_COORD_NAMES[:grid.dim], "mean", "stderr"],
+                 [*targets.T, pred.mean, pred.stderr])
     print(f"predicted {network.names[tq]} at {targets.shape[0]} locations "
           f"from {sum(o.m for o in obs)} observations")
     return 0
@@ -781,25 +736,18 @@ def _cmd_cv(args) -> int:
     network = model.network
     loo = loo_cv(model, obs)
     out = _out_dir(args)
-    dim = model.grid.dim
-    rows = np.array([
-        f.location + (f.observed, f.mean, f.stderr, f.error, f.crps)
-        for f in loo.folds
-    ])
-    _write_csv(
-        out / "folds.csv",
-        ["variable"] + list(_COORD_NAMES[:dim])
-        + ["observed", "mean", "stderr", "error", "crps"],
-        rows, labels=[network.names[f.variable] for f in loo.folds],
-    )
-    rows = [
-        [name, s["MAE"], s["RMSPE"], s["MCRPS"]]
-        for name, s in loo.summary.items()
-    ]
-    pooled = summarize_folds([f.error for f in loo.folds],
-                             [f.crps for f in loo.folds])
-    rows.append(["all", pooled["MAE"], pooled["RMSPE"], pooled["MCRPS"]])
-    _write_csv(out / "cv.csv", ["variable", "MAE", "RMSPE", "MCRPS"], rows)
+    values = np.array([f.location + (f.observed, f.mean, f.stderr, f.error,
+                                     f.crps) for f in loo.folds])
+    _write_table(out / "folds.csv",
+                 ["variable", *_COORD_NAMES[:model.grid.dim],
+                  "observed", "mean", "stderr", "error", "crps"],
+                 [[network.names[f.variable] for f in loo.folds], *values.T])
+    # a list, not a dict: a node may be named "all"
+    rows = [*loo.summary.items(), ("all", summarize_folds(
+        [f.error for f in loo.folds], [f.crps for f in loo.folds]))]
+    keys = ["MAE", "RMSPE", "MCRPS"]
+    _write_table(out / "cv.csv", ["variable"] + keys, [[name for name, _ in rows]]
+                 + [[s[key] for _, s in rows] for key in keys])
     for name, s in loo.summary.items():
         print(f"{name}: MAE {s['MAE']:.4f}, RMSPE {s['RMSPE']:.4f}, "
               f"MCRPS {s['MCRPS']:.4f}")
@@ -815,21 +763,11 @@ def _cmd_spectral_check(args) -> int:
     report = check_cross_validity(sp.c11, sp.c22, sp.candidate,
                                   wmax=sp.wmax, nsamples=sp.nsamples)
     out = _out_dir(args)
-    rows = [
-        [report.w[i], report.envelope[i], report.candidate[i], report.margin[i]]
-        for i in range(report.w.size)
-    ]
-    _write_csv(out / "spectral.csv",
-               ["w", "envelope", "candidate", "margin"], rows)
-    _write_csv(
-        out / "spectral_summary.csv",
-        ["key", "value"],
-        [
-            ["worst_margin", report.worst_margin],
-            ["integrable", report.integrable],
-            ["valid", report.valid],
-        ],
-    )
+    _write_table(out / "spectral.csv", ["w", "envelope", "candidate", "margin"],
+                 [report.w, report.envelope, report.candidate, report.margin])
+    _write_table(out / "spectral_summary.csv", ["key", "value"],
+                 [["worst_margin", "integrable", "valid"],
+                  [report.worst_margin, report.integrable, report.valid]])
     verdict = "valid" if report.valid else "NOT valid"
     print(f"worst relative margin {report.worst_margin:.6g}: "
           f"candidate is {verdict}")
@@ -843,13 +781,10 @@ def _cmd_compare_directions(args) -> int:
         free=settings.free, config=optimizer, jitter_max=args.jitter_max,
     )
     out = _out_dir(args)
-    rows = [
-        [rank + 1, f.label, f.k, f.loglik, f.aic, f.converged, f.delta_aic, f.tie]
-        for rank, f in enumerate(fits)
-    ]
-    _write_csv(out / "directions.csv",
-               ["rank", "label", "k", "loglik", "aic", "converged",
-                "delta_aic", "tie"], rows)
+    fields = ["label", "k", "loglik", "aic", "converged", "delta_aic", "tie"]
+    _write_table(out / "directions.csv", ["rank"] + fields,
+                 [range(1, len(fits) + 1)]
+                 + [[getattr(f, name) for f in fits] for name in fields])
     for rank, f in enumerate(fits):
         print(f"{rank + 1}. {f.label}: aic {f.aic:.4f} "
               f"(loglik {f.loglik:.4f}, k={f.k})" + (" tie" if f.tie else ""))

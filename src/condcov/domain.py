@@ -59,6 +59,44 @@ def _rewrite(path):
             fh.truncate()
 
 
+def _cell_text(value) -> str:
+    """One CSV cell, formatted by its type: a bool as true/false, an int as
+    digits, a float with FLOAT_FMT, anything else as its string, quoted as
+    csv.writer quotes it. A carriage return is quoted too, which csv.writer
+    with a "\\n" line end does not do, so that a reader sees one cell."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return FLOAT_FMT % value
+    text = str(value)
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_table(path, header: Sequence[str], columns) -> None:
+    """Write the CSV table ``header``, then row i of ``columns``, to ``path``.
+
+    Every CSV the package writes goes through here, rewritten in place by
+    :func:`_rewrite`, with cells joined by "," and lines ended by "\\n". A
+    column is a float array, formatted with FLOAT_FMT in one pass, or a
+    sequence of cells of any type (see :func:`_cell_text`). The header is
+    a list, so a name may repeat. Columns of unequal length are a
+    ValidationError.
+    """
+    texts = [[FLOAT_FMT % v for v in column.tolist()]
+             if isinstance(column, np.ndarray) and column.dtype.kind == "f"
+             else [_cell_text(v) for v in column] for column in columns]
+    lengths = sorted({len(text) for text in texts})
+    if len(lengths) > 1:
+        raise ValidationError(f"{path}: columns of unequal lengths {lengths}")
+    with _rewrite(path) as fh:
+        fh.write(",".join(map(_cell_text, header)) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*texts))
+
+
 def _embed_lonlat(points: np.ndarray, radius: float) -> np.ndarray:
     """Map (lon, lat) degrees to 3-d points on a sphere of the given radius."""
     lon = np.radians(points[:, 0])
@@ -298,11 +336,8 @@ def load_mesh(path, metric: Metric = EUCLIDEAN) -> Grid:
 
 
 def save_mesh(grid: Grid, path) -> None:
-    with _rewrite(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(_COORD_NAMES[: grid.dim]) + ["weight"])
-        for v, w in zip(grid.vertices, grid.weights):
-            writer.writerow([FLOAT_FMT % c for c in v] + [FLOAT_FMT % w])
+    _write_table(path, [*_COORD_NAMES[:grid.dim], "weight"],
+                 [*grid.vertices.T, grid.weights])
 
 
 @dataclass(frozen=True)
@@ -396,14 +431,11 @@ def load_observations(path, names: Sequence[str]) -> list:
 
 
 def save_observations(obs_list: Sequence[Observations], names: Sequence[str], path) -> None:
-    dim = max((o.locations.shape[1] for o in obs_list if o.m), default=1)
-    with _rewrite(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variable"] + list(_COORD_NAMES[:dim]) + ["value"])
-        for obs in obs_list:
-            for loc, val in zip(obs.locations, obs.values):
-                writer.writerow(
-                    [names[obs.variable]]
-                    + [FLOAT_FMT % c for c in loc]
-                    + [FLOAT_FMT % val]
-                )
+    kept = [obs for obs in obs_list if obs.m]
+    dim = max((obs.locations.shape[1] for obs in kept), default=1)
+    locations = np.vstack([np.empty((0, dim))] + [obs.locations for obs in kept])
+    _write_table(path, ["variable", *_COORD_NAMES[:dim], "value"], [
+        [names[obs.variable] for obs in kept for _ in range(obs.m)],
+        *locations.T,
+        np.concatenate([np.empty(0)] + [obs.values for obs in kept]),
+    ])

@@ -552,8 +552,20 @@ def compare_directions(
             for f, d in zip(fits, deltas)]
 
 
+def _one_line(label: str) -> str:
+    """``label``, which must not break a line of a parameter file."""
+    if "".join(label.splitlines()) != label:
+        raise ValidationError(f"label {label!r} is not one line")
+    return label
+
+
 def write_fit_result(path, fit: FitResult) -> None:
-    """Flat key-value file: metadata as comments, one parameter per line."""
+    """Flat key-value file: metadata as comments, one parameter per line.
+
+    A label that is not one line would not read back; it is a
+    ValidationError, and nothing is written.
+    """
+    _one_line(fit.label)
     lines = [
         f"# label = {fit.label}",
         f"# loglik = {fit.loglik:.17g}",

@@ -145,7 +145,7 @@ def crps_gaussian(mu, sigma, y):
     mu_arr = np.asarray(mu, dtype=float)
     sig_arr = np.asarray(sigma, dtype=float)
     y_arr = np.asarray(y, dtype=float)
-    if np.any(sig_arr < 0):
+    if not np.all(sig_arr >= 0):  # NaN too
         raise ParameterError("sigma must be >= 0")
     mu_b, sig_b, y_b = np.broadcast_arrays(mu_arr, sig_arr, y_arr)
     scalar = mu_b.ndim == 0

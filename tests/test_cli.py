@@ -36,6 +36,7 @@ from condcov.cli import (
     parse_config,
     parse_config_dict,
 )
+from condcov.domain import _write_table
 
 BASE = {
     "grid": {"kind": "regular", "bounds": [[-1.0, 1.0]], "counts": [24]},
@@ -298,6 +299,10 @@ BAD_CONFIGS = [
     pytest.param(_edit({("fit", "free"): ["y3.variance"]}),
                  "model.yaml: fit: free: unknown variable 'y3'", 1,
                  id="fit-free-unknown-node"),
+    # a label with a line break would not read back from params.txt
+    pytest.param(_edit({("fit", "label"): "a\nb"}),
+                 "model.yaml: fit: label: label 'a\\nb' is not one line", 1,
+                 id="fit-label-two-lines"),
     # the study's own checks, as SimStudyConfig reports them
     pytest.param(_edit({("simulation", "observed"): {"y1": "none",
                                                      "y2": "none"}}),
@@ -617,7 +622,8 @@ def test_every_output_is_rewritten_in_place(tmp_path, capsys, monkeypatch):
         written.append(Path(path).resolve())
         return rewrite(path)
 
-    for module in (condcov.domain, condcov.cli, condcov.inference):
+    # the CSVs come through domain._write_table, params.txt from inference
+    for module in (condcov.domain, condcov.inference):
         monkeypatch.setattr(module, "_rewrite", recorded)
     cfg_path = _write_cfg(tmp_path)
     obs_path = _write_obs(tmp_path, cfg_path)
@@ -645,6 +651,11 @@ def test_no_writer_truncates_on_open():
     for path in sorted((ROOT / "src" / "condcov").glob("*.py")):
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
             assert not pattern.search(line), f"{path.name}:{lineno}: {line}"
+
+
+def test_no_csv_is_written_but_through_the_table_writer():
+    for path in sorted((ROOT / "src" / "condcov").glob("*.py")):
+        assert "csv.writer(" not in path.read_text(), path.name
 
 
 def test_numerical_failure_exits_2(tmp_path, capsys):
@@ -760,15 +771,26 @@ def test_commands_import_only_the_scipy_they_use(tmp_path):
     assert "scipy.interpolate" not in seen["tabulated"]
 
 
+def _fmt(value) -> str:
+    """How a cell was formatted before the one table writer."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return "%.17g" % float(value)
+    return str(value)
+
+
 def _write_csv_reference(path, header, rows):
-    """The path numeric tables took before: csv.writer over _fmt cells."""
+    """The row path tables took before: csv.writer over _fmt cells."""
     import csv
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([condcov.cli._fmt(v) for v in row])
+            writer.writerow([_fmt(v) for v in row])
 
 
 _AWKWARD_FLOATS = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300,
@@ -779,18 +801,28 @@ _AWKWARD_FLOATS = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300,
 def test_numeric_tables_are_written_byte_identically(tmp_path, labelled):
     rng = np.random.default_rng(2)
     values = np.array(_AWKWARD_FLOATS + list(rng.normal(size=10) * 1e5))
-    table = np.column_stack([values, values[::-1], np.roll(values, 3)])
+    n = values.size
+    columns = [values, values[::-1], np.roll(values, 3)]
     header = ["x", "y,z", 'q"uote']
-    labels = None
-    rows = list(table)
     if labelled:
-        names = ['y"1', "plain", "with space", "semi;colon"]
-        labels = [names[i % len(names)] for i in range(table.shape[0])]
-        header = ["variable"] + header
-        rows = [[label] + list(row) for label, row in zip(labels, table)]
-    condcov.cli._write_csv(tmp_path / "new.csv", header, table, labels=labels)
-    _write_csv_reference(tmp_path / "old.csv", header, rows)
+        # text, int, bool and float cells as the commands hand them over, and
+        # a repeated name, as fields.csv has for a node named x
+        names = ['y"1', "plain", "with space", "semi;colon", "a,b",
+                 "two\nlines", ""]
+        columns = [[names[i % len(names)] for i in range(n)]] + columns + [
+            [np.int64(i - 7) if i % 2 else i - 7 for i in range(n)],
+            [np.bool_(i % 3 == 0) if i % 2 else i % 3 == 0 for i in range(n)],
+            list(values),
+            values.clip(-3e38, 3e38).astype(np.float32),
+        ]
+        header = ["variable"] + header + ["k", "flag", "x", "two\nline"]
+    _write_table(tmp_path / "new.csv", header, columns)
+    _write_csv_reference(tmp_path / "old.csv", header, zip(*columns))
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "old.csv").read_bytes()
     if labelled:
-        assert b'\n"y""1",' in new
+        assert new.startswith(
+            b'variable,x,"y,z","q""uote",k,flag,x,"two\nline"\n"y""1",')
+        assert b'\n"a,b",' in new and b'\n"two\nlines",' in new
+        with pytest.raises(ValueError, match="unequal lengths"):
+            _write_table(tmp_path / "bad.csv", header, columns[:-1] + [[]])

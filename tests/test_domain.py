@@ -123,6 +123,32 @@ def test_mesh_roundtrip(tmp_path):
     assert np.array_equal(g.weights, g2.weights)
 
 
+def test_mesh_and_observations_are_written_with_newline_line_ends(tmp_path):
+    save_mesh(regular_grid([(0.0, 1.0)], [2]), tmp_path / "mesh.csv")
+    assert (tmp_path / "mesh.csv").read_bytes() == b"x,weight\n0.25,0.5\n0.75,0.5\n"
+    obs = [Observations(0, np.zeros((0, 2)), np.zeros(0)),
+           Observations(1, [[0.5, -1.0], [2.0, 0.25]], [1.5, -2.0])]
+    save_observations(obs, ["a", 'p"q'], tmp_path / "obs.csv")
+    assert (tmp_path / "obs.csv").read_bytes() == (
+        b'variable,x,y,value\n"p""q",0.5,-1,1.5\n"p""q",2,0.25,-2\n')
+    assert load_observations(tmp_path / "obs.csv", ["a", 'p"q']) == obs
+
+
+def test_files_with_crlf_line_ends_still_load(tmp_path):
+    # save_mesh and save_observations ended lines with "\r\n" before they
+    # went through the one table writer; such files still read back
+    mesh = tmp_path / "mesh.csv"
+    mesh.write_bytes(b"x,y,weight\r\n0.5,1.5,0.25\r\n-1,2,0.75\r\n")
+    grid = load_mesh(mesh)
+    assert grid.vertices.tolist() == [[0.5, 1.5], [-1.0, 2.0]]
+    assert grid.weights.tolist() == [0.25, 0.75]
+    data = tmp_path / "obs.csv"
+    data.write_bytes(b"variable,x,value\r\npres,0.25,1.5\r\ntemp,0.5,-2\r\n")
+    temp, pres = load_observations(data, ["temp", "pres"])
+    assert (temp.locations.tolist(), temp.values.tolist()) == ([[0.5]], [-2.0])
+    assert (pres.locations.tolist(), pres.values.tolist()) == ([[0.25]], [1.5])
+
+
 def test_mesh_rejects_nonpositive_weight(tmp_path):
     path = tmp_path / "mesh.csv"
     path.write_text("x,weight\n0.0,1.0\n0.5,0.0\n")

@@ -1,4 +1,6 @@
 """Likelihood evaluation, parameter addressing, and maximum likelihood fits."""
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
@@ -487,6 +489,21 @@ def test_write_read_roundtrip(tmp_path):
     back = read_params(path)
     for name, val in fit.estimates.items():
         assert back[name] == val, name
+
+
+def test_a_label_that_is_not_one_line_is_not_written(tmp_path):
+    # "# label = a" then a bare "b" line would not read back
+    net = _bivariate(bisquare(5.0, 0.3))
+    fit = fit_mle(GRID, net, _synthetic_obs(net, seed=13),
+                  free=["y2~y1.amplitude"], label="a\nb",
+                  config=OptimizerConfig(seed=0, restarts=1, max_evals=100))
+    path = tmp_path / "params.txt"
+    for label in ("a\nb", "a\r\nb", "trailing\n", "a\x0bb"):
+        with pytest.raises(ValidationError, match="is not one line"):
+            write_fit_result(path, dataclasses.replace(fit, label=label))
+    assert not path.exists()
+    write_fit_result(path, dataclasses.replace(fit, label="a = b # c"))
+    assert read_params(path) == fit.estimates
 
 
 def test_read_params_rejects_garbage(tmp_path):

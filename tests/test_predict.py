@@ -106,6 +106,11 @@ class TestCrps:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ParameterError):
             crps_gaussian(0.0, -1.0, 0.0)
+        # and NaN, for which sigma < 0 is False too
+        with pytest.raises(ParameterError):
+            crps_gaussian(0.0, np.nan, 1.0)
+        with pytest.raises(ParameterError):
+            crps_gaussian(np.zeros(3), np.array([1.0, np.nan, 0.0]), 1.0)
 
     def test_vector_broadcast(self):
         out = crps_gaussian(np.zeros(4), np.array([1.0, 1.0, 0.0, 2.0]),

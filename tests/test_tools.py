@@ -1,5 +1,7 @@
-"""The gain rule of tools/ab_pairs.py."""
+"""The gain rule and the checkout preparation of tools/ab_pairs.py."""
 import importlib.util
+import os
+import py_compile
 from pathlib import Path
 
 import pytest
@@ -84,3 +86,28 @@ def test_worse_needs_more_than_the_bound():
                             bound=0.1)["worse"]
     # without a bound, never worse
     assert not ab_pairs.compare(PARENT, _shifted(5.0), False)["worse"]
+
+
+def test_a_stale_bytecode_cache_is_rebuilt_before_the_pairs(tmp_path,
+                                                           monkeypatch):
+    # under PYTHONDONTWRITEBYTECODE=1 an import never replaces a stale .pyc,
+    # so every fresh process of that checkout would compile the module again
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.delenv("PYTHONPYCACHEPREFIX", raising=False)
+    source = tmp_path / "src" / "condcov" / "mod.py"
+    source.parent.mkdir(parents=True)
+    source.write_text("x = 1\n")
+    cache = Path(py_compile.compile(str(source), doraise=True))
+    source.write_text("x = 22\n")
+    os.utime(source, (source.stat().st_atime, source.stat().st_mtime + 10))
+
+    def stamp():
+        # a timestamp .pyc records its source's mtime and size at bytes 8:16
+        header = cache.read_bytes()[8:16]
+        return (int.from_bytes(header[:4], "little"),
+                int.from_bytes(header[4:], "little"))
+
+    current = (int(source.stat().st_mtime), source.stat().st_size)
+    assert stamp() != current
+    ab_pairs._compile(tmp_path)
+    assert stamp() == current

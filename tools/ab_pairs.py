@@ -6,7 +6,10 @@
 Each pair runs ``bench/run.py --trace 0`` once in each checkout, with the
 same workload, seed and run length, one after the other; even pairs run
 PARENT first and odd pairs CHANGE first, so that drift of the machine falls
-on both sides alike. Each checkout runs its own benchmark files. Prints every
+on both sides alike. Each checkout runs its own benchmark files. Before the
+first pair, each checkout's ``src`` is byte-compiled once, so that a stale
+``__pycache__`` (under ``PYTHONDONTWRITEBYTECODE=1`` nothing replaces it)
+cannot make one side compile condcov in every fresh process. Prints every
 pair's end-to-end metrics, then per metric each side's median and quartiles,
 the relative change of the medians, how many pairs CHANGE won, whether
 the rule for claiming a gain holds, and whether CHANGE is worse beyond the
@@ -36,6 +39,16 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         sys.exit(f"ab_pairs: {checkout}: bench exited {proc.returncode}: "
                  f"{proc.stderr.strip()[-2000:]}")
     return json.loads(lines[-1])
+
+
+def _compile(checkout: Path) -> None:
+    """Byte-compile ``src`` of ``checkout``; compileall writes the caches
+    even under PYTHONDONTWRITEBYTECODE."""
+    proc = subprocess.run([sys.executable, "-m", "compileall", "-q", "src"],
+                          cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"ab_pairs: {checkout}: compileall exited {proc.returncode}: "
+                 f"{(proc.stdout + proc.stderr).strip()[-2000:]}")
 
 
 def _quartiles(values):
@@ -86,6 +99,8 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bound = {m["name"]: m.get("bound") for m in spec["end_to_end"]}
 
+    for checkout in checkouts.values():
+        _compile(checkout)
     runs = []  # one {"parent": result, "change": result} per pair
     for pair in range(args.pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
