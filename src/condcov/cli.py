@@ -97,6 +97,7 @@ from .conditional import (
 )
 from .domain import (
     _COORD_NAMES,
+    _one_line,
     _variable_index,
     _write_table,
     EUCLIDEAN,
@@ -116,7 +117,6 @@ from .errors import (
 )
 from .inference import (
     OptimizerConfig,
-    _one_line,
     compare_directions,
     fit_mle,
     get_parameter,

@@ -25,7 +25,14 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .domain import _COORD_NAMES, Grid, Observations
+from .domain import (
+    _COORD_NAMES,
+    Grid,
+    Observations,
+    _grid_same_set,
+    _grid_squared_distances,
+    _one_line,
+)
 from .errors import NumericalError, ValidationError
 from .kernels import (
     InteractionKind,
@@ -53,7 +60,7 @@ __all__ = [
     "coordinate_covariates",
 ]
 
-_NAME_FORBIDDEN = set(" .~,\t\n")
+_NAME_FORBIDDEN = set(" .~,\t")
 _BISQUARES = (InteractionKind.BISQUARE, InteractionKind.SHIFTED_BISQUARE)
 
 
@@ -102,6 +109,8 @@ class ProcessNode:
             raise ValidationError(
                 f"node name {self.name!r} is empty or contains reserved characters"
             )
+        # a name heads lines of params.txt, so it is one line
+        _one_line(self.name, "node name")
         object.__setattr__(
             self,
             "parents",
@@ -282,10 +291,17 @@ class _Geometry:
     shift is equal, so that a new amplitude or aperture costs only the
     profile. Each slot holds one entry, and kept blocks are read-only, so no
     evaluator sharing the geometry can alter what the next one reads.
+
+    On a uniform product grid with the Euclidean metric, ``axes`` holds the
+    grid's per-axis coordinates (:attr:`Grid.axes`; None otherwise), and
+    blocks with the grid are built from them: the grid's same-set Matern
+    from its table of offsets, and distances and displacements between the
+    grid and another set per axis.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
+        self.axes = grid.axes if grid.metric.kind == "euclidean" else None
         self.sets = [np.asarray(grid.vertices)]
         self._set_ids = {_points_key(self.sets[0]): 0}
         self._dist = {}
@@ -309,11 +325,19 @@ class _Geometry:
 
     def distance(self, i: int, j: int) -> np.ndarray:
         """Distances between point sets i and j; for i == j, ``pairwise``
-        gets one array twice and builds a same-set block. Kept: a Matern
-        between two sets reads them, and a nugget reads where they are 0."""
+        gets one array twice and builds a same-set block. Between the grid
+        and another set they are built per axis where ``axes`` allows,
+        bitwise those of ``pairwise``. Kept: a Matern between two sets
+        reads them, and a nugget reads where they are 0."""
         key = (i, j)
         if key not in self._dist:
-            self._dist[key] = self.grid.metric.pairwise(self.sets[i], self.sets[j])
+            if self.axes is not None and i != j and 0 in (i, j):
+                d2 = _grid_squared_distances(self.axes, self.sets[i or j],
+                                             grid_first=i == 0)
+                self._dist[key] = np.sqrt(d2, out=d2)
+            else:
+                self._dist[key] = self.grid.metric.pairwise(self.sets[i],
+                                                            self.sets[j])
         return self._dist[key]
 
     def _kept(self, key, param, build) -> np.ndarray:
@@ -326,10 +350,17 @@ class _Geometry:
 
     def matern(self, q: int, params: MaternParams, i: int, j: int) -> np.ndarray:
         """The Matern ``params`` of node q between point sets i and j. A
-        same-set block (i == j) is evaluated from the points, tile by tile
-        on its upper triangle (``Metric._same_set``), and keeps no
-        distances; it is bitwise matern_cov of ``distance(i, i)``."""
-        if i == j:
+        same-set block (i == j) keeps no distances. The grid's, where
+        ``axes`` allows, is expanded from the Matern of its offsets
+        (``domain._grid_same_set``), equal to matern_cov of
+        ``distance(0, 0)`` up to the rounding of the coordinates. Any other
+        is evaluated from the points, tile by tile on its upper triangle
+        (``Metric._same_set``), bitwise matern_cov of ``distance(i, i)``."""
+        if i == j == 0 and self.axes is not None:
+            def build():
+                return _grid_same_set(self.axes,
+                                      partial(_matern_of_squared, params))
+        elif i == j:
             def build():
                 return self.grid.metric._same_set(
                     self.sets[i], partial(_matern_of_squared, params))
@@ -343,7 +374,8 @@ class _Geometry:
         from point set i into the grid."""
         if spec.kind in _BISQUARES:
             d2 = self._kept(("d2", q, pos, i), spec.shift, partial(
-                _squared_displacement, spec, self.sets[i], self.grid.vertices))
+                _squared_displacement, spec, self.sets[i], self.grid.vertices,
+                self.axes))
             vals = _bisquare_profile(spec, d2)
         else:
             vals = interaction_values(spec, self.sets[i], self.grid.vertices)
@@ -428,7 +460,11 @@ class CovarianceEvaluator:
         if q == r:
             node = self.network.nodes[q]
             mat = self._geometry.matern(q, node.covariance, i, j)
-            if node.nugget:
+            if node.nugget and i == j == 0 and self._geometry.axes is not None:
+                # distinct vertices of a product grid are at distance > 0
+                mat = mat.copy()
+                mat.flat[::mat.shape[0] + 1] += node.nugget
+            elif node.nugget:
                 mat = mat + node.nugget * (self._geometry.distance(i, j) == 0.0)
             for a, k, op in self._edges(q, i):
                 mat = mat + op.left(self.cov(a, q, k, j))

@@ -9,13 +9,16 @@ interaction functions always work on raw coordinate displacements.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 
@@ -97,6 +100,14 @@ def _write_table(path, header: Sequence[str], columns) -> None:
         fh.writelines(",".join(row) + "\n" for row in zip(*texts))
 
 
+def _one_line(text: str, what: str = "label") -> str:
+    """``text``, which must not break a line of a parameter file: no
+    ``str.splitlines`` boundary (ValidationError otherwise)."""
+    if "".join(text.splitlines()) != text:
+        raise ValidationError(f"{what} {text!r} is not one line")
+    return text
+
+
 def _embed_lonlat(points: np.ndarray, radius: float) -> np.ndarray:
     """Map (lon, lat) degrees to 3-d points on a sphere of the given radius."""
     lon = np.radians(points[:, 0])
@@ -122,6 +133,135 @@ def _squared_sum(diffs, shape) -> np.ndarray:
         else:
             total += diff
     return np.zeros(shape) if total is None else total
+
+
+def _grid_squared_sum(diffs, grid_first: bool = False) -> np.ndarray:
+    """diffs[0]**2 + diffs[1]**2 + ..., summed in that order, over a
+    product grid.
+
+    ``diffs[k]`` is a fresh float array of differences between m points
+    and the n_k coordinates of the grid's axis k: (m, n_k), or (n_k, m)
+    when ``grid_first``. Each is squared in place and broadcast over the
+    grid's other axes into one (m, n) result, (n, m) when grid_first, with
+    n = n_1 ... n_d vertices in "ij" order. Entry (i, j) sums the same
+    squares in the same order as :func:`_squared_sum` of the full
+    differences to vertex j, so it is bitwise that, for (m, n_k) rather
+    than (m, n) subtractions per axis.
+    """
+    sizes = [diff.shape[0 if grid_first else 1] for diff in diffs]
+    m = diffs[0].shape[1 if grid_first else 0]
+    terms = []
+    for k, diff in enumerate(diffs):
+        np.square(diff, out=diff)
+        along = [1] * len(sizes)
+        along[k] = sizes[k]
+        terms.append(diff.reshape(along + [m] if grid_first else [m] + along))
+    if len(terms) == 1:
+        total = terms[0]
+    else:
+        total = np.add(terms[0], terms[1], out=np.empty(
+            np.broadcast_shapes(*(term.shape for term in terms))))
+        for term in terms[2:]:
+            total += term
+    n = math.prod(sizes)
+    return total.reshape((n, m) if grid_first else (m, n))
+
+
+def _grid_squared_distances(axes, points: np.ndarray,
+                            grid_first: bool) -> np.ndarray:
+    """Squared Euclidean distances between the vertices of the product grid
+    of ``axes`` (see :attr:`Grid.axes`) and float points (m, dim): (n, m)
+    when ``grid_first``, else (m, n). Bitwise those of
+    :func:`_squared_distances` of the vertices and the points, built per
+    axis (see :func:`_grid_squared_sum`)."""
+    return _grid_squared_sum(
+        [np.subtract.outer(a, points[:, k]) if grid_first
+         else np.subtract.outer(points[:, k], a) for k, a in enumerate(axes)],
+        grid_first)
+
+
+def _grid_same_set(axes, into) -> np.ndarray:
+    """f(D) for the distances D among the vertices of the uniform product
+    grid of ``axes`` (see :attr:`Grid.axes`).
+
+    On such a grid the distance between two vertices depends only on their
+    per-axis index offsets. So the squared distances are taken once per
+    offset, sum_k (a_k[o_k] - a_k[0])**2, an (n_1, ..., n_d) table;
+    ``into(d2, out)`` writes f of their square roots into ``out`` (and may
+    overwrite d2), and the n x n block is expanded from that table (see
+    :func:`_toeplitz`). Entry (i, j) is f at the offset's distance, which
+    differs from the distance a_i - a_j of the tiled path
+    (:meth:`Metric._same_set`) by the rounding of the coordinates, a few
+    ulp of the largest of them. A table entry that overflows is inf, for
+    ``into`` to reject.
+    """
+    with np.errstate(over="ignore"):
+        d2 = _grid_squared_sum([(a - a[0])[None, :] for a in axes])
+    shape = tuple(a.size for a in axes)
+    table = into(d2, np.empty(d2.shape)).reshape(shape)
+    return _toeplitz(table, np.empty((d2.size, d2.size)))
+
+
+def _toeplitz(table: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the symmetric multilevel Toeplitz matrix of ``table`` into out.
+
+    ``table`` is (n_1, ..., n_d) and ``out`` (N, N), N = n_1 ... n_d; entry
+    ((i_1, ..., i_d), (j_1, ..., j_d)) of out, multi-indices in "ij" order,
+    is table[|i_1 - j_1|, ..., |i_d - j_d|]. Level by level: out is
+    n_1 x n_1 blocks of M = N / n_1 rows, block (i, j) the matrix of
+    table[|i - j|] one level down. Those n_1 sub-blocks are each built
+    once, side by side in an M x (2 n_1 - 1) M array in the order of
+    offsets n_1 - 1, ..., 1, 0, 1, ..., n_1 - 1, so that row block i of out
+    is one contiguous column range of it, copied in one pass. A 1-d table
+    is its reflected row read through a sliding window.
+    """
+    n = table.shape[0]
+    if table.ndim == 1:
+        wide = np.concatenate([table[:0:-1], table])
+        out[...] = sliding_window_view(wide, n)[::-1]
+        return out
+    m = out.shape[0] // n
+    wide = np.empty((m, 2 * n - 1, m))
+    for k in range(n):
+        _toeplitz(table[k], wide[:, n - 1 + k])
+        if k:
+            wide[:, n - 1 - k] = wide[:, n - 1 + k]
+    wide = wide.reshape(m, (2 * n - 1) * m)
+    for i in range(n):
+        out[i * m:(i + 1) * m] = wide[:, (n - 1 - i) * m:(2 * n - 1 - i) * m]
+    return out
+
+
+# how far, in ulp of an axis's largest coordinate, its coordinates may lie
+# off the line a_0 + k h of a uniform axis
+_UNIFORM_ULPS = 16
+
+
+def _uniform_axes(vertices: np.ndarray) -> Optional[tuple]:
+    """See :attr:`Grid.axes`."""
+    dim = vertices.shape[1]
+    axes = tuple(np.unique(vertices[:, k]) for k in range(dim))
+    shape = tuple(a.size for a in axes)
+    if dim == 0 or math.prod(shape) != vertices.shape[0]:
+        return None
+    for k, a in enumerate(axes):
+        along = [1] * dim
+        along[k] = a.size
+        if not np.array_equal(vertices[:, k].reshape(shape), np.broadcast_to(
+                a.reshape(along), shape)):
+            return None
+        if a.size == 1:
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = (a[-1] - a[0]) / (a.size - 1)
+            off_line = np.abs(a - (a[0] + step * np.arange(a.size))).max()
+            uniform = off_line <= _UNIFORM_ULPS * np.spacing(max(-a[0], a[-1]))
+            resolved = (a[1:] - a[:-1]).min() ** 2 >= np.finfo(float).tiny
+        if not (uniform and resolved):
+            return None
+    for a in axes:
+        a.setflags(write=False)
+    return axes
 
 
 # rows per tile of a same-set block: 64 rows of a 1600-point set are 800 KB,
@@ -255,6 +395,22 @@ class Grid:
     @property
     def n(self) -> int:
         return self.vertices.shape[0]
+
+    @cached_property
+    def axes(self) -> Optional[tuple]:
+        """Per-axis coordinates (a_1, ..., a_dim) of a uniform product grid,
+        else None; found once, from the vertices alone.
+
+        A uniform product grid is what :func:`regular_grid` makes: the
+        vertices are the "ij" meshgrid of increasing a_k, each of which
+        lies within 16 ulp of its largest coordinate from a line of uniform
+        spacing, and no spacing squares to less than the smallest normal
+        double, so that distinct vertices are at distance > 0. Shuffled,
+        jittered or unevenly spaced vertices give None. On such a grid a
+        distance between vertices depends only on per-axis offsets, which
+        covariance assembly uses (``conditional._Geometry``).
+        """
+        return _uniform_axes(self.vertices)
 
     @property
     def dim(self) -> int:

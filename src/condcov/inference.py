@@ -28,7 +28,7 @@ from .conditional import (
     kept_observations,
     observation_covariance,
 )
-from .domain import Grid, Observations, _rewrite
+from .domain import Grid, Observations, _one_line, _rewrite
 from .errors import (
     CondcovError,
     InsufficientDataError,
@@ -552,13 +552,6 @@ def compare_directions(
             for f, d in zip(fits, deltas)]
 
 
-def _one_line(label: str) -> str:
-    """``label``, which must not break a line of a parameter file."""
-    if "".join(label.splitlines()) != label:
-        raise ValidationError(f"label {label!r} is not one line")
-    return label
-
-
 def write_fit_result(path, fit: FitResult) -> None:
     """Flat key-value file: metadata as comments, one parameter per line.
 
@@ -580,13 +573,16 @@ def write_fit_result(path, fit: FitResult) -> None:
 
 
 def read_params(path) -> dict:
-    """Parse a flat key-value parameter file written by write_fit_result."""
+    """Parse a flat key-value parameter file written by write_fit_result.
+
+    A value is what follows the last "=" of its line, as a node name may
+    hold one."""
     out = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, sep, value = line.partition("=")
+        key, sep, value = line.rpartition("=")
         if not sep:
             raise ValidationError(f"{path}:{lineno}: expected 'name = value', got {raw!r}")
         try:

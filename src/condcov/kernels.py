@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import kv as _kv
 
-from .domain import _squared_sum
+from .domain import _grid_squared_sum, _squared_sum
 from .errors import ParameterError, ValidationError
 
 __all__ = [
@@ -89,7 +89,8 @@ def _check_distances(d: np.ndarray) -> None:
 def _matern_of_squared(params: MaternParams, d2: np.ndarray,
                        out: np.ndarray) -> np.ndarray:
     """matern_cov(params, sqrt(d2)) written into ``out``; d2 becomes the
-    distances. This is ``into`` of ``Metric._same_set`` for a Matern block."""
+    distances. This is ``into`` of ``Metric._same_set`` and
+    ``domain._grid_same_set`` for a Matern block."""
     d = np.sqrt(d2, out=d2)
     _check_distances(d)
     return _matern_into(params, d, out)
@@ -328,7 +329,7 @@ def interaction_values(spec: InteractionSpec, S, V) -> np.ndarray:
     return _bisquare_profile(spec, _squared_displacement(spec, S, V))
 
 
-def _squared_displacement(spec: InteractionSpec, S, V) -> np.ndarray:
+def _squared_displacement(spec: InteractionSpec, S, V, axes=None) -> np.ndarray:
     """|h|^2 for the displacements h = V[j] - S[i] - shift of a bisquare edge.
 
     This is the part of a bisquare value that only ``shift`` changes; see
@@ -338,16 +339,22 @@ def _squared_displacement(spec: InteractionSpec, S, V) -> np.ndarray:
     Built on one (m, n) array, axis by axis and in place: for k = 0, 1, ...
     the component h_k = V[j, k] - S[i, k] (less shift[k] on a shifted edge)
     is squared and added to the sum of the axes before it. No (m, n, dim)
-    array of displacements is formed.
+    array of displacements is formed. When V is the product grid of
+    ``axes`` (``Grid.axes``), h_k is taken against the n_k coordinates of
+    axis k only and broadcast (``domain._grid_squared_sum``), bitwise the
+    same.
     """
     shift = spec.shift if spec.kind is InteractionKind.SHIFTED_BISQUARE else None
+    columns = V.T if axes is None else axes
 
     def axis(k):
-        h = V[None, :, k] - S[:, None, k]
+        h = columns[k][None, :] - S[:, None, k]
         if shift is not None:
             h -= shift[k]
         return h
 
+    if axes is not None:
+        return _grid_squared_sum([axis(k) for k in range(S.shape[1])])
     return _squared_sum((axis(k) for k in range(S.shape[1])),
                         (S.shape[0], V.shape[0]))
 

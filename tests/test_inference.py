@@ -506,6 +506,35 @@ def test_a_label_that_is_not_one_line_is_not_written(tmp_path):
     assert read_params(path) == fit.estimates
 
 
+# every str.splitlines boundary
+_LINE_BREAKS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                "\x85", "\u2028", "\u2029")
+
+
+def test_node_names_that_are_not_one_line_are_rejected():
+    params = MaternParams(1.0, 25.0, 1.5)
+    for brk in _LINE_BREAKS:
+        for name in (f"a{brk}b", f"a{brk}"):
+            with pytest.raises(ValidationError, match="not one line"):
+                ProcessNode(name, params)
+
+
+def test_node_names_round_trip_through_params_txt(tmp_path):
+    # names that are one line and hold no reserved character read back,
+    # an "=" included
+    names = ['a"b', "x:y", "\u00e9t\u00e9", "q=1", "n#"]
+    net = ProcessNetwork([ProcessNode(name, MaternParams(1.0, 25.0, 1.5),
+                                      noise=0.25) for name in names])
+    obs = [Observations(q, GRID.vertices[::4], np.sin(3.0 * q + GRID.vertices[::4, 0]))
+           for q in range(len(names))]
+    fit = fit_mle(GRID, net, obs, free=[f"{name}.variance" for name in names],
+                  config=OptimizerConfig(seed=0, restarts=1, max_evals=20))
+    path = tmp_path / "params.txt"
+    write_fit_result(path, fit)
+    assert read_params(path) == fit.estimates
+    assert {key.rsplit(".", 1)[0] for key in fit.estimates} == set(names)
+
+
 def test_read_params_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("y1.variance = 1.0\nnot a parameter line\n")
