@@ -78,7 +78,6 @@ of the old file.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 from dataclasses import MISSING, dataclass, field
@@ -98,6 +97,7 @@ from .conditional import (
 from .domain import (
     _COORD_NAMES,
     _one_line,
+    _read_table,
     _variable_index,
     _write_table,
     EUCLIDEAN,
@@ -263,21 +263,6 @@ def _fill(sec: _Section, cls, **fields):
     return value
 
 
-def _read_table(path: Path, header: Sequence[str], what: str) -> list:
-    """The rows of a numeric CSV file with the given header."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        cols = [c.strip() for c in reader.fieldnames or []]
-        if cols != list(header):
-            raise ConfigError(
-                f"{path}: expected header {','.join(header)!r}, got {cols}"
-            )
-        try:
-            return [[float(row[c]) for c in reader.fieldnames] for row in reader]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: non-numeric {what}") from exc
-
-
 # ---------------------------------------------------------------- settings
 
 
@@ -371,7 +356,8 @@ def _parse_grid(sec: _Section) -> Grid:
         if "path" in sec.data:
             path = sec.base_dir / sec.read("path", str)
             sec.finish()
-            return load_mesh(_existing(path, f"{sec.where}: mesh file"), metric)
+            return _located(f"{sec.where}: path", load_mesh,
+                            _existing(path, f"{sec.where}: mesh file"), metric)
         vertices = sec.matrix("vertices")
         weights = sec.read("weights", [float])
         sec.finish()
@@ -553,7 +539,8 @@ def _parse_candidate(sec: _Section):
     csec.finish()
     if isinstance(table, str):
         where = _existing(sec.base_dir / table, f"{sec.where}: candidate table")
-        rows = _read_table(where, ("w", "value"), "row in candidate table")
+        rows = tuple(zip(*_located(f"{csec.where}: table", _read_table,
+                                   where, [("w", "value")])[1]))
     else:
         where = sec.where
         rows = _expect(table, f"{where}: candidate table", [[float]])
@@ -711,10 +698,10 @@ def _cmd_predict(args) -> int:
     grid, network = model.grid, model.network
     if args.targets:
         tpath = _existing(Path(args.targets), "targets file")
-        rows = _read_table(tpath, _COORD_NAMES[:grid.dim], "coordinate row")
-        if not rows:
+        coords = _read_table(tpath, [_COORD_NAMES[:grid.dim]])[1]
+        if not coords[0]:
             raise ConfigError(f"{tpath}: no target locations")
-        targets = np.array(rows)
+        targets = np.column_stack(coords)
     else:
         targets = grid.vertices
     try:

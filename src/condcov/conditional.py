@@ -109,7 +109,11 @@ class ProcessNode:
             raise ValidationError(
                 f"node name {self.name!r} is empty or contains reserved characters"
             )
-        # a name heads lines of params.txt, so it is one line
+        # a name heads lines of params.txt, which read_params strips and
+        # skips if they then start with "#"; and it is one line
+        if self.name[0].isspace() or self.name[0] == "#":
+            raise ValidationError(f"node name {self.name!r} starts with whitespace "
+                                  f"or '#', which params.txt strips or reads as a comment")
         _one_line(self.name, "node name")
         object.__setattr__(
             self,

@@ -14,7 +14,6 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -98,6 +97,50 @@ def _write_table(path, header: Sequence[str], columns) -> None:
     with _rewrite(path) as fh:
         fh.write(",".join(map(_cell_text, header)) + "\n")
         fh.writelines(",".join(row) + "\n" for row in zip(*texts))
+
+
+def _finite(cell: str) -> float:
+    """A CSV cell as a finite float (ValueError otherwise)."""
+    if math.isfinite(value := float(cell)):
+        return value
+    raise ValueError(cell)
+
+
+def _read_table(path, headers, text=None) -> tuple:
+    """The header and the columns of the CSV table at ``path``.
+
+    Every CSV the package reads goes through here. Blank lines are skipped,
+    "\n" and "\r\n" line ends are read, and cells are stripped of spaces and
+    tabs. The header is one of ``headers``, and each row has one cell per
+    column: ``text[name]`` of the cell in a column named in ``text``, else a
+    finite float. Each fault, a ValidationError of ``text`` included, is a
+    ValidationError at ``{path}: line {n}:``, n the physical line.
+    """
+    text = text or {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        rows = filter(None, reader)
+        header = tuple(cell.strip(" \t") for cell in next(rows, ()))
+        if header not in headers:
+            raise ValidationError(
+                f"{path}: line {reader.line_num}: expected header "
+                f"{' or '.join(map(','.join, headers))}, got {','.join(header)!r}")
+        convert = [text.get(name, _finite) for name in header]
+        expected = ", then ".join([*filter(text.__contains__, header), "numbers "
+                                   + ", ".join(c for c in header if c not in text)])
+        columns = [[] for _ in header]
+        for row in rows:
+            try:
+                for column, conv, cell in zip(columns, convert, row, strict=True):
+                    column.append(conv(cell.strip(" \t")))
+            except ValidationError as exc:
+                raise ValidationError(
+                    f"{path}: line {reader.line_num}: {exc}") from None
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: line {reader.line_num}: expected {expected} "
+                    f"(finite), got {', '.join(map(repr, row))}") from None
+    return header, columns
 
 
 def _one_line(text: str, what: str = "label") -> str:
@@ -459,36 +502,14 @@ def regular_grid(bounds: Sequence, counts: Sequence[int], metric: Metric = EUCLI
 _COORD_NAMES = ("x", "y", "z")
 
 
-def _coord_columns(fieldnames, trailing: str, path) -> list:
-    names = [c.strip() for c in fieldnames or []]
-    if len(names) < 2 or names[-1] != trailing:
-        raise ValidationError(
-            f"{path}: expected coordinate columns followed by {trailing!r}, got {names}"
-        )
-    coords = names[:-1]
-    if tuple(coords) != _COORD_NAMES[: len(coords)]:
-        raise ValidationError(
-            f"{path}: coordinate columns must be {_COORD_NAMES[:len(coords)]}, got {coords}"
-        )
-    return coords
-
-
 def load_mesh(path, metric: Metric = EUCLIDEAN) -> Grid:
-    """Read a mesh CSV with header ``x[,y[,z]],weight``."""
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        coords = _coord_columns(reader.fieldnames, "weight", path)
-        verts, weights = [], []
-        for i, row in enumerate(reader):
-            try:
-                verts.append([float(row[c]) for c in coords])
-                weights.append(float(row["weight"]))
-            except (TypeError, KeyError, ValueError) as exc:
-                raise ValidationError(f"{path}: bad row {i + 2}: {row}") from exc
-    if not verts:
+    """Read a mesh CSV with header ``x[,y[,z]],weight`` (see
+    :func:`_read_table`)."""
+    *coords, weights = _read_table(
+        path, [(*_COORD_NAMES[:dim], "weight") for dim in (1, 2, 3)])[1]
+    if not weights:
         raise ValidationError(f"{path}: empty mesh")
-    return Grid(np.array(verts), np.array(weights), metric)
+    return Grid(np.column_stack(coords), np.array(weights), metric)
 
 
 def save_mesh(grid: Grid, path) -> None:
@@ -552,38 +573,19 @@ def _variable_index(label: str, names: Sequence[str]) -> int:
 
 
 def load_observations(path, names: Sequence[str]) -> list:
-    """Read observations CSV (header ``variable,x[,y[,z]],value``).
+    """Read observations CSV (header ``variable,x[,y[,z]],value``; see
+    :func:`_read_table`).
 
     The variable column holds a node name from ``names`` or a 1-based index.
     Returns one Observations per name, in order, possibly with zero rows.
     """
-    path = Path(path)
     names = list(names)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        cols = [c.strip() for c in reader.fieldnames or []]
-        if len(cols) < 3 or cols[0] != "variable" or cols[-1] != "value":
-            raise ValidationError(
-                f"{path}: expected header 'variable,<coords>,value', got {cols}"
-            )
-        coords = _coord_columns(cols[1:], "value", path)
-        locs = [[] for _ in names]
-        vals = [[] for _ in names]
-        for i, row in enumerate(reader):
-            try:
-                q = _variable_index(row["variable"].strip(), names)
-            except ValidationError as exc:
-                raise ValidationError(f"{path}: row {i + 2}: {exc}") from None
-            try:
-                locs[q].append([float(row[c]) for c in coords])
-                vals[q].append(float(row["value"]))
-            except (TypeError, KeyError, ValueError) as exc:
-                raise ValidationError(f"{path}: bad row {i + 2}: {row}") from exc
-    dim = len(coords)
-    return [
-        Observations(q, np.array(locs[q]).reshape(-1, dim), np.array(vals[q]))
-        for q in range(len(names))
-    ]
+    variables, *coords, values = map(np.array, _read_table(
+        path, [("variable", *_COORD_NAMES[:dim], "value") for dim in (1, 2, 3)],
+        {"variable": lambda label: _variable_index(label, names)})[1])
+    locations = np.column_stack(coords)
+    return [Observations(q, locations[variables == q], values[variables == q])
+            for q in range(len(names))]
 
 
 def save_observations(obs_list: Sequence[Observations], names: Sequence[str], path) -> None:

@@ -9,18 +9,16 @@ the same machinery works on lon-lat meshes.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import kv as _kv
 
-from .domain import _grid_squared_sum, _squared_sum
+from .domain import _grid_squared_sum, _read_table, _squared_sum
 from .errors import ParameterError, ValidationError
 
 __all__ = [
@@ -385,37 +383,20 @@ def interaction_eval(spec: InteractionSpec, s, v) -> float:
 
 
 def load_tabulated(path) -> InteractionSpec:
-    """Load a tabulated interaction from CSV with header ``s,v,value``.
+    """Load a tabulated interaction from CSV with header ``s,v,value`` (see
+    ``domain._read_table``).
 
-    Rows must cover a complete product grid of the distinct s and v values.
+    Rows must cover a complete product grid of the distinct s and v values,
+    one row per point.
     """
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != ["s", "v", "value"]:
-            raise ValidationError(
-                f"{path}: expected header 's,v,value', got {reader.fieldnames}"
-            )
-        rows = []
-        for r in reader:
-            try:
-                rows.append((float(r["s"]), float(r["v"]), float(r["value"])))
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"{path}: line {reader.line_num}: expected numbers s, v, "
-                    f"value, got {r['s']!r}, {r['v']!r}, {r['value']!r}"
-                ) from None
-    if not rows:
+    _, (s, v, values) = _read_table(path, [("s", "v", "value")])
+    if not s:
         raise ValidationError(f"{path}: empty interaction table")
-    s_axis = np.unique([r[0] for r in rows])
-    v_axis = np.unique([r[1] for r in rows])
-    values = np.full((s_axis.size, v_axis.size), np.nan)
-    si = {s: i for i, s in enumerate(s_axis)}
-    vi = {v: j for j, v in enumerate(v_axis)}
-    for s, v, val in rows:
-        values[si[s], vi[v]] = val
-    if np.any(np.isnan(values)):
+    s_axis = np.unique(s)
+    v_axis = np.unique(v)
+    table = np.full((s_axis.size, v_axis.size), np.nan)
+    table[np.searchsorted(s_axis, s), np.searchsorted(v_axis, v)] = values
+    if len(s) != table.size or np.any(np.isnan(table)):
         raise ValidationError(
-            f"{path}: rows do not form a complete s x v product grid"
-        )
-    return tabulated(s_axis, v_axis, values)
+            f"{path}: rows are not one per point of an s x v product grid")
+    return tabulated(s_axis, v_axis, table)

@@ -23,12 +23,14 @@ from condcov import (
     bisquare,
     chordal,
     dirac,
+    load_observations,
     regular_grid,
     sample_joint,
     save_observations,
     shifted_bisquare,
     tabulated,
     zero,
+    ValidationError,
 )
 from condcov.cli import (
     SpectralSettings,
@@ -361,6 +363,137 @@ def test_non_numeric_table_file_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"table: {tmp_path / 'tab.csv'}: line 3: " in err
     assert "'abc'" in err
+
+
+def test_spaced_table_header_runs_and_an_extra_cell_exits_1(tmp_path, capsys):
+    # the header's cells are stripped, and so are the column names the rows
+    # are read by; a row with more cells than columns is an error, not cut
+    data = yaml.safe_load(yaml.safe_dump(BASE))
+    _edit(_y2_edge({"kind": "tabulated", "table": "tab.csv"}))(data)
+    cfg_path = _write_cfg(tmp_path, data)
+    rows = TABLE_CSV.splitlines()[1:]
+    outputs = []
+    for name, header in (("plain", "s,v,value"), ("spaced", "s, v, value")):
+        (tmp_path / "tab.csv").write_text("\n".join([header, *rows]) + "\n")
+        rc = main(["spectral-check", "--config", str(cfg_path),
+                   "--out", str(tmp_path / name)])
+        assert rc == 0
+        outputs.append((tmp_path / name / "spectral.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    (tmp_path / "tab.csv").write_text(
+        "\n".join(["s,v,value", *rows[:-1], rows[-1] + ",7"]) + "\n")
+    capsys.readouterr()
+    rc = main(["spectral-check", "--config", str(cfg_path),
+               "--out", str(tmp_path / "extra")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"table: {tmp_path / 'tab.csv'}: line {len(rows) + 1}: " in err
+
+
+def _from_config(changes, part):
+    """A reader of the file named "in.csv" in the config changes, as the
+    ``part`` of the parsed config."""
+    def read(tmp_path):
+        data = yaml.safe_load(yaml.safe_dump(BASE))
+        _edit(changes)(data)
+        return getattr(parse_config(_write_cfg(tmp_path, data)), part)
+    return read
+
+
+def _predict_at_targets(tmp_path):
+    cfg_path = _write_cfg(tmp_path)
+    args = condcov.cli._build_parser().parse_args([
+        "predict", "--config", str(cfg_path),
+        "--data", str(_write_obs(tmp_path, cfg_path)),
+        "--targets", str(tmp_path / "in.csv"), "--out", str(tmp_path / "p")])
+    args.func(args)
+    return (tmp_path / "p" / "predictions.csv").read_bytes()
+
+
+# every table the package reads: a reader of tmp_path / "in.csv" giving what
+# it read, a header and rows of a valid file, and the key path that a
+# config-named file's faults are reported under
+INPUTS = {
+    "mesh": (_from_config({("grid",): {"kind": "mesh", "path": "in.csv"}},
+                          "grid"),
+             "x,weight", ["-1,0.5", "0,1", "1,0.5"], "model.yaml: grid: path: "),
+    "observations": (lambda tmp_path: load_observations(
+        tmp_path / "in.csv", ["y1", "y2"]),
+        "variable,x,value", ["y1,-0.5,1.5", "y2,0.5,-2"], ""),
+    "table": (_from_config(_y2_edge({"kind": "tabulated", "table": "in.csv"}),
+                           "network"),
+              "s,v,value", TABLE_CSV.splitlines()[1:],
+              "model.yaml: nodes[1]: parents[0]: table: "),
+    "targets": (_predict_at_targets, "x", ["-0.5", "0.5"], ""),
+    "candidate": (_from_config(
+        {("spectral", "candidate"): {"table": "in.csv"}}, "spectral"),
+        "w,value", ["0.1,1", "1,0.5"], "model.yaml: spectral: candidate: table: "),
+}
+
+
+def _with_last_cell(row, cell):
+    """``row`` with its last cell replaced by ``cell``."""
+    return ",".join(row.split(",")[:-1] + [cell])
+
+
+def _faulty_last_row(fault):
+    """The lines of a file whose last row is ``fault(last row)``."""
+    return lambda header, rows: [header, *rows[:-1], fault(rows[-1])]
+
+
+def _extra_cell(row):
+    return row + ",7"
+
+
+# (the lines of a valid file -> the lines of the variant, its line end, and
+# whether its last line is a fault; without one it reads as the valid file)
+VARIANTS = {
+    "spaced-header": (lambda header, rows: [
+        " " + ", \t".join(header.split(",")) + "\t", *rows], "\n", False),
+    "blank-lines": (lambda header, rows: ["", header, "", *rows, ""], "\n",
+                    False),
+    "crlf": (lambda header, rows: [header, *rows], "\r\n", False),
+    "extra-cell": (_faulty_last_row(_extra_cell), "\n", True),
+    "short-row": (_faulty_last_row(lambda row: row.rpartition(",")[0]), "\n",
+                  True),
+    "non-numeric": (_faulty_last_row(lambda row: _with_last_cell(row, "abc")),
+                    "\n", True),
+    "nan": (_faulty_last_row(lambda row: _with_last_cell(row, "nan")), "\n",
+            True),
+    "inf": (_faulty_last_row(lambda row: _with_last_cell(row, "inf")), "\n",
+            True),
+    "-inf": (_faulty_last_row(lambda row: _with_last_cell(row, "-Infinity")),
+             "\n", True),
+    # a fault is reported at its physical line: after blank lines, and after
+    # a quoted cell that spans two lines
+    "extra-cell-after-blank-line": (lambda header, rows: [
+        header, *rows[:-1], "", _extra_cell(rows[-1])], "\n", True),
+    "extra-cell-after-quoted-line-break": (lambda header, rows: [
+        header, _with_last_cell(rows[0], '"' + rows[0].split(",")[-1] + '\n"'),
+        *rows[1:-1], _extra_cell(rows[-1])], "\n", True),
+}
+
+
+@pytest.mark.parametrize("kind, variant", [
+    (kind, variant) for kind in INPUTS for variant in VARIANTS
+    # a row of one column cannot be short: it is blank or whole
+    if variant != "short-row" or "," in INPUTS[kind][1]])
+def test_every_table_is_read_by_one_rule(tmp_path, capsys, kind, variant):
+    read, header, rows, where = INPUTS[kind]
+    change, end, faulty = VARIANTS[variant]
+    path = tmp_path / "in.csv"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    expected = read(tmp_path)
+    text = "".join(line + end for line in change(header, rows))
+    path.write_bytes(text.encode())
+    if faulty:
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{where}{path}: line {text.count(chr(10))}: ")):
+            read(tmp_path)
+    else:
+        assert read(tmp_path) == expected
+    capsys.readouterr()
 
 
 def test_missing_config_exits_1(tmp_path, capsys):

@@ -519,6 +519,15 @@ def test_node_names_that_are_not_one_line_are_rejected():
                 ProcessNode(name, params)
 
 
+def test_node_names_that_start_a_comment_are_rejected():
+    # read_params strips a line's leading whitespace and skips it as a
+    # comment if it then starts with "#", so such a node's parameters would
+    # not read back
+    for name in ("#n", "#", "\xa0#n", "\xa0n", "\u2003n"):
+        with pytest.raises(ValidationError, match="starts with whitespace or '#'"):
+            ProcessNode(name, MaternParams(1.0, 25.0, 1.5))
+
+
 def test_node_names_round_trip_through_params_txt(tmp_path):
     # names that are one line and hold no reserved character read back,
     # an "=" included

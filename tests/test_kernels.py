@@ -321,3 +321,11 @@ def test_load_tabulated_errors(tmp_path):
         with pytest.raises(ValidationError,
                            match=re.escape(f"{garbled}: line 3: expected numbers")):
             load_tabulated(garbled)
+
+
+def test_load_tabulated_rejects_a_repeated_point(tmp_path):
+    # two values for one (s, v), the later of which used to win unremarked
+    path = tmp_path / "table.csv"
+    path.write_text("s,v,value\n0,0,1\n0,1,2\n1,0,3\n1,1,4\n0,0,9\n")
+    with pytest.raises(ValidationError, match="not one per point"):
+        load_tabulated(path)

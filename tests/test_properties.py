@@ -1,21 +1,30 @@
-"""Property tests: Matern continuity and parameter addressing.
+"""Property tests: Matern continuity, parameter addressing and CSV round
+trips.
 
 Networks are generated with hypothesis over every interaction kind, with
 optional means, nuggets and noise.
 """
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from condcov import (
+    Grid,
     MaternParams,
     MeanSpec,
+    Observations,
     ProcessNetwork,
     ProcessNode,
+    ValidationError,
     bisquare,
     dirac,
     get_parameter,
     list_parameters,
+    load_mesh,
+    load_observations,
     matern_cov,
+    save_mesh,
+    save_observations,
     set_parameter,
     shifted_bisquare,
     tabulated,
@@ -105,3 +114,59 @@ def test_set_then_get_round_trips(network, data):
             if other != name:
                 assert get_parameter(changed, other) == \
                     get_parameter(network, other), (name, other)
+
+
+# every finite double, with -0.0, subnormals and the extremes always among
+# the candidates
+doubles = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.5e-310, 1.7976931348623157e308])
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@SETTINGS
+@given(dim=st.integers(1, 3), n=st.integers(1, 6), data=st.data())
+def test_meshes_round_trip_exactly(tmp_path_factory, dim, n, data):
+    grid = Grid(data.draw(arrays(float, (n, dim), elements=doubles)),
+                data.draw(arrays(float, n, elements=doubles.filter(
+                    lambda w: w > 0.0))))
+    path = tmp_path_factory.mktemp("mesh") / "mesh.csv"
+    save_mesh(grid, path)
+    back = load_mesh(path)
+    assert _same_bits(back.vertices, grid.vertices)
+    assert _same_bits(back.weights, grid.weights)
+
+
+def _accepted(name: str) -> bool:
+    try:
+        ProcessNode(name, MaternParams(1.0, 1.0, 1.0))
+    except ValidationError:
+        return False
+    return True
+
+
+# every name ProcessNode accepts, with quotes, "=", "#" after the start, a
+# no-break space and a name that reads as an index among the candidates
+node_names = (st.sampled_from(['a"b', '"', "q=1", "n#", "y\xa0", "y\xa0z", "2"])
+              | st.text(min_size=1, max_size=6)).filter(_accepted)
+
+
+@SETTINGS
+@given(names=st.lists(node_names, min_size=1, max_size=3, unique=True),
+       dim=st.integers(1, 3), data=st.data())
+def test_observations_round_trip_exactly(tmp_path_factory, names, dim, data):
+    obs = []
+    for q in range(len(names)):
+        m = data.draw(st.integers(min_value=0 if q else 1, max_value=4))
+        obs.append(Observations(
+            q, data.draw(arrays(float, (m, dim), elements=doubles)),
+            data.draw(arrays(float, m, elements=doubles))))
+    path = tmp_path_factory.mktemp("obs") / "obs.csv"
+    save_observations(obs, names, path)
+    for a, b in zip(obs, load_observations(path, names), strict=True):
+        assert b.variable == a.variable
+        assert _same_bits(b.locations, a.locations)
+        assert _same_bits(b.values, a.values)
