@@ -19,6 +19,7 @@ from condcov import (
     Observations,
     ProcessNetwork,
     ProcessNode,
+    ValidationError,
     assemble_dag,
     bisquare,
     chordal,
@@ -30,7 +31,6 @@ from condcov import (
     shifted_bisquare,
     tabulated,
     zero,
-    ValidationError,
 )
 from condcov.cli import (
     SpectralSettings,
@@ -432,18 +432,22 @@ INPUTS = {
 }
 
 
-def _with_last_cell(row, cell):
-    """``row`` with its last cell replaced by ``cell``."""
-    return ",".join(row.split(",")[:-1] + [cell])
+def _last_row(change):
+    """The variant whose last row is ``change(the valid last row)``."""
+    return (lambda header, rows: [header, *rows[:-1], change(rows[-1])],
+            "\n", True)
 
 
-def _faulty_last_row(fault):
-    """The lines of a file whose last row is ``fault(last row)``."""
-    return lambda header, rows: [header, *rows[:-1], fault(rows[-1])]
+def _last_cell(cell):
+    """The variant whose last row ends in ``cell``."""
+    return _last_row(lambda row: ",".join(row.split(",")[:-1] + [cell]))
 
 
-def _extra_cell(row):
-    return row + ",7"
+def _break_last_cell(row):
+    """``row`` with its last cell quoted and ended by a line break, which a
+    number may hold."""
+    head, sep, cell = row.rpartition(",")
+    return f'{head}{sep}"{cell}\n"'
 
 
 # (the lines of a valid file -> the lines of the variant, its line end, and
@@ -454,24 +458,19 @@ VARIANTS = {
     "blank-lines": (lambda header, rows: ["", header, "", *rows, ""], "\n",
                     False),
     "crlf": (lambda header, rows: [header, *rows], "\r\n", False),
-    "extra-cell": (_faulty_last_row(_extra_cell), "\n", True),
-    "short-row": (_faulty_last_row(lambda row: row.rpartition(",")[0]), "\n",
-                  True),
-    "non-numeric": (_faulty_last_row(lambda row: _with_last_cell(row, "abc")),
-                    "\n", True),
-    "nan": (_faulty_last_row(lambda row: _with_last_cell(row, "nan")), "\n",
-            True),
-    "inf": (_faulty_last_row(lambda row: _with_last_cell(row, "inf")), "\n",
-            True),
-    "-inf": (_faulty_last_row(lambda row: _with_last_cell(row, "-Infinity")),
-             "\n", True),
+    "extra-cell": _last_row(lambda row: row + ",7"),
+    "short-row": _last_row(lambda row: row.rpartition(",")[0]),
+    "non-numeric": _last_cell("abc"),
+    "nan": _last_cell("nan"),
+    "inf": _last_cell("inf"),
+    "-inf": _last_cell("-Infinity"),
     # a fault is reported at its physical line: after blank lines, and after
     # a quoted cell that spans two lines
     "extra-cell-after-blank-line": (lambda header, rows: [
-        header, *rows[:-1], "", _extra_cell(rows[-1])], "\n", True),
+        header, *rows[:-1], "", rows[-1] + ",7"], "\n", True),
     "extra-cell-after-quoted-line-break": (lambda header, rows: [
-        header, _with_last_cell(rows[0], '"' + rows[0].split(",")[-1] + '\n"'),
-        *rows[1:-1], _extra_cell(rows[-1])], "\n", True),
+        header, _break_last_cell(rows[0]), *rows[1:-1], rows[-1] + ",7"],
+        "\n", True),
 }
 
 
@@ -488,8 +487,9 @@ def test_every_table_is_read_by_one_rule(tmp_path, capsys, kind, variant):
     text = "".join(line + end for line in change(header, rows))
     path.write_bytes(text.encode())
     if faulty:
+        line = text.count("\n")
         with pytest.raises(ValidationError, match=re.escape(
-                f"{where}{path}: line {text.count(chr(10))}: ")):
+                f"{where}{path}: line {line}: ")):
             read(tmp_path)
     else:
         assert read(tmp_path) == expected
