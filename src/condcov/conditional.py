@@ -29,9 +29,11 @@ from .domain import (
     _COORD_NAMES,
     Grid,
     Observations,
+    _grid_offset_table,
     _grid_same_set,
     _grid_squared_distances,
     _one_line,
+    _toeplitz_rows,
 )
 from .errors import NumericalError, ValidationError
 from .kernels import (
@@ -200,7 +202,7 @@ _GROUP_COST = 150_000
 
 
 class _Operator:
-    """Edge operator B_a(i) of the two rules, and its product ``left``.
+    """Edge operator B_a(i) of the two rules, and its products from the left.
 
     ``values`` is a dirac edge's amplitude (a scalar), or the quadrature-
     weighted values of any other edge from point set i (m points) into the
@@ -217,27 +219,59 @@ class _Operator:
     their last bits, and rows of X that no group's window reads are not
     read, so where they are not finite the product does not turn 0 * inf
     into a NaN there.
+
+    ``left_toeplitz(wide)`` is B C for a product grid's multilevel Toeplitz
+    C given by its outer row blocks (``domain._toeplitz_rows``), which it
+    never expands: row block j of C is multiplied by the rows of B whose
+    window meets it, a contiguous range of the rows in window order.
     """
 
     def __init__(self, values):
         self.values = values
         self.scalar = np.ndim(values) == 0
+        self._row_blocks = {}
 
     def left(self, X: np.ndarray) -> np.ndarray:
         """B X."""
         B = self.values
         if not self._worth(X):
             return np.dot(B, X)
-        _, order, groups = self._windows
+        _, _, groups = self._windows
         out = np.empty((B.shape[0], X.shape[1]))
         for g0, g1, lo, hi, block in groups:
             if block is None:
                 out[g0:g1] = 0.0
             else:
                 np.dot(block, X[lo:hi], out=out[g0:g1])
-        if order is not None:
-            by_window, out = out, np.empty_like(out)
-            out[order] = by_window
+        return self._in_row_order(out)
+
+    def left_toeplitz(self, wide: np.ndarray) -> np.ndarray:
+        """B C, C the symmetric multilevel Toeplitz matrix with outer row
+        blocks ``wide`` (``domain._toeplitz_rows``): for each row block j
+        of C, the view of it in ``wide`` times the columns of j in the rows
+        of B whose window meets them, summed block by block into those
+        rows. A row of B without a nonzero entry is a row of zeros."""
+        B = self.values
+        m, n = wide.shape[0], B.shape[1]
+        last = n // m - 1
+        ranges = self._by_row_block(m)
+        out = np.zeros((B.shape[0], n))
+        part = np.empty((max((g1 - g0 for _, g0, g1, _ in ranges), default=0), n))
+        for j, g0, g1, block in ranges:
+            rows = part[:g1 - g0]
+            # matmul hands the strided view to BLAS; np.dot copies it first
+            np.matmul(block, wide[:, (last - j) * m:(2 * last + 1 - j) * m],
+                      out=rows)
+            out[g0:g1] += rows
+        return self._in_row_order(out)
+
+    def _in_row_order(self, out: np.ndarray) -> np.ndarray:
+        """The rows ``out`` of a product in window order, put in B's."""
+        order = self._bounds[2]
+        if order is None:
+            return out
+        by_window, out = out, np.empty_like(out)
+        out[order] = by_window
         return out
 
     def _worth(self, X: np.ndarray) -> bool:
@@ -251,37 +285,62 @@ class _Operator:
         return B.size * k > cost and self._windows[0] * k > cost
 
     @cached_property
-    def _windows(self):
-        """(entries of B that the windows leave out, the row order by
-        window or None if the rows are in it already, and per group
-        (g0, g1, lo, hi, B[G, lo:hi] or None where that is empty))."""
+    def _bounds(self):
+        """Each row's window [lo, hi) in window order (a row without a
+        nonzero entry gets [n, 0), and a NaN is nonzero), and the row order
+        by window, or None if the rows are in it already."""
         B = self.values
         m, n = B.shape
-        # a NaN is nonzero; a row without a nonzero entry gets [n, 0)
         nonzero = B != 0.0
         lo = nonzero.argmax(axis=1)
         hit = nonzero[np.arange(m), lo]
         hi = np.where(hit, n - nonzero[:, ::-1].argmax(axis=1), 0)
         lo[~hit] = n
+        if np.all(lo[1:] >= lo[:-1]):
+            return lo, hi, None
         order = np.argsort(lo, kind="stable")
+        return lo[order], hi[order], order
+
+    def _rows(self, g0: int, g1: int, c0: int, c1: int) -> np.ndarray:
+        """B[G, c0:c1] for the rows G = g0:g1 in window order."""
+        order = self._bounds[2]
+        rows = slice(g0, g1) if order is None else order[g0:g1]
+        return self.values[rows, c0:c1]
+
+    @cached_property
+    def _windows(self):
+        """(entries of B that the windows leave out, the row order by
+        window or None if the rows are in it already, and per group
+        (g0, g1, lo, hi, B[G, lo:hi] or None where that is empty))."""
+        m, n = self.values.shape
+        lo, hi, order = self._bounds
         starts = np.arange(0, m, _GROUP_ROWS)
         ends = np.minimum(starts + _GROUP_ROWS, m)
-        group_lo = lo[order[starts]]
-        group_hi = np.maximum.reduceat(hi[order], starts)
-        if np.all(lo[1:] >= lo[:-1]):
-            order = None
+        group_lo = lo[starts]
+        group_hi = np.maximum.reduceat(hi, starts)
         groups, kept = [], 0
         for g0, g1, a, b in zip(starts.tolist(), ends.tolist(),
                                 group_lo.tolist(), group_hi.tolist()):
-            if a >= b:
-                block = None
-            elif order is None:
-                block = B[g0:g1, a:b]
-            else:
-                block = B[order[g0:g1], a:b]
+            block = self._rows(g0, g1, a, b) if a < b else None
             kept += 0 if block is None else block.size
             groups.append((g0, g1, a, b, block))
         return m * n - kept, order, groups
+
+    def _by_row_block(self, m: int) -> list:
+        """Per row block j of M = ``m`` columns that a row's window meets,
+        (j, g0, g1, B[G, jM:(j + 1)M]) for the range G = g0:g1 of rows in
+        window order from the first to the last such row; kept per M."""
+        if m not in self._row_blocks:
+            lo, hi, _ = self._bounds
+            blocks = []
+            for j in range(self.values.shape[1] // m):
+                c0, c1 = j * m, (j + 1) * m
+                meets = np.flatnonzero(hi[:np.searchsorted(lo, c1)] > c0)
+                if meets.size:
+                    g0, g1 = int(meets[0]), int(meets[-1]) + 1
+                    blocks.append((j, g0, g1, self._rows(g0, g1, c0, c1)))
+            self._row_blocks[m] = blocks
+        return self._row_blocks[m]
 
 
 class _Geometry:
@@ -300,7 +359,10 @@ class _Geometry:
     grid's per-axis coordinates (:attr:`Grid.axes`; None otherwise), and
     blocks with the grid are built from them: the grid's same-set Matern
     from its table of offsets, and distances and displacements between the
-    grid and another set per axis.
+    grid and another set per axis. On such a grid of two or more axes,
+    ``toeplitz`` keeps, per node, the outer row blocks of its Matern plus
+    nugget on the grid, from which the cross rule multiplies without the
+    n x n block.
     """
 
     def __init__(self, grid: Grid):
@@ -373,6 +435,23 @@ class _Geometry:
                 return np.asarray(matern_cov(params, self.distance(i, j)))
         return self._kept(("matern", q, i, j), params, build)
 
+    def toeplitz(self, q: int, params: MaternParams,
+                 nugget: float) -> Optional[np.ndarray]:
+        """The outer row blocks (``domain._toeplitz_rows``) of the Matern
+        ``params`` of node q on the grid plus ``nugget`` on its diagonal,
+        where ``axes`` has two or more axes; else None. The nugget is added
+        to the offset table at offset 0, so the expanded rows are bitwise
+        ``matern(q, params, 0, 0)`` with the nugget added to its diagonal."""
+        if self.axes is None or len(self.axes) < 2:
+            return None
+
+        def build():
+            table = _grid_offset_table(self.axes,
+                                       partial(_matern_of_squared, params))
+            table[(0,) * table.ndim] += nugget
+            return _toeplitz_rows(table)
+        return self._kept(("toeplitz", q), (params, nugget), build)
+
     def weighted(self, q: int, pos: int, spec: InteractionSpec, i: int) -> np.ndarray:
         """Quadrature-weighted values of edge ``pos`` of node q (``spec``),
         from point set i into the grid."""
@@ -409,6 +488,10 @@ class CovarianceEvaluator:
       cov(q, a, i, 0) bit for bit, except that a same-set marginal
       (a = q, i = 0) is read as its own transpose: exact for a node
       without edges, whose block is a Matern, and to roundoff otherwise.
+      On a product grid of two or more axes, the block of such a node
+      without edges is never built for this: its product is read from the
+      Matern's Toeplitz rows (``_Geometry.toeplitz``,
+      ``_Operator.left_toeplitz``), to roundoff of the product with it.
 
     Every block is kept for the life of the evaluator, so a marginal block
     reads the cross blocks that predictions read too; blocks are shared with
@@ -478,11 +561,24 @@ class CovarianceEvaluator:
         for a, k, op in self._edges(r, j):
             if op.scalar:
                 mat = mat + np.dot(self.cov(q, a, i, k), op.values)
+            elif a == q and i == 0 and (wide := self._toeplitz(q)) is not None:
+                # the block read below is cov(q, q, 0, 0), a Matern plus
+                # nugget on a product grid: B_a(j) times it, from its rows
+                mat = mat + op.left_toeplitz(wide).T
             else:
                 # C_21 = B C_11 as written: cov(r, q, j, i) is
                 # B_a(j) cov(a, q, k, i), read row by row
                 mat = mat + op.left(self.cov(a, q, k, i)).T
         return mat
+
+    def _toeplitz(self, q: int) -> Optional[np.ndarray]:
+        """The outer row blocks of cov(q, q, 0, 0) (``_Geometry.toeplitz``)
+        when that block is node q's Matern plus its nugget, with no nonzero
+        edge, on a product grid of two or more axes; else None."""
+        node = self.network.nodes[q]
+        if any(spec.kind is not InteractionKind.ZERO for _, spec in node.parents):
+            return None
+        return self._geometry.toeplitz(q, node.covariance, node.nugget)
 
     def variance(self, q: int, i: int) -> np.ndarray:
         """The diagonal of cov(q, q, i, i), without building the block."""

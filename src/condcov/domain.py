@@ -107,14 +107,16 @@ def _finite(cell: str) -> float:
 
 
 def _read_table(path, headers, text=None) -> tuple:
-    """The header and the columns of the CSV table at ``path``.
+    """The header, the columns and the line of each row of the CSV table
+    at ``path``.
 
     Every CSV the package reads goes through here. Blank lines are skipped,
     "\n" and "\r\n" line ends are read, and cells are stripped of spaces and
     tabs. The header is one of ``headers``, and each row has one cell per
     column: ``text[name]`` of the cell in a column named in ``text``, else a
     finite float. Each fault, a ValidationError of ``text`` included, is a
-    ValidationError at ``{path}: line {n}:``, n the physical line.
+    ValidationError at ``{path}: line {n}:``, n the physical line, which is
+    what the returned lines hold, for a caller's own checks of the rows.
     """
     text = text or {}
     with open(path, newline="") as fh:
@@ -129,7 +131,9 @@ def _read_table(path, headers, text=None) -> tuple:
         expected = ", then ".join([*filter(text.__contains__, header), "numbers "
                                    + ", ".join(c for c in header if c not in text)])
         columns = [[] for _ in header]
+        lines = []
         for row in rows:
+            lines.append(reader.line_num)
             try:
                 for column, conv, cell in zip(columns, convert, row, strict=True):
                     column.append(conv(cell.strip(" \t")))
@@ -140,7 +144,7 @@ def _read_table(path, headers, text=None) -> tuple:
                 raise ValidationError(
                     f"{path}: line {reader.line_num}: expected {expected} "
                     f"(finite), got {', '.join(map(repr, row))}") from None
-    return header, columns
+    return header, columns, lines
 
 
 def _one_line(text: str, what: str = "label") -> str:
@@ -223,26 +227,54 @@ def _grid_squared_distances(axes, points: np.ndarray,
         grid_first)
 
 
-def _grid_same_set(axes, into) -> np.ndarray:
-    """f(D) for the distances D among the vertices of the uniform product
-    grid of ``axes`` (see :attr:`Grid.axes`).
+def _grid_offset_table(axes, into) -> np.ndarray:
+    """f(D) for the distances D of the per-axis index offsets of the uniform
+    product grid of ``axes`` (see :attr:`Grid.axes`): an (n_1, ..., n_d)
+    table.
 
     On such a grid the distance between two vertices depends only on their
     per-axis index offsets. So the squared distances are taken once per
-    offset, sum_k (a_k[o_k] - a_k[0])**2, an (n_1, ..., n_d) table;
-    ``into(d2, out)`` writes f of their square roots into ``out`` (and may
-    overwrite d2), and the n x n block is expanded from that table (see
-    :func:`_toeplitz`). Entry (i, j) is f at the offset's distance, which
-    differs from the distance a_i - a_j of the tiled path
-    (:meth:`Metric._same_set`) by the rounding of the coordinates, a few
-    ulp of the largest of them. A table entry that overflows is inf, for
-    ``into`` to reject.
+    offset, sum_k (a_k[o_k] - a_k[0])**2, and ``into(d2, out)`` writes f of
+    their square roots into ``out`` (and may overwrite d2). A table entry
+    that overflows is inf, for ``into`` to reject.
     """
     with np.errstate(over="ignore"):
         d2 = _grid_squared_sum([(a - a[0])[None, :] for a in axes])
-    shape = tuple(a.size for a in axes)
-    table = into(d2, np.empty(d2.shape)).reshape(shape)
-    return _toeplitz(table, np.empty((d2.size, d2.size)))
+    return into(d2, np.empty(d2.shape)).reshape(tuple(a.size for a in axes))
+
+
+def _grid_same_set(axes, into) -> np.ndarray:
+    """f(D) for the distances D among the vertices of the uniform product
+    grid of ``axes``, the n x n block expanded from its table of offsets
+    (:func:`_grid_offset_table`, :func:`_toeplitz`).
+
+    Entry (i, j) is f at the offset's distance, which differs from the
+    distance a_i - a_j of the tiled path (:meth:`Metric._same_set`) by the
+    rounding of the coordinates, a few ulp of the largest of them.
+    """
+    table = _grid_offset_table(axes, into)
+    return _toeplitz(table, np.empty((table.size, table.size)))
+
+
+def _toeplitz_rows(table: np.ndarray) -> np.ndarray:
+    """The outer row blocks of the symmetric multilevel Toeplitz matrix of a
+    table of two or more levels (see :func:`_toeplitz`), without the matrix.
+
+    ``table`` is (n_1, ..., n_d), d >= 2, and the matrix N x N with N = n_1
+    ... n_d: n_1 x n_1 blocks of M = N / n_1 rows, block (i, j) the matrix
+    of table[|i - j|] one level down. Those n_1 sub-blocks are each built
+    once, side by side in the returned M x (2 n_1 - 1) M array in the order
+    of offsets n_1 - 1, ..., 1, 0, 1, ..., n_1 - 1, so that row block i of
+    the matrix is the view ``wide[:, (n_1 - 1 - i) M:(2 n_1 - 1 - i) M]``.
+    """
+    n = table.shape[0]
+    m = table.size // n
+    wide = np.empty((m, 2 * n - 1, m))
+    for k in range(n):
+        _toeplitz(table[k], wide[:, n - 1 + k])
+        if k:
+            wide[:, n - 1 - k] = wide[:, n - 1 + k]
+    return wide.reshape(m, (2 * n - 1) * m)
 
 
 def _toeplitz(table: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -250,26 +282,17 @@ def _toeplitz(table: np.ndarray, out: np.ndarray) -> np.ndarray:
 
     ``table`` is (n_1, ..., n_d) and ``out`` (N, N), N = n_1 ... n_d; entry
     ((i_1, ..., i_d), (j_1, ..., j_d)) of out, multi-indices in "ij" order,
-    is table[|i_1 - j_1|, ..., |i_d - j_d|]. Level by level: out is
-    n_1 x n_1 blocks of M = N / n_1 rows, block (i, j) the matrix of
-    table[|i - j|] one level down. Those n_1 sub-blocks are each built
-    once, side by side in an M x (2 n_1 - 1) M array in the order of
-    offsets n_1 - 1, ..., 1, 0, 1, ..., n_1 - 1, so that row block i of out
-    is one contiguous column range of it, copied in one pass. A 1-d table
-    is its reflected row read through a sliding window.
+    is table[|i_1 - j_1|, ..., |i_d - j_d|]. A 1-d table is its reflected
+    row read through a sliding window; any other is copied row block by
+    row block, each in one pass, from its :func:`_toeplitz_rows`.
     """
     n = table.shape[0]
     if table.ndim == 1:
         wide = np.concatenate([table[:0:-1], table])
         out[...] = sliding_window_view(wide, n)[::-1]
         return out
-    m = out.shape[0] // n
-    wide = np.empty((m, 2 * n - 1, m))
-    for k in range(n):
-        _toeplitz(table[k], wide[:, n - 1 + k])
-        if k:
-            wide[:, n - 1 - k] = wide[:, n - 1 + k]
-    wide = wide.reshape(m, (2 * n - 1) * m)
+    wide = _toeplitz_rows(table)
+    m = wide.shape[0]
     for i in range(n):
         out[i * m:(i + 1) * m] = wide[:, (n - 1 - i) * m:(2 * n - 1 - i) * m]
     return out
@@ -504,12 +527,27 @@ _COORD_NAMES = ("x", "y", "z")
 
 def load_mesh(path, metric: Metric = EUCLIDEAN) -> Grid:
     """Read a mesh CSV with header ``x[,y[,z]],weight`` (see
-    :func:`_read_table`)."""
-    *coords, weights = _read_table(
-        path, [(*_COORD_NAMES[:dim], "weight") for dim in (1, 2, 3)])[1]
+    :func:`_read_table`). A weight that is not positive, and a vertex
+    that repeats an earlier row's, are a ValidationError at their line."""
+    _, (*coords, weights), lines = _read_table(
+        path, [(*_COORD_NAMES[:dim], "weight") for dim in (1, 2, 3)])
     if not weights:
         raise ValidationError(f"{path}: empty mesh")
-    return Grid(np.column_stack(coords), np.array(weights), metric)
+    for line, weight in zip(lines, weights):
+        if weight <= 0.0:
+            raise ValidationError(f"{path}: line {line}: quadrature weight "
+                                  f"must be positive, got {weight!r}")
+    vertices = np.column_stack(coords)
+    _, first, which = np.unique(vertices, axis=0, return_index=True,
+                                return_inverse=True)
+    first = first[which.ravel()]  # per row, the row its vertex is first on
+    repeats = np.flatnonzero(first != np.arange(first.size))
+    if repeats.size:
+        k = repeats[0]
+        raise ValidationError(
+            f"{path}: line {lines[k]}: vertex {tuple(vertices[k].tolist())} "
+            f"repeats line {lines[first[k]]}")
+    return Grid(vertices, np.array(weights), metric)
 
 
 def save_mesh(grid: Grid, path) -> None:

@@ -389,7 +389,7 @@ def load_tabulated(path) -> InteractionSpec:
     Rows must cover a complete product grid of the distinct s and v values,
     one row per point.
     """
-    _, (s, v, values) = _read_table(path, [("s", "v", "value")])
+    _, (s, v, values), _ = _read_table(path, [("s", "v", "value")])
     if not s:
         raise ValidationError(f"{path}: empty interaction table")
     s_axis = np.unique(s)

@@ -81,7 +81,8 @@ def cokrige(
     factorization needed, reported as ``jitter``) and c the target-by-
     observation cross-covariance, the mean is c C^-1 z and the variance is
     the prior variance less the diagonal of c C^-1 c^T, read as the column
-    sums of v * v with v = L^-1 c^T: one forward triangular solve.
+    sums of v * v with v = L^-1 c^T: one forward triangular solve, made in
+    the memory of c.
     """
     tq = _resolve_variable(model, target_var)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -120,7 +121,9 @@ def cokrige(
     L, jitter = chol_with_jitter(C, model.jitter_max)
     alpha = chol_solve(L, z)
     mean = mu_t + c @ alpha
-    v = solve_triangular(L, c.T, lower=True, check_finite=False)
+    # c is not read again: c.T, Fortran-ordered, is solved in its memory
+    v = solve_triangular(L, c.T, lower=True, check_finite=False,
+                         overwrite_b=True)
     var = prior_var - np.einsum("mt,mt->t", v, v)
     return PredictionResult(
         variable=tq,

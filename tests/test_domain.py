@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,33 @@ def test_mesh_rejects_nonpositive_weight(tmp_path):
     path = tmp_path / "mesh.csv"
     path.write_text("x,weight\n0.0,1.0\n0.5,0.0\n")
     with pytest.raises(ValidationError):
+        load_mesh(path)
+
+
+def test_a_bad_weight_is_named_at_its_line(tmp_path):
+    path = tmp_path / "mesh.csv"
+    path.write_text("x,weight\n0,1\n0.5,0\n")
+    with pytest.raises(ValidationError, match=re.escape(
+            f"{path}: line 3: quadrature weight must be positive, got 0.0")):
+        load_mesh(path)
+    path.write_text("x,y,weight\n0,0,1\n\n0,1,-2\n")
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: line 4: ")):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x,weight\n0.5,1\n0.5,2\n", "line 3: vertex (0.5,) repeats line 2"),
+    ("x,weight\n0.25,1\n\n0.5,1\n-0,1\n0.5,1\n",
+     "line 6: vertex (0.5,) repeats line 4"),
+    ("x,y,weight\n0,1,1\n0.5,1,1\n1,0,1\n0.5,1,2\n0,1,1\n",
+     "line 5: vertex (0.5, 1.0) repeats line 3"),
+    ("x,y,weight\n0,0,1\n0.5,-0,1\n0.5,0,1\n", "line 4: vertex (0.5, 0.0) "
+     "repeats line 3"),
+])
+def test_a_repeated_vertex_names_both_lines(tmp_path, text, message):
+    path = tmp_path / "mesh.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
         load_mesh(path)
 
 

@@ -562,3 +562,31 @@ def test_a_singular_factor_fails_the_cholesky_inverse_cleanly():
     P = chol_inverse(np.linalg.cholesky(A))
     assert np.array_equal(P, P.T)
     np.testing.assert_allclose(P @ A, np.eye(3), atol=1e-14)
+
+
+def test_the_variances_are_solved_in_the_memory_of_c(monkeypatch):
+    model, obs = _loo_case_2d_shifted()
+    targets = model.grid.vertices
+    solve = condcov.predict.solve_triangular
+    calls = []
+
+    def in_place(a, b, **kwargs):
+        x = solve(a, b, **kwargs)
+        calls.append((kwargs.get("overwrite_b"), np.shares_memory(x, b)))
+        return x
+
+    def copying(a, b, **kwargs):
+        return solve(a, b, **{**kwargs, "overwrite_b": False})
+
+    monkeypatch.setattr(condcov.predict, "solve_triangular", in_place)
+    got = cokrige(model, obs, targets, 1)
+    assert calls == [(True, True)]
+    monkeypatch.setattr(condcov.predict, "solve_triangular", copying)
+    want = cokrige(model, obs, targets, 1)
+    assert got.mean.tobytes() == want.mean.tobytes()
+    assert got.stderr.tobytes() == want.stderr.tobytes()
+    # c is a new array, never a kept block: a second call reads the same
+    monkeypatch.setattr(condcov.predict, "solve_triangular", solve)
+    once = krige(model, obs[0], targets)
+    again = krige(model, obs[0], targets)
+    assert once.stderr.tobytes() == again.stderr.tobytes()

@@ -13,11 +13,16 @@ metric, ``conditional._Geometry`` builds
 - distances and bisquare displacements between the grid and another point
   set per axis. Those sum the same squares in the same order as the outer
   differences, so they must agree bit for bit;
-- a nugget on the grid's diagonal, without distances, bit for bit.
+- a nugget on the grid's diagonal, without distances, bit for bit;
+- on a grid of two or more axes, the product of an edge operator B with the
+  grid's Matern block of a node without edges, from the Matern's outer
+  Toeplitz row blocks and never the n x n block, within 1e-13 of the
+  largest entry of the product with the block.
 
 Every other grid, and a product grid with the chordal metric, must build
 the blocks it built before, bit for bit.
 """
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -28,16 +33,20 @@ from condcov import (
     EUCLIDEAN,
     Grid,
     MaternParams,
+    Observations,
     ParameterError,
     ProcessNetwork,
     ProcessNode,
+    assemble_dag,
     bisquare,
     chordal,
+    cokrige,
+    loo_cv,
     matern_cov,
     regular_grid,
     shifted_bisquare,
 )
-from condcov.conditional import CovarianceEvaluator, _Geometry
+from condcov.conditional import CovarianceEvaluator, _Geometry, _Operator
 from condcov.domain import _toeplitz
 from condcov.kernels import (
     _bisquare_profile,
@@ -253,3 +262,154 @@ def test_a_nugget_on_the_grid_needs_no_distances(name):
     points = np.vstack([_sites(grid.dim, m=5), grid.vertices[:1]])
     i = ev.add_points(points)
     assert ev.cov(0, 0, i, 0)[5, 0] == node.covariance.variance + node.nugget
+
+
+# Toeplitz rows: B C11 from the outer row blocks of a product grid's Matern,
+# never the n x n block. The sum is split per row block, so the product must
+# agree with np.dot(B, C11) within ROWS_TOL of its largest entry.
+ROWS_TOL = 1e-13
+
+
+def _expand(wide):
+    """The matrix whose outer row blocks are ``wide``, block by block."""
+    m = wide.shape[0]
+    blocks = (wide.shape[1] // m + 1) // 2
+    return np.vstack([wide[:, (blocks - 1 - i) * m:(2 * blocks - 1 - i) * m]
+                      for i in range(blocks)])
+
+
+def _in_window_order(B):
+    nonzero = B != 0.0
+    lo = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), B.shape[1])
+    return B[np.argsort(lo, kind="stable")]
+
+
+@pytest.mark.parametrize("in_order", [False, True], ids=["shuffled", "in-order"])
+@pytest.mark.parametrize("shifted", [False, True], ids=["bisquare", "shifted"])
+@pytest.mark.parametrize("name", ["2d", "2d-uneven", "3d"])
+def test_the_row_block_product_matches_the_dense_product(name, shifted, in_order):
+    grid = _grid(name)
+    lo, hi = grid.vertices.min(axis=0), grid.vertices.max(axis=0)
+    rng = np.random.default_rng([grid.dim, grid.n])
+    points = np.vstack([rng.uniform(lo, hi, (90, grid.dim)),
+                        hi + 5.0 * (hi - lo)])  # a site where B's row is 0
+    aperture = 0.3 * (hi - lo).max()
+    spec = (shifted_bisquare(2.0, aperture, 0.1 * (hi - lo)) if shifted
+            else bisquare(2.0, aperture))
+    geometry = _Geometry(grid)
+    B = geometry.weighted(0, 0, spec, geometry.add_points(points))
+    if in_order:
+        B = _in_window_order(B)
+    assert not B.any(axis=1).all()  # a row of zeros
+    op = _Operator(B)
+    assert (op._bounds[2] is None) == in_order
+    for params in (MaternParams(1.3, 8.0, 1.5), MaternParams(0.4, 0.9, 0.8)):
+        wide = geometry.toeplitz(0, params, 0.0)
+        C = geometry.matern(0, params, 0, 0)
+        _assert_bitwise(_expand(wide), C)
+        got, want = op.left_toeplitz(wide), np.dot(B, C)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= ROWS_TOL * np.abs(want).max()
+        assert np.all(got[~B.any(axis=1)] == 0.0)
+
+
+@pytest.mark.parametrize("name", ["2d", "2d-uneven", "3d"])
+def test_a_nugget_folded_into_offset_zero_is_the_diagonal_add(name):
+    grid = _grid(name)
+    node = ProcessNode("y", MaternParams(1.3, 2.0, 1.5), nugget=0.25)
+    ev = CovarianceEvaluator(grid, ProcessNetwork([node]))
+    wide = ev._toeplitz(0)
+    _assert_bitwise(_expand(wide), ev.cov(0, 0))
+    assert wide is ev._geometry.toeplitz(0, node.covariance, node.nugget)  # kept
+
+
+def _root_and_child(nugget=0.0, child_edge=None):
+    spec = child_edge or shifted_bisquare(30.0, 0.15, [0.1, -0.05])
+    return ProcessNetwork([
+        ProcessNode("y1", MaternParams(1.0, 8.0, 1.5), nugget=nugget, noise=0.1),
+        ProcessNode("y2", MaternParams(0.3, 12.0, 1.5), noise=0.1,
+                    parents=((0, spec),)),
+    ])
+
+
+@pytest.mark.parametrize("nugget", [0.0, 0.2])
+@pytest.mark.parametrize("name", ["2d", "3d"])
+def test_the_cross_rule_reads_the_rows_of_a_root(name, nugget):
+    grid = _grid(name)
+    hi = grid.vertices.max(axis=0)
+    network = _root_and_child(nugget, shifted_bisquare(
+        30.0, 0.3, np.linspace(0.1, -0.05, grid.dim)))
+    ev = CovarianceEvaluator(grid, network)
+    i = ev.add_points(np.random.default_rng(3).uniform(0.0, hi, (60, grid.dim)))
+    got = ev.cov(0, 1, 0, i)
+    assert (0, 0, 0, 0) not in ev._cov
+    assert ("matern", 0, 0, 0) not in ev._geometry._slots
+    (_, _, op), = ev._edges(1, i)
+    want = op.left(ev.cov(0, 0)).T  # the expanded block, read as before
+    assert np.abs(got - want).max() <= ROWS_TOL * np.abs(want).max()
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _grid("1d"), id="1d"),
+    pytest.param(lambda: _shuffled(_grid("2d-uneven")), id="not-a-product"),
+    pytest.param(lambda: regular_grid([(0.0, 10.0), (0.0, 10.0)], [7, 13],
+                                      chordal(6371.0)), id="chordal"),
+])
+def test_other_grids_read_the_expanded_block(make):
+    grid = make()
+    spec = shifted_bisquare(3.0, 0.5, [0.1] * grid.dim)
+    ev = CovarianceEvaluator(grid, _root_and_child(0.1, spec))
+    assert ev._toeplitz(0) is None
+    i = ev.add_points(_sites(grid.dim, m=9))
+    ev.cov(0, 1, 0, i)
+    assert (0, 0, 0, 0) in ev._cov
+    assert not any(key[0] == "toeplitz" for key in ev._geometry._slots)
+
+
+def test_a_root_with_an_edge_is_not_read_from_rows():
+    grid = _grid("2d-uneven")
+    network = ProcessNetwork([
+        ProcessNode("y0", MaternParams(1.0, 4.0, 1.5)),
+        ProcessNode("y1", MaternParams(1.0, 8.0, 1.5),
+                    parents=((0, bisquare(1.0, 0.5)),)),
+        ProcessNode("y2", MaternParams(0.3, 12.0, 1.5),
+                    parents=((1, bisquare(2.0, 0.5)),)),
+    ])
+    ev = CovarianceEvaluator(grid, network)
+    assert ev._toeplitz(0) is not None
+    assert ev._toeplitz(1) is None  # its block is not a Matern
+    ev.cov(1, 2, 0, ev.add_points(_sites(2, m=9)))
+    assert (1, 1, 0, 0) in ev._cov
+
+
+def test_predict_and_cv_in_the_map2d_shape_build_no_grid_block():
+    # a 40 x 40 grid, 250 off-grid sites of both variables, a shifted edge
+    grid = _grid("2d")
+    rng = np.random.default_rng(7)
+    sites = rng.uniform(0.0, 1.0, (250, 2))
+    obs = [Observations(q, sites, rng.standard_normal(250)) for q in (0, 1)]
+    block = grid.n ** 2 * 8  # bytes of one n x n float block, 20.5 MB
+    model = assemble_dag(grid, _root_and_child())
+    tracemalloc.start()
+    try:
+        cokrige(model, obs, grid.vertices, 0)
+        loo_cv(model, obs)
+        kept, peak = tracemalloc.get_traced_memory()
+        # what predict and cv read from the n x n block: B C11, with the
+        # operator B of the sites built beforehand
+        ev = CovarianceEvaluator(grid, model.network)
+        i = ev.add_points(sites)
+        ev._edges(1, i)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        ev.cov(0, 1, 0, i)
+        cross_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    for evaluator in (model.evaluator, ev):
+        assert (0, 0, 0, 0) not in evaluator._cov
+        assert ("matern", 0, 0, 0) not in evaluator._geometry._slots
+    assert cross_peak < block
+    # the blocks that predict and cv keep are about one n x n block
+    # together; beyond them, neither call held one
+    assert peak - kept < block
