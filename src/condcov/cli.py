@@ -67,7 +67,9 @@ cells joined by "," and lines ended by "\\n". So re-running a command with the
 same config, data and seed, under the same BLAS library and thread count,
 reproduces the files byte for byte. Another BLAS library or thread count can
 change the last digits of fitted values (refit estimates differ in the 10th
-digit between one and two OpenBLAS threads).
+digit between one and two OpenBLAS threads). Fitted values do not depend on
+the installed ``scipy.optimize``, which no command loads: fits run the
+package's own Nelder-Mead (``inference._nelder_mead``).
 
 Every output file is rewritten in place: written over, then cut to its new
 length. It keeps its inode and permissions, and a symlink at the output path
@@ -361,7 +363,7 @@ def _parse_grid(sec: _Section) -> Grid:
         vertices = sec.matrix("vertices")
         weights = sec.read("weights", [float])
         sec.finish()
-        return Grid(vertices, np.array(weights), metric)
+        return _located(sec.where, Grid, vertices, np.array(weights), metric)
     raise ConfigError(
         f"{sec.where}: unknown grid kind {kind!r}; "
         f"expected one of ['mesh', 'regular']"

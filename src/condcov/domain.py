@@ -14,7 +14,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -436,8 +436,21 @@ def chordal_distance(a, b, radius: float) -> float:
     return float(m.pairwise(np.atleast_1d(a)[None, :], np.atleast_1d(b)[None, :])[0, 0])
 
 
+def _first_repeat(vertices: np.ndarray) -> Optional[Tuple[int, int]]:
+    """(row, earlier row) of the first row of ``vertices`` that repeats an
+    earlier one, -0 and 0 being one coordinate; None if every row differs."""
+    _, first, which = np.unique(vertices, axis=0, return_index=True,
+                                return_inverse=True)
+    first = first[which.ravel()]  # per row, the row its vertex is first on
+    repeats = np.flatnonzero(first != np.arange(first.size))
+    if not repeats.size:
+        return None
+    return int(repeats[0]), int(first[repeats[0]])
+
+
 class Grid:
-    """Integration mesh: vertices (n, dim), positive quadrature weights (n,)."""
+    """Integration mesh: distinct vertices (n, dim), positive quadrature
+    weights (n,)."""
 
     def __init__(self, vertices, weights, metric: Metric = EUCLIDEAN):
         vertices = np.array(vertices, dtype=float)
@@ -452,6 +465,11 @@ class Grid:
             raise ValidationError("vertices must be finite")
         if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
             raise ValidationError("quadrature weights must be finite and positive")
+        repeat = _first_repeat(vertices)
+        if repeat is not None:
+            k, first = repeat
+            raise ValidationError(
+                f"vertex {k} {tuple(vertices[k].tolist())} repeats vertex {first}")
         vertices.setflags(write=False)
         weights.setflags(write=False)
         self.vertices = vertices
@@ -538,15 +556,12 @@ def load_mesh(path, metric: Metric = EUCLIDEAN) -> Grid:
             raise ValidationError(f"{path}: line {line}: quadrature weight "
                                   f"must be positive, got {weight!r}")
     vertices = np.column_stack(coords)
-    _, first, which = np.unique(vertices, axis=0, return_index=True,
-                                return_inverse=True)
-    first = first[which.ravel()]  # per row, the row its vertex is first on
-    repeats = np.flatnonzero(first != np.arange(first.size))
-    if repeats.size:
-        k = repeats[0]
+    repeat = _first_repeat(vertices)
+    if repeat is not None:
+        k, first = repeat
         raise ValidationError(
             f"{path}: line {lines[k]}: vertex {tuple(vertices[k].tolist())} "
-            f"repeats line {lines[first[k]]}")
+            f"repeats line {lines[first]}")
     return Grid(vertices, np.array(weights), metric)
 
 

@@ -3,7 +3,8 @@
 Parameters are addressed by name: ``node.field`` for node parameters
 (variance, scale, smoothness, nugget, noise) and ``child~parent.field`` for
 interaction parameters (amplitude, aperture, shift1..shiftD). Fitting runs a
-seeded multi-start Nelder-Mead simplex on transformed coordinates: log for
+seeded multi-start Nelder-Mead simplex (:func:`_nelder_mead`, scipy's steps
+without importing ``scipy.optimize``) on transformed coordinates: log for
 positive parameters, identity for amplitudes and shifts, with smoothness
 clamped to [0.05, 5]. A covariance that fails Cholesky under the jitter
 policy scores -inf, which the simplex treats as a soft rejection.
@@ -269,6 +270,118 @@ class _SimplexRejected(Exception):
     """Every evaluation of a restart scored -inf until its simplex shrank."""
 
 
+class _EvaluationCap(Exception):
+    """The Nelder-Mead run has spent its evaluations."""
+
+
+@dataclass(frozen=True)
+class _Minimum:
+    """Where a Nelder-Mead run stopped: its best point and value, the
+    evaluations it made, and whether its tolerances were met."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+    success: bool
+    message: str
+
+
+def _nelder_mead(f, x0: np.ndarray, max_evals: int) -> _Minimum:
+    """Minimize ``f`` from ``x0`` by the Nelder-Mead simplex, stopping once
+    the simplex lies within ``_XATOL`` of its best point and its values
+    within ``_FATOL`` of the best value, or after ``max_evals`` evaluations.
+
+    This follows ``scipy.optimize.minimize(method="Nelder-Mead")`` (SciPy
+    1.17's ``_minimize_neldermead``, BSD-3-Clause, Copyright (c) 2001-2002
+    Enthought, Inc., 2003 SciPy Developers) step for step with the options
+    :func:`fit_mle` passes (``xatol``, ``fatol``, ``maxfev``, no bounds), so
+    it evaluates the same points in the same order and returns the same
+    point, value, count and message. ``f`` gets a copy of each point.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    n = x0.size
+    sim = np.empty((n + 1, n), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = 1.05 * y[k]
+        else:
+            y[k] = 0.00025
+        sim[k + 1] = y
+    fsim = np.full((n + 1,), np.inf, dtype=float)
+    nfev = 0
+
+    def evaluate(x):
+        nonlocal nfev
+        if nfev >= max_evals:
+            raise _EvaluationCap
+        nfev += 1
+        return f(np.copy(x))
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = evaluate(sim[k])
+    except _EvaluationCap:
+        pass
+    for _ in range(2):  # as scipy: argsort need not keep the order of ties
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+
+    while nfev < max_evals:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _XATOL and
+                    np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = evaluate(xr)
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = evaluate(xe)
+                if fxe < fxr:
+                    sim[-1] = xe
+                    fsim[-1] = fxe
+                else:
+                    sim[-1] = xr
+                    fsim[-1] = fxr
+            elif fxr < fsim[-2]:
+                sim[-1] = xr
+                fsim[-1] = fxr
+            else:
+                doshrink = False
+                if fxr < fsim[-1]:  # contract outside
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = evaluate(xc)
+                    if fxc <= fxr:
+                        sim[-1] = xc
+                        fsim[-1] = fxc
+                    else:
+                        doshrink = True
+                else:  # contract inside
+                    xcc = (1 - psi) * xbar + psi * sim[-1]
+                    fxcc = evaluate(xcc)
+                    if fxcc < fsim[-1]:
+                        sim[-1] = xcc
+                        fsim[-1] = fxcc
+                    else:
+                        doshrink = True
+                if doshrink:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = evaluate(sim[j])
+        except _EvaluationCap:
+            pass
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+
+    if nfev >= max_evals:
+        return _Minimum(sim[0], np.min(fsim), nfev, False, "Maximum number "
+                        "of function evaluations has been exceeded.")
+    return _Minimum(sim[0], np.min(fsim), nfev, True,
+                    "Optimization terminated successfully.")
+
+
 def _to_transformed(field: str, value: float) -> float:
     if field in _LOG_FIELDS:
         return math.log(max(value, _LOG_FLOOR))
@@ -299,6 +412,10 @@ def fit_mle(
 
     Deterministic given (network, obs, free, config): restarts perturb the
     starting point with a Philox stream keyed by (config.seed, restart).
+    Each restart is a Nelder-Mead run (:func:`_nelder_mead`) of at most
+    ``config.max_evals`` evaluations, which evaluates the points that
+    ``scipy.optimize.minimize(method="Nelder-Mead")`` evaluates with the
+    same tolerances, bit for bit, so its ``trace`` messages are scipy's.
 
     Every evaluation of the fit builds its covariances by the same two-rule
     recursion as :func:`loglik` (see ``CovarianceEvaluator``), over one
@@ -372,9 +489,6 @@ def fit_mle(
         opening = None
         return -value
 
-    # scipy.optimize is slow to import and only fitting uses it
-    from scipy.optimize import OptimizeResult, minimize
-
     trace = []
     best = None
     for start in range(config.restarts):
@@ -385,22 +499,11 @@ def fit_mle(
             xs = x0 + _PERTURBATION * (1.0 + np.abs(x0)) * rng.standard_normal(x0.size)
         opening = []
         try:
-            res = minimize(
-                objective,
-                xs,
-                method="Nelder-Mead",
-                options={
-                    "xatol": _XATOL,
-                    "fatol": _FATOL,
-                    "maxfev": config.max_evals,
-                    "disp": False,
-                },
-            )
+            res = _nelder_mead(objective, xs, config.max_evals)
         except _SimplexRejected:
-            res = OptimizeResult(x=xs, fun=np.inf, nfev=len(opening),
-                                 success=False,
-                                 message="every evaluation was rejected until "
-                                         "the simplex shrank below xatol")
+            res = _Minimum(xs, np.inf, len(opening), False,
+                           "every evaluation was rejected until the simplex "
+                           "shrank below xatol")
         trace.append(
             {
                 "start": start,

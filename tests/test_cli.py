@@ -274,6 +274,11 @@ BAD_CONFIGS = [
                                     "weights": [1.0, 1.0, 1.0]}}),
                  "model.yaml: grid: vertices: rows have unequal lengths [1, 2]",
                  1, id="ragged-vertices"),
+    pytest.param(_edit({("grid",): {"kind": "mesh",
+                                    "vertices": [[0.5], [1.0], [0.5]],
+                                    "weights": [1.0, 1.0, 1.0]}}),
+                 "model.yaml: grid: vertex 2 (0.5,) repeats vertex 0",
+                 1, id="repeated-vertex"),
     pytest.param(_edit({("nodes", 1, "parents", 0): {
         "node": "y1", "kind": "tabulated",
         "table": {"s": [-1.0, 1.0], "v": [-1.0, 0.0, 1.0],
@@ -860,7 +865,7 @@ _HEAVY = ("scipy.stats", "scipy.interpolate", "scipy.optimize",
 _IMPORT_PROBE = f"""
 import json, sys
 HEAVY = {_HEAVY!r}
-cfg, tab_cfg, data, out = sys.argv[1:]
+cfg, tab_cfg, sim_cfg, data, out = sys.argv[1:]
 seen = {{}}
 def stage(name, rc=0):
     assert rc == 0, name
@@ -873,6 +878,9 @@ common = ["--config", cfg, "--data", data, "--out", out]
 stage("predict", cli.main(["predict"] + common))
 stage("cv", cli.main(["cv"] + common))
 stage("fit", cli.main(["fit"] + common))
+stage("compare-directions", cli.main(["compare-directions"] + common))
+stage("simulate", cli.main(["simulate", "--config", sim_cfg,
+                            "--replicates", "1", "--out", out]))
 stage("tabulated", cli.main(["predict", "--config", tab_cfg, "--data", data,
                              "--out", out]))
 print(json.dumps(seen))
@@ -890,16 +898,27 @@ def test_commands_import_only_the_scipy_they_use(tmp_path):
                   "values": [[0.5, 1.0, 0.2], [0.1, 0.8, 0.3]]}}
     del data["fit"]  # its free y2~y1.amplitude names no tabulated parameter
     tab_path = _write_cfg(tmp_path, data, "tabulated.yaml")
+    # as configs/demo1d.yaml: a shifted edge, refitted without its shift
+    data = yaml.safe_load(yaml.safe_dump(BASE))
+    data["nodes"][1]["parents"][0].update(kind="shifted_bisquare", shift=[-0.3])
+    data["simulation"]["refit"] = {
+        "free": ["y2~y1.amplitude", "y2~y1.aperture"],
+        "edges": [{"node": "y2", "parent": "y1", "kind": "bisquare",
+                   "amplitude": 5.0, "aperture": 0.3}]}
+    sim_path = _write_cfg(tmp_path, data, "simulate.yaml")
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, str(cfg_path), str(tab_path),
-         str(obs_path), str(tmp_path / "out")],
+         str(sim_path), str(obs_path), str(tmp_path / "out")],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     # the bisquare map path (predict, cv) needs none of them
     for stage in ("import condcov", "import condcov.cli", "predict", "cv"):
         assert seen[stage] == [], stage
-    assert "scipy.optimize" in seen["fit"]
+    # fitting runs the package's own Nelder-Mead: no command loads
+    # scipy.optimize
+    for stage in seen:
+        assert "scipy.optimize" not in seen[stage], stage
     # the tabulated lookup is numpy alone: no command loads scipy.interpolate
     assert "scipy.interpolate" not in seen["tabulated"]
 

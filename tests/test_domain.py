@@ -185,6 +185,16 @@ def test_a_repeated_vertex_names_both_lines(tmp_path, text, message):
         load_mesh(path)
 
 
+@pytest.mark.parametrize("vertices, message", [
+    ([[0.5], [0.5]], "vertex 1 (0.5,) repeats vertex 0"),
+    ([[0.25], [0.5], [-0.0], [0.0]], "vertex 3 (0.0,) repeats vertex 2"),
+    ([[0, 1], [0.5, 1], [1, 0], [0.5, 1]], "vertex 3 (0.5, 1.0) repeats vertex 1"),
+])
+def test_a_grid_rejects_a_repeated_vertex(vertices, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        Grid(vertices, np.ones(len(vertices)))
+
+
 def test_observations_immutable():
     o = Observations(0, np.array([[0.1], [0.2]]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):

@@ -675,6 +675,81 @@ def test_fit_equals_optimizing_fresh_loglik(network, free):
     assert [t["nfev"] for t in fit.trace] == nfev
 
 
+def _quadratic(x):
+    return float(np.sum((x - np.arange(x.size) - 0.7) ** 2))
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def _plateaus(x):
+    # ties between evaluations, which every comparison must break as scipy's
+    return float(np.floor(_rosenbrock(x)))
+
+
+def _inf_beyond_half_space(x):
+    # the unconstrained minimum (0.7, 1.7) lies where x0 + x1 > 1.5
+    return _quadratic(x) if x[0] + x[1] <= 1.5 else np.inf
+
+
+def _lower_inside_the_shrink(x):
+    # from x0 = (1, 1), finite at the simplex and lowest on the edges that
+    # a shrink halves: the first reflection and contraction score inf, so a
+    # shrink follows the fifth evaluation, and its first point becomes best
+    if tuple(x.tolist()) in ((1.0, 1.0), (1.05, 1.0), (1.0, 1.05)):
+        return float(x @ x)
+    edge = [1.0 < xi < 1.05 for xi in x]
+    return 1.0 if sorted(edge) == [False, True] and 1.0 in x else np.inf
+
+
+@pytest.mark.parametrize("fun, x0, max_evals", [
+    pytest.param(_quadratic, [0.3], 2000, id="quadratic-1d"),
+    pytest.param(_quadratic, [0.3, -2.0], 2000, id="quadratic-2d"),
+    pytest.param(_quadratic, [0.3, -2.0, 5.0], 2000, id="quadratic-3d"),
+    pytest.param(_rosenbrock, [-1.2, 1.0], 2000, id="rosenbrock"),
+    pytest.param(_plateaus, [-1.2, 1.0, 0.5], 2000, id="ties"),
+    pytest.param(_quadratic, [0.0, 1.0, 0.0], 2000, id="zero-coordinate"),
+    pytest.param(_inf_beyond_half_space, [0.0, 0.0], 2000, id="inf-half-space"),
+    pytest.param(_rosenbrock, [-1.2, 1.0, 0.5], 3, id="cap-below-simplex"),
+    pytest.param(_rosenbrock, [-1.2, 1.0], 50, id="cap-mid-run"),
+    pytest.param(_lower_inside_the_shrink, [1.0, 1.0], 6,
+                 id="cap-inside-shrink"),
+])
+def test_nelder_mead_takes_scipy_s_steps(fun, x0, max_evals):
+    # fit_mle's in-package Nelder-Mead against the scipy routine it
+    # transcribes, with the options fit_mle used to pass: the same points
+    # in the same order, and the same result
+    from scipy.optimize import minimize
+
+    from condcov.inference import _FATOL, _XATOL, _nelder_mead
+
+    def recorded(points):
+        def f(x):
+            points.append(x.copy())
+            x[:] = np.nan  # a copy: the run does not read it back
+            return fun(points[-1])
+        return f
+
+    ours, theirs = [], []
+    got = _nelder_mead(recorded(ours), np.array(x0), max_evals)
+    want = minimize(recorded(theirs), np.array(x0), method="Nelder-Mead",
+                    options={"xatol": _XATOL, "fatol": _FATOL,
+                             "maxfev": max_evals})
+    assert len(ours) == len(theirs) == got.nfev == want.nfev
+    for a, b in zip(ours, theirs):
+        assert a.tobytes() == b.tobytes()
+    assert got.x.tobytes() == want.x.tobytes()
+    assert np.array_equal(got.fun, want.fun)
+    assert (got.success, got.message) == (want.success, want.message)
+    if fun is _lower_inside_the_shrink:
+        # the cap fell between the shrink's two points, after the first,
+        # which the last sort put first
+        assert [fun(p) for p in ours[3:]] == [np.inf, np.inf, 1.0]
+        assert got.x.tobytes() == ours[5].tobytes()
+        assert not got.success
+
+
 def test_fit_reports_rejected_evaluations_and_jitter(monkeypatch):
     import condcov.inference
     from condcov.conditional import CovarianceEvaluator, observation_covariance

@@ -131,16 +131,17 @@ def _same_bits(a, b):
 @SETTINGS
 @given(dim=st.integers(1, 3), n=st.integers(1, 6), data=st.data())
 def test_meshes_round_trip_exactly(tmp_path_factory, dim, n, data):
-    grid = Grid(data.draw(arrays(float, (n, dim), elements=doubles)),
-                data.draw(arrays(float, n, elements=doubles.filter(
-                    lambda w: w > 0.0))))
+    vertices = data.draw(arrays(float, (n, dim), elements=doubles))
+    weights = data.draw(arrays(float, n, elements=doubles.filter(
+        lambda w: w > 0.0)))
+    if np.unique(vertices, axis=0).shape[0] < n:
+        # a grid may not repeat a vertex
+        with pytest.raises(ValidationError, match="repeats vertex"):
+            Grid(vertices, weights)
+        return
+    grid = Grid(vertices, weights)
     path = tmp_path_factory.mktemp("mesh") / "mesh.csv"
     save_mesh(grid, path)
-    if np.unique(grid.vertices, axis=0).shape[0] < n:
-        # a mesh may not repeat a vertex, which load_mesh names at its line
-        with pytest.raises(ValidationError, match="repeats line"):
-            load_mesh(path)
-        return
     back = load_mesh(path)
     assert _same_bits(back.vertices, grid.vertices)
     assert _same_bits(back.weights, grid.weights)
