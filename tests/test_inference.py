@@ -718,8 +718,8 @@ def _lower_inside_the_shrink(x):
 ])
 def test_nelder_mead_takes_scipy_s_steps(fun, x0, max_evals):
     # fit_mle's in-package Nelder-Mead against the scipy routine it
-    # transcribes, with the options fit_mle used to pass: the same points
-    # in the same order, and the same result
+    # transcribes, with fit_mle's tolerances: the same points in the same
+    # order, and the same result
     from scipy.optimize import minimize
 
     from condcov.inference import _FATOL, _XATOL, _nelder_mead
