@@ -29,10 +29,11 @@ from .domain import (
     _COORD_NAMES,
     Grid,
     Observations,
-    _grid_offset_table,
-    _grid_same_set,
-    _grid_squared_distances,
+    _differences,
+    _grid_differences,
     _one_line,
+    _squared_sum,
+    _toeplitz,
     _toeplitz_rows,
 )
 from .errors import NumericalError, ValidationError
@@ -349,20 +350,24 @@ class _Geometry:
     Set 0 is always the grid (the integration nodes); the geometry keeps
     every registered point set and the distances between two sets.
     ``matern`` keeps one block per (node, point-set pair), reused while the
-    node's MaternParams are equal, and ``weighted`` keeps one array of squared
+    node's MaternParams (and, on a product grid's vertices, its nugget) are
+    equal, and ``weighted`` keeps one array of squared
     displacements per (bisquare edge, point set), reused while the edge's
     shift is equal, so that a new amplitude or aperture costs only the
     profile. Each slot holds one entry, and kept blocks are read-only, so no
     evaluator sharing the geometry can alter what the next one reads.
 
+    This is the one place that picks how per-axis differences are taken.
     On a uniform product grid with the Euclidean metric, ``axes`` holds the
     grid's per-axis coordinates (:attr:`Grid.axes`; None otherwise), and
-    blocks with the grid are built from them: the grid's same-set Matern
-    from its table of offsets, and distances and displacements between the
-    grid and another set per axis. On such a grid of two or more axes,
-    ``toeplitz`` keeps, per node, the outer row blocks of its Matern plus
-    nugget on the grid, from which the cross rule multiplies without the
-    n x n block.
+    distances and displacements between the grid and another set are
+    summed from per-axis terms (``domain._grid_differences``); every other
+    pair of sets sums full ones (``domain._differences``), through the
+    one ``domain._squared_sum``. On such a grid the node's Matern plus
+    nugget among the vertices comes from one table of offsets with the
+    nugget at offset 0 (``_table``), expanded to the n x n block
+    (``matern``) or, on two or more axes, kept as its outer row blocks
+    (``toeplitz``), from which the cross rule multiplies without the block.
     """
 
     def __init__(self, grid: Grid):
@@ -392,14 +397,15 @@ class _Geometry:
     def distance(self, i: int, j: int) -> np.ndarray:
         """Distances between point sets i and j; for i == j, ``pairwise``
         gets one array twice and builds a same-set block. Between the grid
-        and another set they are built per axis where ``axes`` allows,
+        and another set they are summed per axis where ``axes`` allows,
         bitwise those of ``pairwise``. Kept: a Matern between two sets
         reads them, and a nugget reads where they are 0."""
         key = (i, j)
         if key not in self._dist:
             if self.axes is not None and i != j and 0 in (i, j):
-                d2 = _grid_squared_distances(self.axes, self.sets[i or j],
-                                             grid_first=i == 0)
+                d2 = _squared_sum(_grid_differences(
+                    self.axes, self.sets[i or j], grid_first=i == 0),
+                    (self.sets[i].shape[0], self.sets[j].shape[0]))
                 self._dist[key] = np.sqrt(d2, out=d2)
             else:
                 self._dist[key] = self.grid.metric.pairwise(self.sets[i],
@@ -414,54 +420,74 @@ class _Geometry:
             slot = self._slots[key] = (param, block)
         return slot[1]
 
-    def matern(self, q: int, params: MaternParams, i: int, j: int) -> np.ndarray:
-        """The Matern ``params`` of node q between point sets i and j. A
-        same-set block (i == j) keeps no distances. The grid's, where
-        ``axes`` allows, is expanded from the Matern of its offsets
-        (``domain._grid_same_set``), equal to matern_cov of
-        ``distance(0, 0)`` up to the rounding of the coordinates. Any other
-        is evaluated from the points, tile by tile on its upper triangle
-        (``Metric._same_set``), bitwise matern_cov of ``distance(i, i)``."""
+    def matern(self, q: int, params: MaternParams, i: int, j: int,
+               nugget: float = 0.0) -> np.ndarray:
+        """The Matern ``params`` of node q between point sets i and j, plus
+        ``nugget`` where two points coincide. The grid's same-set block,
+        where ``axes`` allows, is expanded from ``_table``, so the nugget is
+        on its diagonal; it equals matern_cov of ``distance(0, 0)`` up to
+        the rounding of the coordinates. Any other same-set block is
+        evaluated from the points, tile by tile on its upper triangle
+        (``Metric._same_set``), bitwise matern_cov of ``distance(i, i)``.
+        On any other block the nugget reads where ``distance(i, j)`` is 0,
+        and is added into a fresh array."""
         if i == j == 0 and self.axes is not None:
             def build():
-                return _grid_same_set(self.axes,
-                                      partial(_matern_of_squared, params))
-        elif i == j:
+                table = self._table(params, nugget)
+                return _toeplitz(table, np.empty((table.size, table.size)))
+            return self._kept(("matern", q, 0, 0), (params, nugget), build)
+        if i == j:
             def build():
                 return self.grid.metric._same_set(
                     self.sets[i], partial(_matern_of_squared, params))
         else:
             def build():
                 return np.asarray(matern_cov(params, self.distance(i, j)))
-        return self._kept(("matern", q, i, j), params, build)
+        mat = self._kept(("matern", q, i, j), params, build)
+        if nugget:
+            mat = mat + nugget * (self.distance(i, j) == 0.0)
+        return mat
 
     def toeplitz(self, q: int, params: MaternParams,
                  nugget: float) -> Optional[np.ndarray]:
-        """The outer row blocks (``domain._toeplitz_rows``) of the Matern
-        ``params`` of node q on the grid plus ``nugget`` on its diagonal,
-        where ``axes`` has two or more axes; else None. The nugget is added
-        to the offset table at offset 0, so the expanded rows are bitwise
-        ``matern(q, params, 0, 0)`` with the nugget added to its diagonal."""
+        """The outer row blocks (``domain._toeplitz_rows``) of ``_table``,
+        where ``axes`` has two or more axes; else None: expanded, they are
+        bitwise ``matern(q, params, 0, 0, nugget)``."""
         if self.axes is None or len(self.axes) < 2:
             return None
+        return self._kept(("toeplitz", q), (params, nugget),
+                          lambda: _toeplitz_rows(self._table(params, nugget)))
 
-        def build():
-            table = _grid_offset_table(self.axes,
-                                       partial(_matern_of_squared, params))
-            table[(0,) * table.ndim] += nugget
-            return _toeplitz_rows(table)
-        return self._kept(("toeplitz", q), (params, nugget), build)
+    def _table(self, params: MaternParams, nugget: float) -> np.ndarray:
+        """The Matern ``params`` at each per-axis index offset o of the
+        grid's vertices, an (n_1, ..., n_d) table, plus ``nugget`` at
+        offset 0 alone, as distinct vertices are at distance > 0.
+
+        On a uniform product grid the distance between two vertices depends
+        only on their offset, so its square is summed once per offset,
+        sum_k (a_k[o_k] - a_k[0])**2. One that overflows is inf, which the
+        Matern rejects."""
+        first = np.array([[a[0] for a in self.axes]])
+        with np.errstate(over="ignore"):
+            d2 = _squared_sum(_grid_differences(self.axes, first,
+                                                grid_first=True),
+                              tuple(a.size for a in self.axes))
+        table = _matern_of_squared(params, d2, np.empty(d2.shape))
+        table[(0,) * table.ndim] += nugget
+        return table
 
     def weighted(self, q: int, pos: int, spec: InteractionSpec, i: int) -> np.ndarray:
         """Quadrature-weighted values of edge ``pos`` of node q (``spec``),
         from point set i into the grid."""
+        S, V = self.sets[i], self.grid.vertices
         if spec.kind in _BISQUARES:
+            diffs = (_differences(S, V) if self.axes is None
+                     else _grid_differences(self.axes, S))
             d2 = self._kept(("d2", q, pos, i), spec.shift, partial(
-                _squared_displacement, spec, self.sets[i], self.grid.vertices,
-                self.axes))
+                _squared_displacement, spec, diffs, (S.shape[0], V.shape[0])))
             vals = _bisquare_profile(spec, d2)
         else:
-            vals = interaction_values(spec, self.sets[i], self.grid.vertices)
+            vals = interaction_values(spec, S, V)
         vals *= self.grid.weights  # in place on the fresh values
         return vals
 
@@ -477,21 +503,24 @@ class CovarianceEvaluator:
     amplitude on set i, any other edge its quadrature-weighted values from
     set i into the grid, multiplied on the kernel's support only. So
 
-    - a marginal block is the node's own Matern (plus its nugget) plus, for
-      each edge, B_a(i) applied to the cross block with that parent,
+    - a marginal block is the node's own Matern plus nugget, one leaf
+      block of the geometry (``_Geometry.matern``), plus, for each edge,
+      B_a(i) applied to the cross block with that parent,
       cov(q, q, i, j) = M_q(i, j) + sum_a B_a(i) cov(a, q, ., j);
     - a cross block pushes the later variable's operators onto earlier
       blocks, cov(q, r, i, j) = sum_a cov(q, a, i, .) B_a(j)' over r's
-      edges. An integral edge's term is made as C_21 = B C_11 is written,
+      edges, each term added in place into one zeroed, row-major block.
+      An integral edge's term is made as C_21 = B C_11 is written,
       the transpose of B_a(j) cov(a, q, 0, i), so that its product reads
       the kept block row by row. That block is the transpose of
       cov(q, a, i, 0) bit for bit, except that a same-set marginal
       (a = q, i = 0) is read as its own transpose: exact for a node
-      without edges, whose block is a Matern, and to roundoff otherwise.
-      On a product grid of two or more axes, the block of such a node
-      without edges is never built for this: its product is read from the
-      Matern's Toeplitz rows (``_Geometry.toeplitz``,
-      ``_Operator.left_toeplitz``), to roundoff of the product with it.
+      without edges, whose block is a Matern plus nugget, and to roundoff
+      otherwise. On a product grid of two or more axes, the block of such
+      a node without edges is never built for this: its product is read
+      from the Toeplitz rows of the same table of offsets
+      (``_Geometry.toeplitz``, ``_Operator.left_toeplitz``), to roundoff
+      of the product with the block.
 
     Every block is kept for the life of the evaluator, so a marginal block
     reads the cross blocks that predictions read too; blocks are shared with
@@ -546,13 +575,7 @@ class CovarianceEvaluator:
     def _compute(self, q: int, r: int, i: int, j: int) -> np.ndarray:
         if q == r:
             node = self.network.nodes[q]
-            mat = self._geometry.matern(q, node.covariance, i, j)
-            if node.nugget and i == j == 0 and self._geometry.axes is not None:
-                # distinct vertices of a product grid are at distance > 0
-                mat = mat.copy()
-                mat.flat[::mat.shape[0] + 1] += node.nugget
-            elif node.nugget:
-                mat = mat + node.nugget * (self._geometry.distance(i, j) == 0.0)
+            mat = self._geometry.matern(q, node.covariance, i, j, node.nugget)
             for a, k, op in self._edges(q, i):
                 mat = mat + op.left(self.cov(a, q, k, j))
             return mat
@@ -560,15 +583,15 @@ class CovarianceEvaluator:
         mat = np.zeros((sets[i].shape[0], sets[j].shape[0]))
         for a, k, op in self._edges(r, j):
             if op.scalar:
-                mat = mat + np.dot(self.cov(q, a, i, k), op.values)
+                mat += np.dot(self.cov(q, a, i, k), op.values)
             elif a == q and i == 0 and (wide := self._toeplitz(q)) is not None:
                 # the block read below is cov(q, q, 0, 0), a Matern plus
                 # nugget on a product grid: B_a(j) times it, from its rows
-                mat = mat + op.left_toeplitz(wide).T
+                mat += op.left_toeplitz(wide).T
             else:
                 # C_21 = B C_11 as written: cov(r, q, j, i) is
                 # B_a(j) cov(a, q, k, i), read row by row
-                mat = mat + op.left(self.cov(a, q, k, i)).T
+                mat += op.left(self.cov(a, q, k, i)).T
         return mat
 
     def _toeplitz(self, q: int) -> Optional[np.ndarray]:

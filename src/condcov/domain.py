@@ -165,95 +165,49 @@ def _embed_lonlat(points: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _squared_sum(diffs, shape) -> np.ndarray:
-    """diffs[0]**2 + diffs[1]**2 + ..., summed in that order, or zeros of
-    ``shape`` when there are none.
+    """diffs[0]**2 + diffs[1]**2 + ..., summed in that order, as an array
+    of ``shape``, or zeros of it when there are none.
 
-    ``diffs`` yields fresh (m, n) float arrays, which are squared in place;
-    the first one becomes the sum. Taking them one at a time from an
-    iterator keeps at most two (m, n) arrays alive.
+    ``diffs`` yields fresh float arrays, squared in place: full (m, n)
+    terms (:func:`_differences`), the first of which becomes the sum, or
+    terms that broadcast over a product grid (:func:`_grid_differences`).
+    Taken one at a time, they keep at most two (m, n) arrays alive.
     """
     total = None
     for diff in diffs:
         np.square(diff, out=diff)
         if total is None:
             total = diff
-        else:
+        elif np.broadcast_shapes(total.shape, diff.shape) == total.shape:
             total += diff
-    return np.zeros(shape) if total is None else total
+        else:
+            total = np.add(total, diff)
+    return np.zeros(shape) if total is None else total.reshape(shape)
 
 
-def _grid_squared_sum(diffs, grid_first: bool = False) -> np.ndarray:
-    """diffs[0]**2 + diffs[1]**2 + ..., summed in that order, over a
-    product grid.
+def _differences(p: np.ndarray, q: np.ndarray):
+    """Per axis k, the fresh (m, n) differences p[:, k] - q[:, k] of float
+    arrays p (m, dim) and q (n, dim), one at a time."""
+    return (np.subtract.outer(p[:, k], q[:, k]) for k in range(p.shape[1]))
 
-    ``diffs[k]`` is a fresh float array of differences between m points
-    and the n_k coordinates of the grid's axis k: (m, n_k), or (n_k, m)
-    when ``grid_first``. Each is squared in place and broadcast over the
-    grid's other axes into one (m, n) result, (n, m) when grid_first, with
-    n = n_1 ... n_d vertices in "ij" order. Entry (i, j) sums the same
-    squares in the same order as :func:`_squared_sum` of the full
-    differences to vertex j, so it is bitwise that, for (m, n_k) rather
-    than (m, n) subtractions per axis.
+
+def _grid_differences(axes, points: np.ndarray, grid_first: bool = False):
+    """Per axis k, points[:, k] - a_k for float points (m, dim) and the
+    coordinates a_k of axis k of the product grid of ``axes`` (see
+    :attr:`Grid.axes`), shaped (m, 1, ..., n_k, ..., 1) to broadcast over
+    the vertices in "ij" order; a_k - points[:, k], (1, ..., n_k, ..., m),
+    when ``grid_first``. Their :func:`_squared_sum` adds the same squares
+    in the same order as that of the full :func:`_differences`, so it is
+    bitwise that, for (m, n_k) rather than (m, n) subtractions per axis.
     """
-    sizes = [diff.shape[0 if grid_first else 1] for diff in diffs]
-    m = diffs[0].shape[1 if grid_first else 0]
-    terms = []
-    for k, diff in enumerate(diffs):
-        np.square(diff, out=diff)
-        along = [1] * len(sizes)
-        along[k] = sizes[k]
-        terms.append(diff.reshape(along + [m] if grid_first else [m] + along))
-    if len(terms) == 1:
-        total = terms[0]
-    else:
-        total = np.add(terms[0], terms[1], out=np.empty(
-            np.broadcast_shapes(*(term.shape for term in terms))))
-        for term in terms[2:]:
-            total += term
-    n = math.prod(sizes)
-    return total.reshape((n, m) if grid_first else (m, n))
-
-
-def _grid_squared_distances(axes, points: np.ndarray,
-                            grid_first: bool) -> np.ndarray:
-    """Squared Euclidean distances between the vertices of the product grid
-    of ``axes`` (see :attr:`Grid.axes`) and float points (m, dim): (n, m)
-    when ``grid_first``, else (m, n). Bitwise those of
-    :func:`_squared_distances` of the vertices and the points, built per
-    axis (see :func:`_grid_squared_sum`)."""
-    return _grid_squared_sum(
-        [np.subtract.outer(a, points[:, k]) if grid_first
-         else np.subtract.outer(points[:, k], a) for k, a in enumerate(axes)],
-        grid_first)
-
-
-def _grid_offset_table(axes, into) -> np.ndarray:
-    """f(D) for the distances D of the per-axis index offsets of the uniform
-    product grid of ``axes`` (see :attr:`Grid.axes`): an (n_1, ..., n_d)
-    table.
-
-    On such a grid the distance between two vertices depends only on their
-    per-axis index offsets. So the squared distances are taken once per
-    offset, sum_k (a_k[o_k] - a_k[0])**2, and ``into(d2, out)`` writes f of
-    their square roots into ``out`` (and may overwrite d2). A table entry
-    that overflows is inf, for ``into`` to reject.
-    """
-    with np.errstate(over="ignore"):
-        d2 = _grid_squared_sum([(a - a[0])[None, :] for a in axes])
-    return into(d2, np.empty(d2.shape)).reshape(tuple(a.size for a in axes))
-
-
-def _grid_same_set(axes, into) -> np.ndarray:
-    """f(D) for the distances D among the vertices of the uniform product
-    grid of ``axes``, the n x n block expanded from its table of offsets
-    (:func:`_grid_offset_table`, :func:`_toeplitz`).
-
-    Entry (i, j) is f at the offset's distance, which differs from the
-    distance a_i - a_j of the tiled path (:meth:`Metric._same_set`) by the
-    rounding of the coordinates, a few ulp of the largest of them.
-    """
-    table = _grid_offset_table(axes, into)
-    return _toeplitz(table, np.empty((table.size, table.size)))
+    m = points.shape[0]
+    for k, a in enumerate(axes):
+        along = [1] * len(axes)
+        along[k] = a.size
+        if grid_first:
+            yield np.subtract.outer(a, points[:, k]).reshape(along + [m])
+        else:
+            yield np.subtract.outer(points[:, k], a).reshape([m] + along)
 
 
 def _toeplitz_rows(table: np.ndarray) -> np.ndarray:
@@ -417,9 +371,7 @@ class Metric:
 
 def _squared_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """(m, n) squared distances between float arrays p (m, dim), q (n, dim)."""
-    return _squared_sum((np.subtract.outer(p[:, k], q[:, k])
-                         for k in range(p.shape[1])),
-                        (p.shape[0], q.shape[0]))
+    return _squared_sum(_differences(p, q), (p.shape[0], q.shape[0]))
 
 
 EUCLIDEAN = Metric("euclidean")

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import kv as _kv
 
-from .domain import _grid_squared_sum, _read_table, _squared_sum
+from .domain import _differences, _read_table, _squared_sum
 from .errors import ParameterError, ValidationError
 
 __all__ = [
@@ -87,8 +87,8 @@ def _check_distances(d: np.ndarray) -> None:
 def _matern_of_squared(params: MaternParams, d2: np.ndarray,
                        out: np.ndarray) -> np.ndarray:
     """matern_cov(params, sqrt(d2)) written into ``out``; d2 becomes the
-    distances. This is ``into`` of ``Metric._same_set`` and
-    ``domain._grid_same_set`` for a Matern block."""
+    distances. This is ``into`` of ``Metric._same_set`` for a Matern block,
+    and the Matern of a product grid's offsets (``conditional._Geometry``)."""
     d = np.sqrt(d2, out=d2)
     _check_distances(d)
     return _matern_into(params, d, out)
@@ -324,37 +324,26 @@ def interaction_values(spec: InteractionSpec, S, V) -> np.ndarray:
         raise ValidationError(
             f"shift has {len(spec.shift)} components for {S.shape[1]}-d locations"
         )
-    return _bisquare_profile(spec, _squared_displacement(spec, S, V))
+    return _bisquare_profile(spec, _squared_displacement(
+        spec, _differences(S, V), (S.shape[0], V.shape[0])))
 
 
-def _squared_displacement(spec: InteractionSpec, S, V, axes=None) -> np.ndarray:
-    """|h|^2 for the displacements h = V[j] - S[i] - shift of a bisquare edge.
+def _squared_displacement(spec: InteractionSpec, diffs, shape) -> np.ndarray:
+    """|h|^2 for the displacements h = V[j] - S[i] - shift of a bisquare edge,
+    as an array of ``shape``.
 
     This is the part of a bisquare value that only ``shift`` changes; see
-    :func:`_bisquare_profile` for the rest. S (m, dim) and V (n, dim) are float
-    arrays of the same dim, as :func:`interaction_values` checks.
-
-    Built on one (m, n) array, axis by axis and in place: for k = 0, 1, ...
-    the component h_k = V[j, k] - S[i, k] (less shift[k] on a shifted edge)
-    is squared and added to the sum of the axes before it. No (m, n, dim)
-    array of displacements is formed. When V is the product grid of
-    ``axes`` (``Grid.axes``), h_k is taken against the n_k coordinates of
-    axis k only and broadcast (``domain._grid_squared_sum``), bitwise the
-    same.
+    :func:`_bisquare_profile` for the rest. ``diffs`` yields, per axis k,
+    fresh differences S[i, k] - V[j, k] (``domain._differences``, or the
+    per-axis terms of a product grid V, ``domain._grid_differences``). On a
+    shifted edge shift[k] is added to each in place, which is exactly -h_k,
+    and ``domain._squared_sum`` squares and sums them axis by axis, so no
+    (m, n, dim) array of displacements is formed.
     """
-    shift = spec.shift if spec.kind is InteractionKind.SHIFTED_BISQUARE else None
-    columns = V.T if axes is None else axes
-
-    def axis(k):
-        h = columns[k][None, :] - S[:, None, k]
-        if shift is not None:
-            h -= shift[k]
-        return h
-
-    if axes is not None:
-        return _grid_squared_sum([axis(k) for k in range(S.shape[1])])
-    return _squared_sum((axis(k) for k in range(S.shape[1])),
-                        (S.shape[0], V.shape[0]))
+    if spec.kind is InteractionKind.SHIFTED_BISQUARE:
+        diffs = (np.add(diff, spec.shift[k], out=diff)
+                 for k, diff in enumerate(diffs))
+    return _squared_sum(diffs, shape)
 
 
 def _bisquare_profile(spec: InteractionSpec, d2: np.ndarray) -> np.ndarray:

@@ -102,6 +102,29 @@ def test_parse_repo_demo_config():
     # the refit edge replaces the configured y2 edge
     assert study.refit_network.nodes[1].parents[0][1].kind.value == "bisquare"
     assert study.refit_free == ("y2~y1.amplitude", "y2~y1.aperture")
+    assert cfg.fit.free == ("y1.variance", "y1.scale", "y2.variance",
+                            "y2.scale", "y2~y1.amplitude", "y2~y1.aperture",
+                            "y2~y1.shift1")
+
+
+def test_the_repo_demo_config_fit_converges(tmp_path, capsys):
+    # 40 noisy observations per variable of one draw of the demo model
+    config = ROOT / "configs" / "demo1d.yaml"
+    cfg = parse_config(config)
+    fields = sample_joint(assemble_dag(cfg.grid, cfg.network), seed=7)
+    rng = np.random.default_rng(7)
+    obs = []
+    for q in range(2):
+        idx = np.sort(rng.choice(cfg.grid.n, 40, replace=False))
+        obs.append(Observations(q, cfg.grid.vertices[idx], fields[q, idx]
+                                + 0.5 * rng.standard_normal(40)))
+    data = tmp_path / "obs.csv"
+    save_observations(obs, cfg.network.names, data)
+    assert main(["fit", "--config", str(config), "--data", str(data),
+                 "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "demo1d: loglik" in out and "k=7" in out
+    assert "(not converged)" not in out
 
 
 def test_readme_config_block_parses():
@@ -877,6 +900,8 @@ stage("import condcov.cli")
 common = ["--config", cfg, "--data", data, "--out", out]
 stage("predict", cli.main(["predict"] + common))
 stage("cv", cli.main(["cv"] + common))
+stage("spectral-check", cli.main(["spectral-check", "--config", cfg,
+                                  "--out", out]))
 stage("fit", cli.main(["fit"] + common))
 stage("compare-directions", cli.main(["compare-directions"] + common))
 stage("simulate", cli.main(["simulate", "--config", sim_cfg,
@@ -912,8 +937,10 @@ def test_commands_import_only_the_scipy_they_use(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    # the bisquare map path (predict, cv) needs none of them
-    for stage in ("import condcov", "import condcov.cli", "predict", "cv"):
+    # the bisquare map path (predict, cv) needs none of them, nor does the
+    # spectral check, which integrates no density
+    for stage in ("import condcov", "import condcov.cli", "predict", "cv",
+                  "spectral-check"):
         assert seen[stage] == [], stage
     # fitting runs the package's own Nelder-Mead: no command loads
     # scipy.optimize

@@ -37,7 +37,7 @@ from condcov import (
     shifted_bisquare,
 )
 from condcov.conditional import _Geometry
-from condcov.domain import _ROW_TILE, _embed_lonlat
+from condcov.domain import _ROW_TILE, _differences, _embed_lonlat
 from condcov.kernels import (
     InteractionKind,
     _bisquare_profile,
@@ -143,7 +143,7 @@ def test_squared_displacement_matches_the_einsum_form(data, dim, shifted):
         spec = shifted_bisquare(1.0, 0.5, shift)
     else:
         spec = bisquare(1.0, 0.5)
-    got = _squared_displacement(spec, S, V)
+    got = _squared_displacement(spec, _differences(S, V), (len(S), len(V)))
     want = _squared_displacement_reference(spec, S, V)
     if dim < 3:
         _assert_bitwise(got, want)

@@ -47,7 +47,7 @@ from condcov import (
     shifted_bisquare,
 )
 from condcov.conditional import CovarianceEvaluator, _Geometry, _Operator
-from condcov.domain import _toeplitz
+from condcov.domain import _differences, _grid_differences, _toeplitz
 from condcov.kernels import (
     _bisquare_profile,
     _matern_of_squared,
@@ -162,8 +162,8 @@ def _assert_falls_back(grid):
 
 
 def _squared_displacement_weighted(grid, spec, points):
-    vals = _bisquare_profile(spec, _squared_displacement(spec, points,
-                                                         grid.vertices))
+    vals = _bisquare_profile(spec, _squared_displacement(
+        spec, _differences(points, grid.vertices), (len(points), grid.n)))
     return vals * grid.weights
 
 
@@ -219,9 +219,12 @@ def test_grid_displacements_are_built_per_axis_bitwise(name, shifted):
     spec = (shifted_bisquare(3.0, 0.4, np.linspace(-0.2, 0.3, grid.dim))
             if shifted else bisquare(3.0, 0.4))
     for points in (_sites(grid.dim), grid.vertices, np.empty((0, grid.dim))):
+        shape = (len(points), grid.n)
         _assert_bitwise(
-            _squared_displacement(spec, points, grid.vertices, grid.axes),
-            _squared_displacement(spec, points, grid.vertices))
+            _squared_displacement(spec, _grid_differences(grid.axes, points),
+                                  shape),
+            _squared_displacement(spec, _differences(points, grid.vertices),
+                                  shape))
     geometry = _Geometry(grid)
     i = geometry.add_points(_sites(grid.dim))
     _assert_bitwise(geometry.weighted(0, 0, spec, i),
