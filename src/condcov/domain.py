@@ -195,8 +195,8 @@ def _grid_differences(axes, points: np.ndarray, grid_first: bool = False):
     """Per axis k, points[:, k] - a_k for float points (m, dim) and the
     coordinates a_k of axis k of the product grid of ``axes`` (see
     :attr:`Grid.axes`), shaped (m, 1, ..., n_k, ..., 1) to broadcast over
-    the vertices in "ij" order; a_k - points[:, k], (1, ..., n_k, ..., m),
-    when ``grid_first``. Their :func:`_squared_sum` adds the same squares
+    the vertices in "ij" order; a_k - points[:, k], (1, ..., n_k, ..., 1,
+    m), when ``grid_first``. Their :func:`_squared_sum` adds the same squares
     in the same order as that of the full :func:`_differences`, so it is
     bitwise that, for (m, n_k) rather than (m, n) subtractions per axis.
     """
