@@ -755,8 +755,8 @@ def _cmd_spectral_check(args) -> int:
     _write_table(out / "spectral.csv", ["w", "envelope", "candidate", "margin"],
                  [report.w, report.envelope, report.candidate, report.margin])
     _write_table(out / "spectral_summary.csv", ["key", "value"],
-                 [["worst_margin", "integrable", "valid"],
-                  [report.worst_margin, report.integrable, report.valid]])
+                 [["worst_margin", "valid"],
+                  [report.worst_margin, report.valid]])
     verdict = "valid" if report.valid else "NOT valid"
     print(f"worst relative margin {report.worst_margin:.6g}: "
           f"candidate is {verdict}")

@@ -350,8 +350,8 @@ class _Geometry:
     Set 0 is always the grid (the integration nodes); the geometry keeps
     every registered point set and the distances between two sets.
     ``matern`` keeps one block per (node, point-set pair), reused while the
-    node's MaternParams (and, on a product grid's vertices, its nugget) are
-    equal, and ``weighted`` keeps one array of squared
+    node's MaternParams (and, on a same-set block, its nugget) are equal,
+    and ``weighted`` keeps one array of squared
     displacements per (bisquare edge, point set), reused while the edge's
     shift is equal, so that a new amplitude or aperture costs only the
     profile. Each slot holds one entry, and kept blocks are read-only, so no
@@ -399,7 +399,7 @@ class _Geometry:
         gets one array twice and builds a same-set block. Between the grid
         and another set they are summed per axis where ``axes`` allows,
         bitwise those of ``pairwise``. Kept: a Matern between two sets
-        reads them, and a nugget reads where they are 0."""
+        reads them, and its nugget reads where they are 0."""
         key = (i, j)
         if key not in self._dist:
             if self.axes is not None and i != j and 0 in (i, j):
@@ -423,27 +423,33 @@ class _Geometry:
     def matern(self, q: int, params: MaternParams, i: int, j: int,
                nugget: float = 0.0) -> np.ndarray:
         """The Matern ``params`` of node q between point sets i and j, plus
-        ``nugget`` where two points coincide. The grid's same-set block,
-        where ``axes`` allows, is expanded from ``_table``, so the nugget is
-        on its diagonal; it equals matern_cov of ``distance(0, 0)`` up to
-        the rounding of the coordinates. Any other same-set block is
-        evaluated from the points, tile by tile on its upper triangle
-        (``Metric._same_set``), bitwise matern_cov of ``distance(i, i)``.
-        On any other block the nugget reads where ``distance(i, j)`` is 0,
-        and is added into a fresh array."""
-        if i == j == 0 and self.axes is not None:
-            def build():
-                table = self._table(params, nugget)
-                return _toeplitz(table, np.empty((table.size, table.size)))
-            return self._kept(("matern", q, 0, 0), (params, nugget), build)
+        ``nugget`` where two points coincide. A same-set block is kept per
+        (params, nugget). The grid's, where ``axes`` allows, is expanded
+        from ``_table``, so the nugget is on its diagonal; it equals
+        matern_cov of ``distance(0, 0)`` up to the rounding of the
+        coordinates. Any other same-set block is evaluated from the points,
+        tile by tile on its upper triangle (``Metric._same_set``), with the
+        nugget added in each tile where the squared distance is 0; it is
+        bitwise matern_cov of ``distance(i, i)`` plus the nugget where that
+        is 0, and no distances of the set are kept. On a block between two
+        sets the nugget reads where ``distance(i, j)`` is 0, and is added
+        into a fresh array."""
         if i == j:
-            def build():
-                return self.grid.metric._same_set(
-                    self.sets[i], partial(_matern_of_squared, params))
-        else:
-            def build():
-                return np.asarray(matern_cov(params, self.distance(i, j)))
-        mat = self._kept(("matern", q, i, j), params, build)
+            if i == 0 and self.axes is not None:
+                def build():
+                    table = self._table(params, nugget)
+                    return _toeplitz(table, np.empty((table.size, table.size)))
+            else:
+                def into(d2, tile):
+                    same = d2 == 0.0  # before the Matern overwrites d2
+                    _matern_of_squared(params, d2, tile)
+                    tile[same] += nugget
+
+                def build():
+                    return self.grid.metric._same_set(self.sets[i], into)
+            return self._kept(("matern", q, i, i), (params, nugget), build)
+        mat = self._kept(("matern", q, i, j), params, lambda: np.asarray(
+            matern_cov(params, self.distance(i, j))))
         if nugget:
             mat = mat + nugget * (self.distance(i, j) == 0.0)
         return mat
@@ -529,14 +535,26 @@ class CovarianceEvaluator:
     (``fit_mle``): its kept Matern blocks and bisquare displacements are
     those a fresh geometry would build, so every covariance, and every
     likelihood, is bitwise that of a fresh evaluator.
+
+    ``grid_blocks`` maps node pairs (a, b), a <= b, to read-only blocks
+    that stand for cov(a, b, 0, 0): every block built from them reads them
+    in place of the two rules, and a node whose grid block is given is
+    never read from Toeplitz rows. ``fit_mle`` gives the last node's
+    parents their grid blocks conditioned on the earlier nodes'
+    observations, so that the last node's ``observation_covariance`` is its
+    covariance given them. The diagonal of a given node (``variance``)
+    still comes from its Matern.
     """
 
     def __init__(self, grid: Grid, network: ProcessNetwork,
-                 geometry: Optional[_Geometry] = None):
+                 geometry: Optional[_Geometry] = None,
+                 grid_blocks: Optional[dict] = None):
         self.grid = grid
         self.network = network
         self._geometry = geometry if geometry is not None else _Geometry(grid)
-        self._cov = {}
+        self._cov = {(a, b, 0, 0): block
+                     for (a, b), block in (grid_blocks or {}).items()}
+        self._given = frozenset(self._cov)
         self._ops = {}
         self._diag = {}
 
@@ -597,9 +615,11 @@ class CovarianceEvaluator:
     def _toeplitz(self, q: int) -> Optional[np.ndarray]:
         """The outer row blocks of cov(q, q, 0, 0) (``_Geometry.toeplitz``)
         when that block is node q's Matern plus its nugget, with no nonzero
-        edge, on a product grid of two or more axes; else None."""
+        edge, on a product grid of two or more axes; else None, as for a
+        block that was given."""
         node = self.network.nodes[q]
-        if any(spec.kind is not InteractionKind.ZERO for _, spec in node.parents):
+        if (q, q, 0, 0) in self._given or any(
+                spec.kind is not InteractionKind.ZERO for _, spec in node.parents):
             return None
         return self._geometry.toeplitz(q, node.covariance, node.nugget)
 

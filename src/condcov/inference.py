@@ -20,6 +20,8 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dgemm
 
 from .conditional import (
     CovarianceEvaluator,
@@ -223,11 +225,97 @@ def _loglik(ev: CovarianceEvaluator, kept: Sequence[Observations],
     """(log-likelihood, jitter its Cholesky needed) of the validated, non-empty
     ``kept`` observations; NumericalError when the covariance cannot be
     factored under the jitter policy."""
-    C, resid = observation_covariance(ev, kept)
+    return _gaussian(*observation_covariance(ev, kept), jitter_max)
+
+
+def _gaussian(C: np.ndarray, resid: np.ndarray,
+              jitter_max: float) -> Tuple[float, float]:
+    """(log density of ``resid`` under N(0, C), jitter the Cholesky factor
+    of C needed); NumericalError when C cannot be factored."""
     L, jitter = chol_with_jitter(C, jitter_max)
     quad = float(resid @ chol_solve(L, resid))
     value = -0.5 * (resid.size * math.log(2.0 * math.pi) + chol_logdet(L) + quad)
     return value, jitter
+
+
+@dataclass(frozen=True)
+class _Conditioned:
+    """A fit's likelihood split as p(z_<q) p(z_q | z_<q), for a fit whose
+    free parameters all belong to the last node q (see :func:`_condition`).
+
+    ``loglik`` is log p(z_<q), whose covariance C_< needed ``jitter``;
+    ``last`` is z_q. ``blocks`` maps each pair (a, b), a <= b, of q's
+    parents to their grid block given z_<q, K_ab = cov(a, b, 0, 0) -
+    W_a' W_b with W_a = L_<^-1 cov(z_<q, Y_a(grid)), and ``means`` maps each
+    parent a to E[Y_a(grid) | z_<q] = W_a' L_<^-1 z_<q.
+    """
+
+    loglik: float
+    jitter: float
+    last: Observations
+    blocks: dict
+    means: dict
+
+    def score(self, grid: Grid, network: ProcessNetwork, geometry: _Geometry,
+              jitter_max: float) -> Tuple[float, float]:
+        """(log-likelihood of ``network``, the larger jitter of C_< and of
+        Cov(z_q | z_<q)), like :func:`_loglik`. Only the m_q x m_q block of
+        z_q is built and factored: given ``blocks``, an evaluator's
+        ``observation_covariance`` of z_q is Cov(z_q | z_<q), and the
+        residual loses the mean of sum_a B_a Y_a(grid) given z_<q."""
+        ev = CovarianceEvaluator(grid, network, geometry, self.blocks)
+        S, resid = observation_covariance(ev, [self.last])
+        sites = ev.add_points(self.last.locations)
+        for a, _, op in ev._edges(self.last.variable, sites):
+            resid -= op.values @ self.means[a]
+        if not np.isfinite(resid).all():
+            raise NumericalError("conditional residuals have non-finite entries")
+        value, jitter = _gaussian(S, resid, jitter_max)
+        return self.loglik + value, max(self.jitter, jitter)
+
+
+def _condition(grid: Grid, network: ProcessNetwork, kept: Sequence[Observations],
+               located, jitter_max: float) -> Optional[_Conditioned]:
+    """The :class:`_Conditioned` split of a fit of ``network``, made once:
+    where every ``located`` free parameter belongs to the last node q
+    (its fields or its edges), q and an earlier node are observed, every
+    nonzero edge of q is an integral edge, and C_< factors under the jitter
+    policy. None elsewhere: the fit scores the joint likelihood."""
+    q = network.p - 1
+    edges = [(a, spec) for a, spec in network.nodes[q].parents
+             if spec.kind is not InteractionKind.ZERO]
+    if (any(loc[1] != q for loc in located) or len(kept) < 2
+            or kept[-1].variable != q
+            or any(spec.kind is InteractionKind.DIRAC for _, spec in edges)):
+        return None
+    earlier = kept[:-1]
+    # its own geometry, dropped on return: evaluations read none of it
+    ev = CovarianceEvaluator(grid, network)
+    try:
+        C, z = observation_covariance(ev, earlier)
+        L, jitter = chol_with_jitter(C, jitter_max)
+    except CondcovError:
+        return None
+    handles = [ev.add_points(o.locations) for o in earlier]
+    u = solve_triangular(L, z, lower=True, check_finite=False)
+    parents = sorted({a for a, _ in edges})
+    W = {a: solve_triangular(L, np.concatenate(
+        [ev.cov(o.variable, a, h, 0) for o, h in zip(earlier, handles)]),
+        lower=True, check_finite=False) for a in parents}
+    blocks = {}
+    for k, a in enumerate(parents):
+        for b in parents[k:]:
+            # K_ab in the memory of a copy of cov(a, b, 0, 0): as BLAS's
+            # column-major output, K_ab' = cov(b, a, 0, 0) - W_b' W_a
+            K = dgemm(-1.0, W[b], W[a], beta=1.0, trans_a=True,
+                      c=np.array(ev.cov(a, b, 0, 0), order="C").T,
+                      overwrite_c=True).T
+            K.setflags(write=False)
+            blocks[(a, b)] = K
+    value = -0.5 * (z.size * math.log(2.0 * math.pi) + chol_logdet(L)
+                    + float(u @ u))
+    return _Conditioned(value, jitter, kept[-1], blocks,
+                        {a: W[a].T @ u for a in parents})
 
 
 @dataclass(frozen=True)
@@ -422,13 +510,28 @@ def fit_mle(
     shared geometry: the point sets and their distances, plus the leaf
     blocks that its free parameters leave alone (the Matern blocks of nodes
     whose Matern is fixed, and the squared displacements of bisquare edges
-    whose shift is fixed). Each value is bitwise the :func:`loglik` of the
-    evaluated network, so the optimizer takes the path it takes on fresh
-    evaluations, and the reported ``loglik`` is :func:`loglik` of the
-    returned network.
+    whose shift is fixed).
+
+    A fit takes one of two routes. When every free parameter belongs to
+    the last node q (its fields, or its ``q~a.*`` edges), q and an earlier
+    node are observed, every nonzero edge of q is an integral (not dirac)
+    edge, and the covariance C_< of the earlier observations z_<q factors,
+    the likelihood is scored as p(z_<q) p(z_q | z_<q). Once per fit,
+    C_< is factored and the grid blocks of q's parents are conditioned on
+    z_<q; each evaluation then builds and factors only the block of z_q
+    given z_<q (see ``_Conditioned``). Its values equal :func:`loglik` of
+    the evaluated network to roundoff. Every other fit takes the joint
+    route: each evaluation factors the covariance of all observations, and
+    its value is bitwise the :func:`loglik` of the evaluated network, so
+    the optimizer takes the path it takes on fresh evaluations. On both
+    routes the reported ``loglik`` is :func:`loglik` of the returned
+    network, and ``converged`` holds when a restart that met its
+    tolerances ended at the best value the optimizer saw.
     ``rejected`` counts the evaluations scored as -inf because the network
     was invalid or its covariance could not be factored; ``jitter`` is what
-    the Cholesky factorization needed at the returned optimum. Nelder-Mead
+    the Cholesky factorization needed at the returned optimum, on the
+    conditional route the larger of C_<'s jitter and that of z_q's block
+    given z_<q. Nelder-Mead
     cannot stop on a simplex that scores -inf everywhere (inf - inf is NaN)
     and would shrink it until ``max_evals``, so a restart whose every
     evaluation is rejected ends once its last n + 2 evaluations (n free
@@ -463,6 +566,7 @@ def fit_mle(
             _from_transformed(field, float(xi)) for field, xi in zip(fields, x)])
 
     geometry = _Geometry(grid)
+    conditioned = _condition(grid, network, kept, located, jitter_max)
     jitters = {}  # the jitter of each accepted point, by its coordinates
     rejected = 0
     # the points of the current restart while every one is rejected; None
@@ -472,8 +576,13 @@ def fit_mle(
     def objective(x: np.ndarray) -> float:
         nonlocal rejected, opening
         try:
-            ev = CovarianceEvaluator(grid, apply(x), geometry)
-            value, jitters[x.tobytes()] = _loglik(ev, kept, jitter_max)
+            if conditioned is None:
+                value, jitters[x.tobytes()] = _loglik(
+                    CovarianceEvaluator(grid, apply(x), geometry), kept,
+                    jitter_max)
+            else:
+                value, jitters[x.tobytes()] = conditioned.score(
+                    grid, apply(x), geometry, jitter_max)
         except CondcovError as exc:
             logger.debug("%s: evaluation scored -inf: %s", label, exc)
             rejected += 1
@@ -521,15 +630,15 @@ def fit_mle(
             "check the starting parameters"
         )
     fitted = apply(best.x)
-    # one re-score through the public loglik: a fresh evaluator reproduces
-    # -best.fun bit for bit (the tests assert it), so this costs one
-    # evaluation per fit and keeps every fit visible to anything that
-    # wraps loglik, such as the bench tracer, which no longer sees the
-    # Nelder-Mead evaluations themselves
+    # one re-score through the public loglik: on the joint route a fresh
+    # evaluator reproduces -best.fun bit for bit (the tests assert it), on
+    # the conditional route to roundoff. It costs one evaluation per fit and
+    # keeps every fit visible to anything that wraps loglik, such as the
+    # bench tracer, which does not see the Nelder-Mead evaluations
     ll = loglik(grid, fitted, obs, jitter_max)
     k = len(free_names)
     estimates = {name: get_parameter(fitted, name) for name in list_parameters(fitted)}
-    converged = any(t["converged"] and t["loglik"] == ll for t in trace)
+    converged = any(t["converged"] and t["loglik"] == -best.fun for t in trace)
     return FitResult(
         label=label,
         estimates=estimates,

@@ -722,6 +722,8 @@ def test_spectral_check_valid_and_invalid(tmp_path, capsys):
     assert rc == 0
     text = (out / "spectral_summary.csv").read_text()
     assert "valid,true" in text
+    assert [row.split(",")[0] for row in text.splitlines()] == [
+        "key", "worst_margin", "valid"]
     assert "valid" in capsys.readouterr().out
 
     data = yaml.safe_load(yaml.safe_dump(BASE))

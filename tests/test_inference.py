@@ -655,11 +655,22 @@ def _fresh_evaluation_fit(grid, network, obs, free, config):
     return apply(best.x), -best.fun, [int(r.nfev) for r in runs]
 
 
+def _dirac_into_the_last_node():
+    """Three nodes whose last node has an integral and a dirac edge."""
+    first, second, _ = _three_nodes().nodes
+    return ProcessNetwork((first, second, ProcessNode(
+        "y3", MaternParams(0.3, 8.0, 0.5), nugget=0.05, noise=0.1,
+        parents=((0, bisquare(1.2, 0.4)), (1, dirac(0.6))))))
+
+
 @pytest.mark.parametrize("network, free", [
     pytest.param(_bivariate(), ["y2~y1.amplitude", "y2~y1.shift1", "y1.scale"],
                  id="bivariate-shifted"),
     pytest.param(_three_nodes(), ["y3~y2.aperture", "y2.smoothness",
                                   "y3.nugget"], id="dirac-tabulated-bisquare"),
+    pytest.param(_dirac_into_the_last_node(),
+                 ["y3~y2.amplitude", "y3~y1.aperture", "y3.scale"],
+                 id="last-node-dirac"),
 ])
 def test_fit_equals_optimizing_fresh_loglik(network, free):
     rng = np.random.default_rng(4)
@@ -879,3 +890,177 @@ def test_fit_with_one_network_per_evaluation_is_unchanged(monkeypatch):
     assert fit.trace == old.trace
     assert fit.estimates == old.estimates
     assert fit.loglik == old.loglik and fit.rejected == old.rejected
+
+
+# Fits that free only the last node q score p(z_<q) p(z_q | z_<q): the
+# earlier observations are factored once per fit, and each evaluation
+# factors only q's block (inference._condition). Three networks where it
+# applies, each with the parameter points the route is checked at.
+SIM1D_GRID = regular_grid([(-1.0, 1.0)], [200])
+PLANE = regular_grid([(0.0, 1.0), (0.0, 1.0)], [12, 10])
+
+
+def _sim1d_refit_case():
+    network = _bivariate(bisquare(5.0, 0.3))
+    rng = np.random.default_rng(31)
+    v = SIM1D_GRID.vertices
+    obs = [Observations(0, v[v[:, 0] >= 0.0], rng.normal(size=100)),
+           Observations(1, v, rng.normal(size=200))]
+    steps = [{"y2~y1.amplitude": a, "y2~y1.aperture": h}
+             for a, h in ((5.0, 0.3), (3.0, 0.5), (-1.0, 0.05), (8.0, 1.5))]
+    return SIM1D_GRID, network, obs, steps
+
+
+def _plane_case():
+    network = ProcessNetwork((
+        ProcessNode("y1", MaternParams(1.0, 6.0, 1.5), noise=0.1),
+        ProcessNode("y2", MaternParams(0.4, 9.0, 2.5), nugget=0.02, noise=0.1,
+                    parents=((0, shifted_bisquare(1.5, 0.3, (0.1, -0.05))),)),
+    ))
+    rng = np.random.default_rng(32)
+    obs = [Observations(0, rng.uniform(0, 1, (15, 2)), rng.normal(size=15)),
+           Observations(1, rng.uniform(0, 1, (12, 2)), rng.normal(size=12))]
+    steps = [{"y2.nugget": g, "y2.scale": k, "y2~y1.shift1": s}
+             for g, k, s in ((0.02, 9.0, 0.1), (0.3, 4.0, -0.2),
+                             (1e-6, 20.0, 0.0))]
+    return PLANE, network, obs, steps
+
+
+def _two_parents_case():
+    network = ProcessNetwork((
+        ProcessNode("y1", MaternParams(1.0, 10.0, 1.5), noise=0.1),
+        ProcessNode("y2", MaternParams(0.5, 12.0, 0.5), noise=0.1,
+                    parents=((0, bisquare(0.9, 0.3)),)),
+        ProcessNode("y3", MaternParams(0.3, 8.0, 1.5), noise=0.1,
+                    parents=((0, bisquare(1.2, 0.4)),
+                             (1, shifted_bisquare(0.8, 0.3, (0.1,))))),
+    ))
+    rng = np.random.default_rng(33)
+    obs = [Observations(q, rng.uniform(-1, 1, (8 + 2 * q, 1)),
+                        rng.normal(size=8 + 2 * q)) for q in range(3)]
+    steps = [{"y3~y1.amplitude": a, "y3~y2.aperture": h, "y3.variance": v}
+             for a, h, v in ((1.2, 0.3, 0.3), (-0.5, 0.6, 1.0),
+                             (2.0, 0.1, 0.05))]
+    return GRID, network, obs, steps
+
+
+def _conditioned(grid, network, obs, free, jitter_max=1e-8):
+    from condcov.conditional import kept_observations
+    from condcov.inference import _condition, _locate
+
+    return _condition(grid, network, kept_observations(grid, network, obs),
+                      [_locate(network, name) for name in free], jitter_max)
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(_sim1d_refit_case, id="sim1d-refit"),
+    pytest.param(_plane_case, id="product-grid-shifted"),
+    pytest.param(_two_parents_case, id="two-integral-parents"),
+])
+def test_the_conditional_route_scores_the_joint_likelihood(case):
+    from condcov.conditional import _Geometry
+
+    grid, network, obs, steps = case()
+    cond = _conditioned(grid, network, obs, list(steps[0]))
+    assert cond is not None
+    geometry = _Geometry(grid)  # shared, as over the evaluations of a fit
+    for step in steps:
+        net = network
+        for name, value in step.items():
+            net = set_parameter(net, name, value)
+        got, jitter = cond.score(grid, net, geometry, 1e-8)
+        want = loglik(grid, net, obs)
+        assert jitter == 0.0
+        assert abs(got - want) <= 1e-12 * abs(want), step
+
+
+def _observed(network, variables, seed=34):
+    rng = np.random.default_rng(seed)
+    return [Observations(q, rng.uniform(-1, 1, (9, 1)), rng.normal(size=9))
+            for q in variables]
+
+
+@pytest.mark.parametrize("network, free, variables, taken", [
+    pytest.param(_bivariate(), ["y2~y1.amplitude", "y2~y1.shift1", "y2.scale",
+                                "y2.noise"], (0, 1), True, id="last-node"),
+    pytest.param(_bivariate(zero()), ["y2.scale"], (0, 1), True,
+                 id="zero-edge"),
+    pytest.param(_three_nodes(), ["y3~y2.aperture", "y3.nugget"], (1, 2), True,
+                 id="first-node-unobserved"),
+    pytest.param(_bivariate(), ["y2~y1.amplitude", "y1.scale"], (0, 1), False,
+                 id="an-earlier-node-is-free"),
+    pytest.param(_bivariate(), ["y2~y1.amplitude"], (1,), False,
+                 id="only-the-last-node-observed"),
+    pytest.param(_bivariate(), ["y2~y1.amplitude"], (0,), False,
+                 id="last-node-unobserved"),
+    pytest.param(_bivariate(dirac(0.5)), ["y2~y1.amplitude"], (0, 1), False,
+                 id="dirac-edge"),
+    pytest.param(_dirac_into_the_last_node(), ["y3~y2.amplitude", "y3.scale"],
+                 (0, 1, 2), False, id="a-dirac-edge-among-integral-ones"),
+])
+def test_which_fits_take_the_conditional_route(network, free, variables, taken):
+    got = _conditioned(GRID, network, _observed(network, variables), free)
+    assert (got is not None) == taken
+
+
+def test_a_given_grid_block_is_not_read_from_toeplitz_rows():
+    from condcov.conditional import CovarianceEvaluator
+
+    grid, network, obs, _ = _plane_case()
+    assert CovarianceEvaluator(grid, network)._toeplitz(0) is not None
+    zeros = np.zeros((grid.n, grid.n))
+    zeros.setflags(write=False)
+    ev = CovarianceEvaluator(grid, network, grid_blocks={(0, 0): zeros})
+    assert ev._toeplitz(0) is None
+    sites = ev.add_points(obs[1].locations)
+    # B K' with K = 0, and the child's block is then its Matern plus nugget
+    assert not ev.cov(0, 1, 0, sites).any()
+    assert np.array_equal(ev.cov(1, 1, sites, sites), ev._geometry.matern(
+        1, network.nodes[1].covariance, sites, sites, network.nodes[1].nugget))
+
+
+def test_a_sim1d_shaped_fit_converges_on_the_conditional_route():
+    truth = _bivariate(shifted_bisquare(5.0, 0.3, (-0.3,)))
+    fields = sample_joint(assemble_dag(SIM1D_GRID, truth), seed=8)
+    rng = np.random.default_rng(8)
+    v = SIM1D_GRID.vertices
+    y1 = v[:, 0] >= 0.0
+    obs = [Observations(0, v[y1], fields[0][y1] + 0.5 * rng.normal(size=100)),
+           Observations(1, v, fields[1] + 0.5 * rng.normal(size=200))]
+    start = _bivariate(bisquare(5.0, 0.3))
+    free = ["y2~y1.amplitude", "y2~y1.aperture"]
+    assert _conditioned(SIM1D_GRID, start, obs, free) is not None
+    fit = fit_mle(SIM1D_GRID, start, obs, free=free,
+                  config=OptimizerConfig(seed=0, restarts=1))
+    assert fit.converged
+    assert 90 <= fit.trace[0]["nfev"] <= 140
+    # the reported loglik is the joint one of the returned network, which
+    # the conditional value it was optimized on equals to roundoff
+    assert fit.loglik == loglik(SIM1D_GRID, fit.network, obs)
+    assert abs(fit.trace[0]["loglik"] - fit.loglik) <= 1e-12 * abs(fit.loglik)
+
+
+def test_the_conditional_route_reports_the_larger_jitter():
+    from condcov.conditional import (CovarianceEvaluator, kept_observations,
+                                     observation_covariance)
+    from condcov.linalg import chol_with_jitter
+
+    # y1 is near rank one without noise: its covariance factors only with
+    # jitter, while y2's given it needs none
+    network = ProcessNetwork((
+        ProcessNode("y1", MaternParams(1.0, 1e-3, 2.5)),
+        ProcessNode("y2", MaternParams(0.2, 75.0, 1.5), noise=0.25,
+                    parents=((0, bisquare(2.0, 0.4)),)),
+    ))
+    rng = np.random.default_rng(35)
+    obs = [Observations(0, np.linspace(-1, 1, 10)[:, None], rng.normal(size=10)),
+           Observations(1, rng.uniform(-1, 1, (10, 1)), rng.normal(size=10))]
+    free = ["y2~y1.amplitude", "y2~y1.aperture"]
+    assert _conditioned(GRID, network, obs, free, jitter_max=0.0) is None
+    cond = _conditioned(GRID, network, obs, free)
+    C, _ = observation_covariance(CovarianceEvaluator(GRID, network),
+                                  kept_observations(GRID, network, obs)[:1])
+    assert cond.jitter == chol_with_jitter(C)[1] > 0.0
+    fit = fit_mle(GRID, network, obs, free=free,
+                  config=OptimizerConfig(seed=0, restarts=1, max_evals=40))
+    assert fit.jitter == cond.jitter

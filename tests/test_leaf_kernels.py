@@ -239,6 +239,34 @@ def test_geometry_builds_same_set_blocks_on_one_triangle(n):
     assert geometry._dist == {}
 
 
+@pytest.mark.parametrize("metric, dim", [
+    (EUCLIDEAN, 1), (EUCLIDEAN, 2), (chordal(6371.0), 2)])
+def test_a_same_set_nugget_is_added_without_distances(metric, dim):
+    # off a product grid, on the grid and on an added set, which repeats a
+    # point; chordal sets also spell one point twice (the pole at two
+    # longitudes, longitude 180 and -180), whose embeddings differ by
+    # roundoff, so no nugget is added there
+    grid = Grid(_same_set_points(TILE + 3, dim, seed=4, repeat=False) * 20.0,
+                np.ones(TILE + 3), metric)
+    points = _same_set_points(TILE + 5, dim, seed=5)
+    if metric.kind == "chordal":
+        points = points * np.array([60.0, 30.0])
+        points[1:5] = [[0.0, 90.0], [45.0, 90.0], [180.0, 10.0], [-180.0, 10.0]]
+    geometry = _Geometry(grid)
+    i = geometry.add_points(points)
+    params = MaternParams(1.3, 2.0, 1.5)
+    for k, nugget in ((0, 0.0), (0, 0.25), (i, 0.25)):
+        a = geometry.sets[k]
+        full = metric.pairwise(a, a.copy())
+        _assert_bitwise(geometry.matern(0, params, k, k, nugget),
+                        matern_cov(params, full) + nugget * (full == 0.0))
+    assert geometry._dist == {}
+    # the slot is kept per nugget as well as per Matern
+    assert geometry.matern(0, params, i, i, 0.25) is \
+        geometry.matern(0, params, i, i, 0.25)
+    assert geometry.matern(0, params, i, i)[0, -1] == params.variance
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_a_same_set_matern_rejects_overflowing_distances():
     # finite points whose distance overflows to inf, as matern_cov rejects

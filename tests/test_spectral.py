@@ -163,10 +163,3 @@ def test_induced_cross_covariance_is_matern():
                                 0, np.inf, limit=800)
         want = matern_cov(induced, float(d))
         assert abs(got - want) <= 0.005 * abs(want), d
-
-
-def test_integrability_flag():
-    b = parsimonious_bounds(1.0, 4.0, 1.0, 1.0, 2.0)
-    bo = MaternParams(b["sig2_b_max"], 2.0, b["nu_b_min"])
-    rep = check_cross_validity(C11, C22, bo)
-    assert rep.integrable

@@ -111,3 +111,27 @@ def test_a_stale_bytecode_cache_is_rebuilt_before_the_pairs(tmp_path,
     assert stamp() != current
     ab_pairs._compile(tmp_path)
     assert stamp() == current
+
+
+def test_the_layer_table_puts_the_sides_together_and_marks_timings():
+    parent = {"linalg.cholesky.flops": {"value": 6.88e9, "unit": "flop"},
+              "linalg.cholesky.self_s": {"value": 0.5, "unit": "s"},
+              "trace.ops_per_s": {"value": 1.2, "unit": "1/s"},
+              "predict.loo_cv.calls": {"value": 0, "unit": "count"}}
+    change = {"linalg.cholesky.flops": {"value": 2.2016e9, "unit": "flop"},
+              "linalg.cholesky.self_s": {"value": 0.3, "unit": "s"},
+              "trace.ops_per_s": {"value": 1.5, "unit": "1/s"},
+              "predict.loo_cv.calls": {"value": 0, "unit": "count"},
+              "inference.new.calls": {"value": 3, "unit": "count"}}
+    header, *rows = ab_pairs.layer_table(parent, change)
+    assert header.split() == ["metric", "parent", "change", "change", "kind"]
+    cells = {row.split()[0]: row.split()[1:] for row in rows}
+    assert list(cells) == list(change)  # PARENT's order, then CHANGE's new
+    assert cells["linalg.cholesky.flops"] == ["6.88e+09", "2.2016e+09",
+                                              "-68.0%", "exact"]
+    assert cells["linalg.cholesky.self_s"] == ["0.5", "0.3", "-40.0%", "one",
+                                               "sample"]
+    assert cells["trace.ops_per_s"][2:] == ["+25.0%", "one", "sample"]
+    # no relative change from 0, and none for a name on one side only
+    assert cells["predict.loo_cv.calls"] == ["0", "0", "-", "exact"]
+    assert cells["inference.new.calls"] == ["-", "3", "-", "exact"]

@@ -1,7 +1,7 @@
 """Alternating A/B pairs of the benchmark between two checkouts.
 
     python3 tools/ab_pairs.py PARENT CHANGE --workload map2d --pairs 10 \
-        --seconds 55 [--seed 0]
+        --seconds 55 [--seed 0] [--layers]
 
 Each pair runs ``bench/run.py --trace 0`` once in each checkout, with the
 same workload, seed and run length, one after the other; even pairs run
@@ -14,8 +14,10 @@ pair's end-to-end metrics, then per metric each side's median and quartiles,
 the relative change of the medians, how many pairs CHANGE won, whether
 the rule for claiming a gain holds, and whether CHANGE is worse beyond the
 metric's bound (see :func:`compare`). A metric's direction ("better":
-higher or lower) and bound come from PARENT's BENCHMARK.json. Standard
-library only.
+higher or lower) and bound come from PARENT's BENCHMARK.json. With
+``--layers``, each checkout then runs ``bench/run.py --trace 1 --seconds
+0`` once, and its per-layer metrics are printed side by side (see
+:func:`layer_table`). Standard library only.
 """
 
 from __future__ import annotations
@@ -28,11 +30,13 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+TIMED = ("s", "1/s")  # units of the per-layer metrics that are timings
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def _run(checkout: Path, workload: str, seed: int, seconds: float,
+         trace: int = 0) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -82,6 +86,26 @@ def compare(parent, change, higher: bool, bound=None) -> dict:
             "relative": relative, "gain": gain, "worse": worse}
 
 
+def layer_table(parent: dict, change: dict) -> list:
+    """Lines of the per-layer metrics of one traced run on each side
+    (``{name: {"value", "unit"}}``), side by side with their relative
+    change, in PARENT's order and then CHANGE's new names. A count repeats
+    exactly from run to run, so its change is exact; a timing is one
+    sample, which the machine's noise moves as much as the change."""
+    lines = [f"{'metric':46s} {'parent':>12s} {'change':>12s} {'change':>8s}  kind"]
+    for name in {**parent, **change}:
+        values = [side[name]["value"] if name in side else None
+                  for side in (parent, change)]
+        cells = [f"{v:12.6g}" if v is not None else f"{'-':>12s}" for v in values]
+        before, after = values
+        relative = (f"{(after - before) / before:+8.1%}"
+                    if None not in values and before else f"{'-':>8s}")
+        unit = (parent.get(name) or change[name])["unit"]
+        kind = "one sample" if unit in TIMED else "exact"
+        lines.append(f"{name:46s} {cells[0]} {cells[1]} {relative}  {kind}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path, help="baseline checkout")
@@ -91,6 +115,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=55.0)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--layers", action="store_true",
+                        help="after the pairs, compare one traced run of each")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -135,6 +161,14 @@ def main(argv=None) -> int:
               + (f"  WORSE beyond bound {bound[metric]:.0%}"
                  if verdict["worse"] else ""))
     correct = all(r[s]["correct"] for r in runs for s in SIDES)
+    if args.layers:
+        traced = {side: _run(checkouts[side], args.workload, args.seed, 0, 1)
+                  for side in SIDES}
+        correct = correct and all(t["correct"] for t in traced.values())
+        print(f"\nper-layer metrics, one traced run each (--seconds 0, "
+              f"seed {args.seed}):")
+        print("\n".join(layer_table(traced["parent"]["metrics"],
+                                    traced["change"]["metrics"])))
     print(f"every run correct: {str(correct).lower()}")
     return 0 if correct else 1
 
