@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
@@ -214,18 +215,11 @@ def loglik(
         raise InsufficientDataError("log-likelihood needs at least one observation")
     _check_network_on_grid(grid, network)
     try:
-        return _loglik(CovarianceEvaluator(grid, network), kept, jitter_max)[0]
+        return _Split(tuple(kept)).score(grid, network, _Geometry(grid),
+                                         jitter_max)[0]
     except NumericalError:
         logger.debug("loglik: covariance not factorable, returning -inf")
         return -np.inf
-
-
-def _loglik(ev: CovarianceEvaluator, kept: Sequence[Observations],
-            jitter_max: float) -> Tuple[float, float]:
-    """(log-likelihood, jitter its Cholesky needed) of the validated, non-empty
-    ``kept`` observations; NumericalError when the covariance cannot be
-    factored under the jitter policy."""
-    return _gaussian(*observation_covariance(ev, kept), jitter_max)
 
 
 def _gaussian(C: np.ndarray, resid: np.ndarray,
@@ -239,55 +233,64 @@ def _gaussian(C: np.ndarray, resid: np.ndarray,
 
 
 @dataclass(frozen=True)
-class _Conditioned:
-    """A fit's likelihood split as p(z_<q) p(z_q | z_<q), for a fit whose
-    free parameters all belong to the last node q (see :func:`_condition`).
+class _Split:
+    """A likelihood split as p(z_<q) p(z_q | z_<q), where z_<q is what is
+    conditioned on and ``scored`` the observations scored given it (see
+    :func:`_condition`). With nothing conditioned, the defaults, the split
+    scores every kept observation: the joint likelihood.
 
-    ``loglik`` is log p(z_<q), whose covariance C_< needed ``jitter``;
-    ``last`` is z_q. ``blocks`` maps each pair (a, b), a <= b, of q's
-    parents to their grid block given z_<q, K_ab = cov(a, b, 0, 0) -
-    W_a' W_b with W_a = L_<^-1 cov(z_<q, Y_a(grid)), and ``means`` maps each
-    parent a to E[Y_a(grid) | z_<q] = W_a' L_<^-1 z_<q.
+    ``loglik`` is log p(z_<q), whose covariance C_< needed ``jitter``.
+    ``blocks`` maps each pair (a, b), a <= b, of q's parents to their grid
+    block given z_<q, K_ab = cov(a, b, 0, 0) - W_a' W_b with W_a = L_<^-1
+    cov(z_<q, Y_a(grid)), and ``means`` maps each parent a to
+    E[Y_a(grid) | z_<q] = W_a' L_<^-1 z_<q.
     """
 
-    loglik: float
-    jitter: float
-    last: Observations
-    blocks: dict
-    means: dict
+    scored: Tuple[Observations, ...]
+    loglik: float = 0.0
+    jitter: float = 0.0
+    blocks: dict = dataclasses.field(default_factory=dict)
+    means: dict = dataclasses.field(default_factory=dict)
 
     def score(self, grid: Grid, network: ProcessNetwork, geometry: _Geometry,
               jitter_max: float) -> Tuple[float, float]:
         """(log-likelihood of ``network``, the larger jitter of C_< and of
-        Cov(z_q | z_<q)), like :func:`_loglik`. Only the m_q x m_q block of
-        z_q is built and factored: given ``blocks``, an evaluator's
-        ``observation_covariance`` of z_q is Cov(z_q | z_<q), and the
-        residual loses the mean of sum_a B_a Y_a(grid) given z_<q."""
+        the scored block); NumericalError when a covariance cannot be
+        factored under the jitter policy. Only the scored block is built and
+        factored: given ``blocks``, an evaluator's ``observation_covariance``
+        of z_q is Cov(z_q | z_<q), and the residual loses the mean of
+        sum_a B_a Y_a(grid) given z_<q. With nothing conditioned, the value
+        and jitter are bitwise those of the covariance of every kept
+        observation (0.0 + v is v)."""
         ev = CovarianceEvaluator(grid, network, geometry, self.blocks)
-        S, resid = observation_covariance(ev, [self.last])
-        sites = ev.add_points(self.last.locations)
-        for a, _, op in ev._edges(self.last.variable, sites):
-            resid -= op.values @ self.means[a]
-        if not np.isfinite(resid).all():
-            raise NumericalError("conditional residuals have non-finite entries")
+        S, resid = observation_covariance(ev, self.scored)
+        if self.means:
+            last = self.scored[-1]
+            sites = ev.add_points(last.locations)
+            for a, _, op in ev._edges(last.variable, sites):
+                resid -= op.values @ self.means[a]
+            if not np.isfinite(resid).all():
+                raise NumericalError("conditional residuals have non-finite entries")
         value, jitter = _gaussian(S, resid, jitter_max)
         return self.loglik + value, max(self.jitter, jitter)
 
 
 def _condition(grid: Grid, network: ProcessNetwork, kept: Sequence[Observations],
-               located, jitter_max: float) -> Optional[_Conditioned]:
-    """The :class:`_Conditioned` split of a fit of ``network``, made once:
-    where every ``located`` free parameter belongs to the last node q
-    (its fields or its edges), q and an earlier node are observed, every
-    nonzero edge of q is an integral edge, and C_< factors under the jitter
-    policy. None elsewhere: the fit scores the joint likelihood."""
+               located, jitter_max: float) -> _Split:
+    """The :class:`_Split` of a fit of ``network``, made once. Where every
+    ``located`` free parameter belongs to the last node q (its fields or its
+    edges), q and an earlier node are observed, every nonzero edge of q is
+    an integral edge, and C_< factors under the jitter policy, z_<q is
+    conditioned on and each evaluation factors only z_q's block. Elsewhere
+    nothing is conditioned on: the split scores the joint likelihood."""
+    joint = _Split(tuple(kept))
     q = network.p - 1
     edges = [(a, spec) for a, spec in network.nodes[q].parents
              if spec.kind is not InteractionKind.ZERO]
     if (any(loc[1] != q for loc in located) or len(kept) < 2
             or kept[-1].variable != q
             or any(spec.kind is InteractionKind.DIRAC for _, spec in edges)):
-        return None
+        return joint
     earlier = kept[:-1]
     # its own geometry, dropped on return: evaluations read none of it
     ev = CovarianceEvaluator(grid, network)
@@ -295,7 +298,7 @@ def _condition(grid: Grid, network: ProcessNetwork, kept: Sequence[Observations]
         C, z = observation_covariance(ev, earlier)
         L, jitter = chol_with_jitter(C, jitter_max)
     except CondcovError:
-        return None
+        return joint
     handles = [ev.add_points(o.locations) for o in earlier]
     u = solve_triangular(L, z, lower=True, check_finite=False)
     parents = sorted({a for a, _ in edges})
@@ -314,8 +317,8 @@ def _condition(grid: Grid, network: ProcessNetwork, kept: Sequence[Observations]
             blocks[(a, b)] = K
     value = -0.5 * (z.size * math.log(2.0 * math.pi) + chol_logdet(L)
                     + float(u @ u))
-    return _Conditioned(value, jitter, kept[-1], blocks,
-                        {a: W[a].T @ u for a in parents})
+    return _Split((kept[-1],), value, jitter, blocks,
+                  {a: W[a].T @ u for a in parents})
 
 
 @dataclass(frozen=True)
@@ -354,12 +357,9 @@ class RankedFit(FitResult):
     tie: bool
 
 
-class _SimplexRejected(Exception):
-    """Every evaluation of a restart scored -inf until its simplex shrank."""
-
-
-class _EvaluationCap(Exception):
-    """The Nelder-Mead run has spent its evaluations."""
+class _Stop(Exception):
+    """The Nelder-Mead run has spent its evaluations, or has given up on a
+    simplex that is +inf everywhere."""
 
 
 @dataclass(frozen=True)
@@ -385,6 +385,19 @@ def _nelder_mead(f, x0: np.ndarray, max_evals: int) -> _Minimum:
     :func:`fit_mle` passes (``xatol``, ``fatol``, ``maxfev``, no bounds), so
     it evaluates the same points in the same order and returns the same
     point, value, count and message. ``f`` gets a copy of each point.
+
+    It departs from scipy in one place: a run whose every value is +inf.
+    scipy cannot stop on such a simplex (inf - inf is NaN, and the f-spread
+    test never passes) and shrinks it until ``max_evals``. Here, while
+    every value of the run is +inf, the f-spread test is skipped, as it
+    could not pass, and the run ends at the evaluation after which its last
+    n + 2 points (n coordinates; one step of the shrinking simplex) lie
+    within ``_XATOL`` of each other, relative to each coordinate's size
+    above 1. It returns ``x0``, +inf, not converged, with the message
+    "every evaluation was rejected until the simplex shrank below xatol".
+    Until then it takes scipy's path: a finite reflected, contracted or
+    shrunk point still lets it escape, and only a finite point closer than
+    that tolerance is given up.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     n = x0.size
@@ -399,26 +412,43 @@ def _nelder_mead(f, x0: np.ndarray, max_evals: int) -> _Minimum:
         sim[k + 1] = y
     fsim = np.full((n + 1,), np.inf, dtype=float)
     nfev = 0
+    # copies of the last n + 2 points while every value of the run is +inf;
+    # None once one is not
+    opening = deque(maxlen=n + 2)
+    given_up = False
 
     def evaluate(x):
-        nonlocal nfev
+        nonlocal nfev, opening, given_up
         if nfev >= max_evals:
-            raise _EvaluationCap
+            raise _Stop
         nfev += 1
-        return f(np.copy(x))
+        fx = f(np.copy(x))
+        if opening is not None:
+            if fx != np.inf:
+                opening = None
+                return fx
+            opening.append(np.copy(x))
+            # relative to the point: a coordinate of 1e200 is rounded far
+            # above any absolute tolerance
+            given_up = len(opening) == n + 2 and bool(np.all(
+                np.ptp(opening, axis=0) <= _XATOL * (1.0 + np.abs(x))))
+            if given_up:
+                raise _Stop
+        return fx
 
     try:
         for k in range(n + 1):
             fsim[k] = evaluate(sim[k])
-    except _EvaluationCap:
+    except _Stop:
         pass
     for _ in range(2):  # as scipy: argsort need not keep the order of ties
         ind = np.argsort(fsim)
         sim, fsim = sim[ind], fsim[ind]
 
-    while nfev < max_evals:
+    while nfev < max_evals and not given_up:
         try:
             if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _XATOL and
+                    opening is None and
                     np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
@@ -458,11 +488,14 @@ def _nelder_mead(f, x0: np.ndarray, max_evals: int) -> _Minimum:
                     for j in range(1, n + 1):
                         sim[j] = sim[0] + sigma * (sim[j] - sim[0])
                         fsim[j] = evaluate(sim[j])
-        except _EvaluationCap:
+        except _Stop:
             pass
         ind = np.argsort(fsim)
         sim, fsim = sim[ind], fsim[ind]
 
+    if given_up:
+        return _Minimum(x0, np.inf, nfev, False, "every evaluation was "
+                        "rejected until the simplex shrank below xatol")
     if nfev >= max_evals:
         return _Minimum(sim[0], np.min(fsim), nfev, False, "Maximum number "
                         "of function evaluations has been exceeded.")
@@ -512,35 +545,19 @@ def fit_mle(
     whose Matern is fixed, and the squared displacements of bisquare edges
     whose shift is fixed).
 
-    A fit takes one of two routes. When every free parameter belongs to
-    the last node q (its fields, or its ``q~a.*`` edges), q and an earlier
-    node are observed, every nonzero edge of q is an integral (not dirac)
-    edge, and the covariance C_< of the earlier observations z_<q factors,
-    the likelihood is scored as p(z_<q) p(z_q | z_<q). Once per fit,
-    C_< is factored and the grid blocks of q's parents are conditioned on
-    z_<q; each evaluation then builds and factors only the block of z_q
-    given z_<q (see ``_Conditioned``). Its values equal :func:`loglik` of
-    the evaluated network to roundoff. Every other fit takes the joint
-    route: each evaluation factors the covariance of all observations, and
-    its value is bitwise the :func:`loglik` of the evaluated network, so
-    the optimizer takes the path it takes on fresh evaluations. On both
-    routes the reported ``loglik`` is :func:`loglik` of the returned
-    network, and ``converged`` holds when a restart that met its
-    tolerances ended at the best value the optimizer saw.
-    ``rejected`` counts the evaluations scored as -inf because the network
-    was invalid or its covariance could not be factored; ``jitter`` is what
-    the Cholesky factorization needed at the returned optimum, on the
-    conditional route the larger of C_<'s jitter and that of z_q's block
-    given z_<q. Nelder-Mead
-    cannot stop on a simplex that scores -inf everywhere (inf - inf is NaN)
-    and would shrink it until ``max_evals``, so a restart whose every
-    evaluation is rejected ends once its last n + 2 evaluations (n free
-    parameters; one step of the shrinking simplex) lie within the x
-    tolerance of each other, relative to each coordinate's size above 1,
-    recorded in ``trace`` as not converged. Until then it takes the path it
-    always took: a finite reflected, contracted or shrunk point still lets
-    it escape, and only a finite point closer than that tolerance is given
-    up.
+    Every evaluation is scored by one split of the likelihood, made once
+    per fit by :func:`_condition`: p(z_<q) p(z_q | z_<q), with z_<q empty
+    unless every free parameter belongs to the last node q. Its values
+    equal :func:`loglik` of the evaluated network to roundoff, and bit for
+    bit where z_<q is empty. The reported ``loglik`` is :func:`loglik` of
+    the returned network, and ``converged`` holds when a restart that met
+    its tolerances ended at the best value the optimizer saw. ``rejected``
+    counts the evaluations scored as -inf because the network was invalid
+    or its covariance could not be factored; ``jitter`` is what the
+    Cholesky factorizations needed at the returned optimum, the larger of
+    C_<'s and z_q's given z_<q. A restart whose every evaluation is
+    rejected ends early, as :func:`_nelder_mead` states, and is traced as
+    not converged.
     """
     config = config or OptimizerConfig()
     # checked once here: the objective scores any CondcovError as -inf, so
@@ -566,36 +583,19 @@ def fit_mle(
             _from_transformed(field, float(xi)) for field, xi in zip(fields, x)])
 
     geometry = _Geometry(grid)
-    conditioned = _condition(grid, network, kept, located, jitter_max)
+    split = _condition(grid, network, kept, located, jitter_max)
     jitters = {}  # the jitter of each accepted point, by its coordinates
     rejected = 0
-    # the points of the current restart while every one is rejected; None
-    # once one is accepted
-    opening = []
 
     def objective(x: np.ndarray) -> float:
-        nonlocal rejected, opening
+        nonlocal rejected
         try:
-            if conditioned is None:
-                value, jitters[x.tobytes()] = _loglik(
-                    CovarianceEvaluator(grid, apply(x), geometry), kept,
-                    jitter_max)
-            else:
-                value, jitters[x.tobytes()] = conditioned.score(
-                    grid, apply(x), geometry, jitter_max)
+            value, jitters[x.tobytes()] = split.score(grid, apply(x), geometry,
+                                                      jitter_max)
         except CondcovError as exc:
             logger.debug("%s: evaluation scored -inf: %s", label, exc)
             rejected += 1
-            if opening is not None:
-                opening.append(x.copy())
-                # relative to the point: an amplitude of 1e200 is rounded
-                # far above any absolute tolerance
-                step = opening[-(x0.size + 2):]
-                if len(step) == x0.size + 2 and np.all(
-                        np.ptp(step, axis=0) <= _XATOL * (1.0 + np.abs(x))):
-                    raise _SimplexRejected from None
             return np.inf
-        opening = None
         return -value
 
     trace = []
@@ -606,13 +606,7 @@ def fit_mle(
         else:
             rng = rng_from_seed(config.seed, start)
             xs = x0 + _PERTURBATION * (1.0 + np.abs(x0)) * rng.standard_normal(x0.size)
-        opening = []
-        try:
-            res = _nelder_mead(objective, xs, config.max_evals)
-        except _SimplexRejected:
-            res = _Minimum(xs, np.inf, len(opening), False,
-                           "every evaluation was rejected until the simplex "
-                           "shrank below xatol")
+        res = _nelder_mead(objective, xs, config.max_evals)
         trace.append(
             {
                 "start": start,
@@ -630,11 +624,11 @@ def fit_mle(
             "check the starting parameters"
         )
     fitted = apply(best.x)
-    # one re-score through the public loglik: on the joint route a fresh
-    # evaluator reproduces -best.fun bit for bit (the tests assert it), on
-    # the conditional route to roundoff. It costs one evaluation per fit and
-    # keeps every fit visible to anything that wraps loglik, such as the
-    # bench tracer, which does not see the Nelder-Mead evaluations
+    # one re-score through the public loglik: it reproduces -best.fun bit
+    # for bit where z_<q is empty (the tests assert it), else to roundoff.
+    # It costs one evaluation per fit and keeps every fit visible to
+    # anything that wraps loglik, such as the bench tracer, which does not
+    # see the Nelder-Mead evaluations
     ll = loglik(grid, fitted, obs, jitter_max)
     k = len(free_names)
     estimates = {name: get_parameter(fitted, name) for name in list_parameters(fitted)}

@@ -1,5 +1,6 @@
 """Likelihood evaluation, parameter addressing, and maximum likelihood fits."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -296,13 +297,13 @@ def test_a_restart_rejected_everywhere_ends_once_its_simplex_has_shrunk(
     obs = [Observations(q, _SITES, np.linspace(-1.0, 1.0, 5)) for q in range(2)]
     free = ["y2~y1.amplitude", "y2~y1.aperture"]
     calls = []
-    score = condcov.inference._loglik
+    score = condcov.inference._Split.score
 
     def counted(*args):
         calls.append(None)
         return score(*args)
 
-    monkeypatch.setattr(condcov.inference, "_loglik", counted)
+    monkeypatch.setattr(condcov.inference._Split, "score", counted)
     n = len(free)
     steps = int(np.ceil(np.log2(0.05 / 1e-6))) + 2
     with pytest.warns(RuntimeWarning, match="overflow"), \
@@ -368,6 +369,22 @@ def test_a_rejected_start_still_escapes_to_a_finite_point(monkeypatch):
     assert fit.network == fitted
     assert fit.loglik == ll
     assert [t["nfev"] for t in fit.trace] == nfev
+
+
+def test_a_rejected_fit_at_small_coordinates_fails_without_a_warning(
+        monkeypatch):
+    # an amplitude of 0.5 is its own coordinate: the simplex shrinks within
+    # the absolute x tolerance before the relative all-rejected stop, and the
+    # convergence test used to take inf - inf, a RuntimeWarning (an error
+    # under the test settings) in place of OptimizationError
+    from condcov.errors import OptimizationError
+
+    net = _bivariate(shifted_bisquare(0.5, 0.3, (-0.3,)))
+    obs = [Observations(q, _SITES, np.linspace(-1.0, 1.0, 5)) for q in range(2)]
+    _variance_capped(monkeypatch, -np.inf)
+    with pytest.raises(OptimizationError, match="-inf at every evaluation"):
+        fit_mle(GRID, net, obs, free=["y2~y1.amplitude"],
+                config=OptimizerConfig(restarts=2, max_evals=200))
 
 
 def test_fit_aic_identity_and_determinism():
@@ -602,8 +619,8 @@ _THREE_STEPS = [
 def test_fit_evaluations_equal_fresh_loglik(network, steps):
     """One fit geometry over a sequence of networks gives, at every step,
     bitwise the value of a fresh loglik."""
-    from condcov.conditional import CovarianceEvaluator, _Geometry
-    from condcov.inference import _loglik
+    from condcov.conditional import _Geometry
+    from condcov.inference import _Split
 
     rng = np.random.default_rng(21)
     obs = [Observations(q, rng.uniform(-1, 1, (9 + 3 * q, 1)),
@@ -614,7 +631,7 @@ def test_fit_evaluations_equal_fresh_loglik(network, steps):
     for step in steps:
         for name, value in step.items():
             net = set_parameter(net, name, value)
-        value, _ = _loglik(CovarianceEvaluator(GRID, net, geometry), obs, 1e-8)
+        value, _ = _Split(tuple(obs)).score(GRID, net, geometry, 1e-8)
         assert np.array_equal(value, loglik(GRID, net, obs)), step
 
 
@@ -714,6 +731,13 @@ def _lower_inside_the_shrink(x):
     return 1.0 if sorted(edge) == [False, True] and 1.0 in x else np.inf
 
 
+def _inf_on_the_first_simplex(x):
+    # from x0 = (1, 1), +inf on the simplex (x1 >= 1) and finite at its
+    # first reflected point, (1.05, 0.95): the first convergence test meets
+    # a simplex that is +inf everywhere
+    return float(np.sum((x - 0.5) ** 2)) if x[1] < 1.0 else np.inf
+
+
 @pytest.mark.parametrize("fun, x0, max_evals", [
     pytest.param(_quadratic, [0.3], 2000, id="quadratic-1d"),
     pytest.param(_quadratic, [0.3, -2.0], 2000, id="quadratic-2d"),
@@ -726,6 +750,8 @@ def _lower_inside_the_shrink(x):
     pytest.param(_rosenbrock, [-1.2, 1.0], 50, id="cap-mid-run"),
     pytest.param(_lower_inside_the_shrink, [1.0, 1.0], 6,
                  id="cap-inside-shrink"),
+    pytest.param(_inf_on_the_first_simplex, [1.0, 1.0], 2000,
+                 id="inf-first-simplex"),
 ])
 def test_nelder_mead_takes_scipy_s_steps(fun, x0, max_evals):
     # fit_mle's in-package Nelder-Mead against the scipy routine it
@@ -759,6 +785,41 @@ def test_nelder_mead_takes_scipy_s_steps(fun, x0, max_evals):
         assert [fun(p) for p in ours[3:]] == [np.inf, np.inf, 1.0]
         assert got.x.tobytes() == ours[5].tobytes()
         assert not got.success
+    if fun is _inf_on_the_first_simplex:
+        assert [np.isfinite(fun(p)) for p in ours[:4]] == [False] * 3 + [True]
+        assert got.success
+
+
+# the evaluations of the all-rejected first restart of
+# test_a_rejected_restart_is_traced_as_not_converged, and of that fit with
+# y.scale (5) free too, in their fit traces before the simplex owned the stop
+@pytest.mark.parametrize("x0, nfev", [
+    ([math.log(1e4)], 54), ([math.log(1e4), math.log(5.0)], 68)])
+@pytest.mark.parametrize("overwrite", [False, True])
+def test_nelder_mead_gives_up_on_a_simplex_that_is_inf_everywhere(
+        x0, nfev, overwrite):
+    from condcov.inference import _XATOL, _nelder_mead
+
+    points = []
+
+    def f(x):
+        points.append(x.copy())
+        if overwrite:
+            x[:] = 0.0  # a copy: the stop rule keeps its own
+        return np.inf
+
+    got = _nelder_mead(f, np.array(x0), 200)
+    assert (got.nfev, len(points)) == (nfev, nfev)
+    assert got.fun == np.inf and not got.success
+    assert got.message == ("every evaluation was rejected until the simplex "
+                           "shrank below xatol")
+    assert got.x.tolist() == x0
+    # the last n + 2 points lie within the tolerance, the n + 2 before not
+    n = len(x0)
+    for last, within in ((nfev, True), (nfev - 1, False)):
+        step = np.array(points[last - n - 2:last])
+        assert np.all(np.ptp(step, axis=0) <= _XATOL * (
+            1.0 + np.abs(step[-1]))) == within
 
 
 def test_fit_reports_rejected_evaluations_and_jitter(monkeypatch):
@@ -952,6 +1013,16 @@ def _conditioned(grid, network, obs, free, jitter_max=1e-8):
                       [_locate(network, name) for name in free], jitter_max)
 
 
+def _scored(split):
+    """The variables whose observations ``split`` scores."""
+    return [o.variable for o in split.scored]
+
+
+def _conditions_on_nothing(split):
+    return (split.loglik, split.jitter, split.blocks, split.means) == (
+        0.0, 0.0, {}, {})
+
+
 @pytest.mark.parametrize("case", [
     pytest.param(_sim1d_refit_case, id="sim1d-refit"),
     pytest.param(_plane_case, id="product-grid-shifted"),
@@ -962,7 +1033,7 @@ def test_the_conditional_route_scores_the_joint_likelihood(case):
 
     grid, network, obs, steps = case()
     cond = _conditioned(grid, network, obs, list(steps[0]))
-    assert cond is not None
+    assert _scored(cond) == [network.p - 1]
     geometry = _Geometry(grid)  # shared, as over the evaluations of a fit
     for step in steps:
         net = network
@@ -999,8 +1070,17 @@ def _observed(network, variables, seed=34):
                  (0, 1, 2), False, id="a-dirac-edge-among-integral-ones"),
 ])
 def test_which_fits_take_the_conditional_route(network, free, variables, taken):
-    got = _conditioned(GRID, network, _observed(network, variables), free)
-    assert (got is not None) == taken
+    obs = _observed(network, variables)
+    got = _conditioned(GRID, network, obs, free)
+    if taken:
+        # z_q is scored given the earlier observations, whose loglik the
+        # split holds
+        assert _scored(got) == [network.p - 1]
+        assert got.loglik == pytest.approx(loglik(GRID, network, obs[:-1]),
+                                           rel=1e-12)
+    else:
+        assert _scored(got) == list(variables)
+        assert _conditions_on_nothing(got)
 
 
 def test_a_given_grid_block_is_not_read_from_toeplitz_rows():
@@ -1029,7 +1109,7 @@ def test_a_sim1d_shaped_fit_converges_on_the_conditional_route():
            Observations(1, v, fields[1] + 0.5 * rng.normal(size=200))]
     start = _bivariate(bisquare(5.0, 0.3))
     free = ["y2~y1.amplitude", "y2~y1.aperture"]
-    assert _conditioned(SIM1D_GRID, start, obs, free) is not None
+    assert _scored(_conditioned(SIM1D_GRID, start, obs, free)) == [1]
     fit = fit_mle(SIM1D_GRID, start, obs, free=free,
                   config=OptimizerConfig(seed=0, restarts=1))
     assert fit.converged
@@ -1056,7 +1136,8 @@ def test_the_conditional_route_reports_the_larger_jitter():
     obs = [Observations(0, np.linspace(-1, 1, 10)[:, None], rng.normal(size=10)),
            Observations(1, rng.uniform(-1, 1, (10, 1)), rng.normal(size=10))]
     free = ["y2~y1.amplitude", "y2~y1.aperture"]
-    assert _conditioned(GRID, network, obs, free, jitter_max=0.0) is None
+    joint = _conditioned(GRID, network, obs, free, jitter_max=0.0)
+    assert _scored(joint) == [0, 1] and _conditions_on_nothing(joint)
     cond = _conditioned(GRID, network, obs, free)
     C, _ = observation_covariance(CovarianceEvaluator(GRID, network),
                                   kept_observations(GRID, network, obs)[:1])

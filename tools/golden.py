@@ -18,11 +18,6 @@ the drift per file.
 
 from __future__ import annotations
 
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 import argparse
 import contextlib
 import csv
@@ -31,6 +26,7 @@ import importlib.util
 import io
 import json
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -152,6 +148,10 @@ def main(argv=None) -> int:
     parser.add_argument("--write", action="store_true",
                         help=f"store the digests in {DIGESTS.relative_to(ROOT)}")
     args = parser.parse_args(argv)
+    # outputs are reproducible byte for byte only under a fixed BLAS
+    # setting; set before condcov imports numpy
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         got = outputs(Path(tmp))
