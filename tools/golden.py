@@ -5,9 +5,13 @@
 Runs three commands on ``tests/data/golden/config.yaml`` in a temporary
 directory, in process and with BLAS on one thread:
 
-- ``simulate --replicates 2``, whose refit frees only the last node's edge;
-- ``fit`` and ``compare-directions`` on ``observations.csv``, which free a
-  root parameter and so score the joint likelihood.
+- ``simulate --replicates 2``, whose refits free only the last node's edge
+  and so condition on the earlier node's observations;
+- ``fit`` on ``observations.csv``, which frees a root parameter and so
+  scores the joint likelihood;
+- ``compare-directions`` on the same data: its y1->y2 fit is ``fit``'s, and
+  its reversed fit, whose free parameters all belong to y1, now the last
+  node, conditions on y2's observations.
 
 Every file they write is digested (:func:`digest`). Without ``--write`` the
 digests are compared with ``tests/data/golden/digests.json`` (:func:`drift`)
