@@ -1,4 +1,4 @@
-"""The fit-layer outputs against their golden digests (tools/golden.py)."""
+"""The command outputs against their golden digests (tools/golden.py)."""
 import importlib.util
 import json
 from pathlib import Path

@@ -1,9 +1,10 @@
-"""Golden digests of the fit-layer outputs, and the check against them.
+"""Golden digests of the command outputs, and the check against them.
 
     python3 tools/golden.py [--write]
 
-Runs three commands on ``tests/data/golden/config.yaml`` in a temporary
-directory, in process and with BLAS on one thread:
+Runs every command in process, in a temporary directory and with BLAS on
+one thread, on two small configs. On ``tests/data/golden/config.yaml``, a
+60-cell 1-d grid:
 
 - ``simulate --replicates 2``, whose refits free only the last node's edge
   and so condition on the earlier node's observations;
@@ -11,7 +12,15 @@ directory, in process and with BLAS on one thread:
   scores the joint likelihood;
 - ``compare-directions`` on the same data: its y1->y2 fit is ``fit``'s, and
   its reversed fit, whose free parameters all belong to y1, now the last
-  node, conditions on y2's observations.
+  node, conditions on y2's observations;
+- ``predict`` at the grid vertices and at ``targets.csv``, ``cv``, and
+  ``spectral-check`` of a Matern candidate.
+
+On ``tests/data/golden/config2d.yaml``, a 12 x 10 product grid with a
+nugget on both nodes, node names and a fit label that CSV must quote:
+``fit`` (it frees only the last node's edge, so it conditions on the
+earlier node), ``predict`` of the second node at the vertices and at
+``targets2d.csv``, ``cv``, and ``spectral-check`` of a tabulated candidate.
 
 Every file they write is digested (:func:`digest`). Without ``--write`` the
 digests are compared with ``tests/data/golden/digests.json`` (:func:`drift`)
@@ -39,18 +48,42 @@ ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data" / "golden"
 DIGESTS = DATA / "digests.json"
 STATS = ("sum", "abs", "min", "max", "first", "last")
-COMMANDS = {
-    "simulate": ["simulate", "--replicates", "2"],
-    "fit": ["fit", "--data", str(DATA / "observations.csv")],
-    "compare-directions": ["compare-directions",
-                           "--data", str(DATA / "observations.csv")],
-}
+
+
+def _runs() -> dict:
+    """{run: command line} of every command the digests cover."""
+    one, two = DATA / "config.yaml", DATA / "config2d.yaml"
+    obs, obs2 = DATA / "observations.csv", DATA / "observations2d.csv"
+    runs = {
+        "simulate": [one, "simulate", "--replicates", "2"],
+        "fit": [one, "fit", "--data", obs],
+        "compare-directions": [one, "compare-directions", "--data", obs],
+        "predict": [one, "predict", "--data", obs],
+        "predict-targets": [one, "predict", "--data", obs,
+                            "--targets", DATA / "targets.csv"],
+        "cv": [one, "cv", "--data", obs],
+        "spectral-check": [one, "spectral-check"],
+        "2d-fit": [two, "fit", "--data", obs2],
+        "2d-predict": [two, "predict", "--data", obs2, "--target-var", 'y"2'],
+        "2d-predict-targets": [two, "predict", "--data", obs2,
+                               "--targets", DATA / "targets2d.csv"],
+        "2d-cv": [two, "cv", "--data", obs2],
+        "2d-spectral-check": [two, "spectral-check"],
+    }
+    return {run: [command, "--config", config, *rest]
+            for run, (config, command, *rest) in runs.items()}
+
+
+RUNS = {run: [str(arg) for arg in argv] for run, argv in _runs().items()}
 
 
 def _optimized(command: str, column: str) -> bool:
-    """Whether an optimizer touches ``column``: every output of a fit, and
-    of ``simulate`` the refit arm and its estimates."""
-    return command != "simulate" or "refit" in column or "~" in column
+    """Whether an optimizer touches ``column`` of ``command``'s output:
+    every output of a fit, and of ``simulate`` the refit arm and its
+    estimates."""
+    if command == "simulate":
+        return "refit" in column or "~" in column
+    return command in ("fit", "compare-directions")
 
 
 def _columns(path: Path, text: str) -> dict:
@@ -89,20 +122,18 @@ def digest(command: str, path: Path) -> dict:
 
 
 def outputs(workdir: Path) -> dict:
-    """{command/file: digest} of every file the commands write under
-    ``workdir``."""
+    """{run/file: digest} of every file the runs write under ``workdir``."""
     from condcov import cli
 
     found = {}
-    for command, argv in COMMANDS.items():
-        out = workdir / command
+    for run, argv in RUNS.items():
+        out = workdir / run
         with contextlib.redirect_stdout(io.StringIO()):
-            rc = cli.main(argv + ["--config", str(DATA / "config.yaml"),
-                                  "--out", str(out)])
+            rc = cli.main(argv + ["--out", str(out)])
         if rc != 0:
-            raise RuntimeError(f"{command} exited {rc}")
+            raise RuntimeError(f"{run} exited {rc}")
         for path in sorted(out.iterdir()):
-            found[f"{command}/{path.name}"] = digest(command, path)
+            found[f"{run}/{path.name}"] = digest(argv[0], path)
     return found
 
 
