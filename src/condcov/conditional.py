@@ -536,25 +536,18 @@ class CovarianceEvaluator:
     those a fresh geometry would build, so every covariance, and every
     likelihood, is bitwise that of a fresh evaluator.
 
-    ``grid_blocks`` maps node pairs (a, b), a <= b, to read-only blocks
-    that stand for cov(a, b, 0, 0): every block built from them reads them
-    in place of the two rules, and a node whose grid block is given is
-    never read from Toeplitz rows. ``fit_mle`` gives the last node's
-    parents their grid blocks conditioned on the earlier nodes'
-    observations, so that the last node's ``observation_covariance`` is its
-    covariance given them. The diagonal of a given node (``variance``)
-    still comes from its Matern.
+    A likelihood split that conditions on earlier observations builds
+    only the scored node's own block and edge operators here; the rest of
+    its conditioned block comes from a factor made once per fit
+    (``inference._Split``).
     """
 
     def __init__(self, grid: Grid, network: ProcessNetwork,
-                 geometry: Optional[_Geometry] = None,
-                 grid_blocks: Optional[dict] = None):
+                 geometry: Optional[_Geometry] = None):
         self.grid = grid
         self.network = network
         self._geometry = geometry if geometry is not None else _Geometry(grid)
-        self._cov = {(a, b, 0, 0): block
-                     for (a, b), block in (grid_blocks or {}).items()}
-        self._given = frozenset(self._cov)
+        self._cov = {}
         self._ops = {}
         self._diag = {}
 
@@ -615,11 +608,9 @@ class CovarianceEvaluator:
     def _toeplitz(self, q: int) -> Optional[np.ndarray]:
         """The outer row blocks of cov(q, q, 0, 0) (``_Geometry.toeplitz``)
         when that block is node q's Matern plus its nugget, with no nonzero
-        edge, on a product grid of two or more axes; else None, as for a
-        block that was given."""
+        edge, on a product grid of two or more axes; else None."""
         node = self.network.nodes[q]
-        if (q, q, 0, 0) in self._given or any(
-                spec.kind is not InteractionKind.ZERO for _, spec in node.parents):
+        if any(spec.kind is not InteractionKind.ZERO for _, spec in node.parents):
             return None
         return self._geometry.toeplitz(q, node.covariance, node.nugget)
 

@@ -22,7 +22,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpstrf
 
 from .conditional import (
     CovarianceEvaluator,
@@ -30,6 +31,7 @@ from .conditional import (
     _check_network_on_grid,
     _Geometry,
     kept_observations,
+    mean_at,
     observation_covariance,
 )
 from .domain import Grid, Observations, _one_line, _rewrite
@@ -240,16 +242,17 @@ class _Split:
     scores every kept observation: the joint likelihood.
 
     ``loglik`` is log p(z_<q), whose covariance C_< needed ``jitter``.
-    ``blocks`` maps each pair (a, b), a <= b, of q's parents to their grid
-    block given z_<q, K_ab = cov(a, b, 0, 0) - W_a' W_b with W_a = L_<^-1
-    cov(z_<q, Y_a(grid)), and ``means`` maps each parent a to
-    E[Y_a(grid) | z_<q] = W_a' L_<^-1 z_<q.
+    Given z_<q, the grid blocks of q's parents are K_ab = cov(a, b, 0, 0) -
+    W_a' W_b, with W_a = L_<^-1 cov(z_<q, Y_a(grid)). Stacked over the
+    parents, K = F F', where F has as many columns as K's numerical rank,
+    and ``factors`` maps each parent a to its rows F_a (read-only).
+    ``means`` maps each parent a to E[Y_a(grid) | z_<q] = W_a' L_<^-1 z_<q.
     """
 
     scored: Tuple[Observations, ...]
     loglik: float = 0.0
     jitter: float = 0.0
-    blocks: dict = dataclasses.field(default_factory=dict)
+    factors: dict = dataclasses.field(default_factory=dict)
     means: dict = dataclasses.field(default_factory=dict)
 
     def score(self, grid: Grid, network: ProcessNetwork, geometry: _Geometry,
@@ -257,22 +260,44 @@ class _Split:
         """(log-likelihood of ``network``, the larger jitter of C_< and of
         the scored block); NumericalError when a covariance cannot be
         factored under the jitter policy. Only the scored block is built and
-        factored: given ``blocks``, an evaluator's ``observation_covariance``
-        of z_q is Cov(z_q | z_<q), and the residual loses the mean of
-        sum_a B_a Y_a(grid) given z_<q. With nothing conditioned, the value
-        and jitter are bitwise those of the covariance of every kept
-        observation (0.0 + v is v)."""
-        ev = CovarianceEvaluator(grid, network, geometry, self.blocks)
-        S, resid = observation_covariance(ev, self.scored)
-        if self.means:
-            last = self.scored[-1]
-            sites = ev.add_points(last.locations)
-            for a, _, op in ev._edges(last.variable, sites):
-                resid -= op.values @ self.means[a]
-            if not np.isfinite(resid).all():
-                raise NumericalError("conditional residuals have non-finite entries")
+        factored. Given ``factors``, it is z_q's block given z_<q, built as
+        A + G G' (:meth:`_given`). Otherwise an evaluator builds the
+        covariance of ``scored``; with nothing conditioned, the value and
+        jitter are bitwise those of every kept observation's covariance
+        (0.0 + v is v)."""
+        ev = CovarianceEvaluator(grid, network, geometry)
+        if self.factors:
+            S, resid = self._given(ev)
+        else:
+            S, resid = observation_covariance(ev, self.scored)
         value, jitter = _gaussian(S, resid, jitter_max)
         return self.loglik + value, max(self.jitter, jitter)
+
+    def _given(self, ev: CovarianceEvaluator) -> Tuple[np.ndarray, np.ndarray]:
+        """Cov(z_q | z_<q) and z_q's residual from its mean given z_<q, at
+        z_q's sites s. The block is A + G G', with A = M_q(s, s) + nugget +
+        noise I and G = sum_a B_a(s) F_a (windowed ``_Operator.left``), so
+        that G G' = sum_ab B_a(s) K_ab B_b(s)'. numpy takes G G' by syrk,
+        so the block is exactly symmetric. The residual loses
+        sum_a B_a(s) E[Y_a(grid) | z_<q]."""
+        last = self.scored[-1]
+        q, node = last.variable, ev.network.nodes[last.variable]
+        sites = ev.add_points(last.locations)
+        G = None
+        resid = last.values - mean_at(ev.network, q, last.locations)
+        for a, _, op in ev._edges(q, sites):
+            term = op.left(self.factors[a])
+            if G is None:
+                G = term
+            else:
+                G += term
+            resid -= op.values @ self.means[a]
+        if not np.isfinite(resid).all():
+            raise NumericalError("conditional residuals have non-finite entries")
+        S = G @ G.T
+        S += ev._geometry.matern(q, node.covariance, sites, sites, node.nugget)
+        S.ravel()[::S.shape[0] + 1] += node.noise  # a view: S is fresh
+        return S, resid
 
 
 def _condition(grid: Grid, network: ProcessNetwork, kept: Sequence[Observations],
@@ -282,7 +307,16 @@ def _condition(grid: Grid, network: ProcessNetwork, kept: Sequence[Observations]
     edges), q and an earlier node are observed, every nonzero edge of q is
     an integral edge, and C_< factors under the jitter policy, z_<q is
     conditioned on and each evaluation factors only z_q's block. Elsewhere
-    nothing is conditioned on: the split scores the joint likelihood."""
+    nothing is conditioned on: the split scores the joint likelihood.
+
+    The parents' stacked grid block given z_<q, K, is factored once, in
+    place, by LAPACK's pivoted Cholesky (``dpstrf``): P' K P = R R'. It
+    stops at K's numerical rank r (LAPACK's default tolerance, Pn eps
+    max K_ii), so a positive-semidefinite K factors too; a failure of the
+    call itself (``info < 0``) falls back to the joint split. F = P R[:, :r]
+    keeps its rows in grid order. Memory: K (Pn x Pn for P parents on n
+    vertices), then F (Pn x r) beside it; the evaluators that built K's
+    blocks are dropped first."""
     joint = _Split(tuple(kept))
     q = network.p - 1
     edges = [(a, spec) for a, spec in network.nodes[q].parents
@@ -292,33 +326,46 @@ def _condition(grid: Grid, network: ProcessNetwork, kept: Sequence[Observations]
             or any(spec.kind is InteractionKind.DIRAC for _, spec in edges)):
         return joint
     earlier = kept[:-1]
-    # its own geometry, dropped on return: evaluations read none of it
+    # its own geometry: evaluations read none of it
     ev = CovarianceEvaluator(grid, network)
     try:
         C, z = observation_covariance(ev, earlier)
         L, jitter = chol_with_jitter(C, jitter_max)
     except CondcovError:
         return joint
-    handles = [ev.add_points(o.locations) for o in earlier]
     u = solve_triangular(L, z, lower=True, check_finite=False)
-    parents = sorted({a for a, _ in edges})
-    W = {a: solve_triangular(L, np.concatenate(
-        [ev.cov(o.variable, a, h, 0) for o, h in zip(earlier, handles)]),
-        lower=True, check_finite=False) for a in parents}
-    blocks = {}
-    for k, a in enumerate(parents):
-        for b in parents[k:]:
-            # K_ab in the memory of a copy of cov(a, b, 0, 0): as BLAS's
-            # column-major output, K_ab' = cov(b, a, 0, 0) - W_b' W_a
-            K = dgemm(-1.0, W[b], W[a], beta=1.0, trans_a=True,
-                      c=np.array(ev.cov(a, b, 0, 0), order="C").T,
-                      overwrite_c=True).T
-            K.setflags(write=False)
-            blocks[(a, b)] = K
     value = -0.5 * (z.size * math.log(2.0 * math.pi) + chol_logdet(L)
                     + float(u @ u))
-    return _Split((kept[-1],), value, jitter, blocks,
-                  {a: W[a].T @ u for a in parents})
+    parents = sorted({a for a, _ in edges})
+    if not parents:
+        return _Split((kept[-1],), value, jitter)
+    handles = [ev.add_points(o.locations) for o in earlier]
+    n = grid.n
+    # W = L_<^-1 cov(z_<q, Y(grid)), W_a its columns a * n:(a + 1) * n
+    W = solve_triangular(L, np.block(
+        [[ev.cov(o.variable, a, h, 0) for a in parents]
+         for o, h in zip(earlier, handles)]), lower=True, check_finite=False)
+    # the grid blocks from an evaluator that keeps no block of the sites:
+    # the lower triangle of K, all that dsyrk and dpstrf read
+    ev = CovarianceEvaluator(grid, network)
+    K = np.empty((len(parents) * n,) * 2, order="F")
+    for k, a in enumerate(parents):
+        for j in range(k, len(parents)):
+            K[j * n:(j + 1) * n, k * n:(k + 1) * n] = ev.cov(parents[j], a, 0, 0)
+    del ev
+    K = dsyrk(-1.0, W, beta=1.0, c=K, trans=1, lower=1, overwrite_c=1)
+    R, piv, rank, info = dpstrf(K, lower=1, overwrite_a=1)
+    if info < 0:
+        return joint
+    for j in range(1, rank):  # R's upper triangle still holds K's
+        R[:j, j] = 0.0
+    F = np.empty((R.shape[0], rank))
+    F[piv - 1] = R[:, :rank]
+    F.setflags(write=False)
+    return _Split((kept[-1],), value, jitter,
+                  {a: F[k * n:(k + 1) * n] for k, a in enumerate(parents)},
+                  {a: W[:, k * n:(k + 1) * n].T @ u
+                   for k, a in enumerate(parents)})
 
 
 @dataclass(frozen=True)
@@ -538,26 +585,29 @@ def fit_mle(
     ``scipy.optimize.minimize(method="Nelder-Mead")`` evaluates with the
     same tolerances, bit for bit, so its ``trace`` messages are scipy's.
 
-    Every evaluation of the fit builds its covariances by the same two-rule
-    recursion as :func:`loglik` (see ``CovarianceEvaluator``), over one
-    shared geometry: the point sets and their distances, plus the leaf
-    blocks that its free parameters leave alone (the Matern blocks of nodes
-    whose Matern is fixed, and the squared displacements of bisquare edges
-    whose shift is fixed).
+    Every evaluation of the fit reads one shared geometry: the point sets
+    and their distances, plus the leaf blocks that its free parameters
+    leave alone (the Matern blocks of nodes whose Matern is fixed, and the
+    squared displacements of bisquare edges whose shift is fixed).
 
     Every evaluation is scored by one split of the likelihood, made once
     per fit by :func:`_condition`: p(z_<q) p(z_q | z_<q), with z_<q empty
-    unless every free parameter belongs to the last node q. Its values
-    equal :func:`loglik` of the evaluated network to roundoff, and bit for
-    bit where z_<q is empty. The reported ``loglik`` is :func:`loglik` of
-    the returned network, and ``converged`` holds when a restart that met
-    its tolerances ended at the best value the optimizer saw. ``rejected``
-    counts the evaluations scored as -inf because the network was invalid
-    or its covariance could not be factored; ``jitter`` is what the
-    Cholesky factorizations needed at the returned optimum, the larger of
-    C_<'s and z_q's given z_<q. A restart whose every evaluation is
-    rejected ends early, as :func:`_nelder_mead` states, and is traced as
-    not converged.
+    unless every free parameter belongs to the last node q. Where z_<q is
+    empty, the covariances come from the same two-rule recursion as
+    :func:`loglik` (see ``CovarianceEvaluator``), and the values equal
+    :func:`loglik` of the evaluated network bit for bit. Otherwise z_q's
+    block given z_<q is A + G G' (``_Split._given``): the factor F of the
+    parents' conditioned grid block is made once per fit, and an
+    evaluation builds only q's own Matern and G = sum_a B_a F_a; its values
+    equal :func:`loglik` to roundoff. The reported ``loglik`` is
+    :func:`loglik` of the returned network, and ``converged`` holds when a
+    restart that met its tolerances ended at the best value the optimizer
+    saw. ``rejected`` counts the evaluations scored as -inf because the
+    network was invalid or its covariance could not be factored; ``jitter``
+    is what the Cholesky factorizations needed at the returned optimum, the
+    larger of C_<'s and z_q's given z_<q. A restart whose every evaluation
+    is rejected ends early, as :func:`_nelder_mead` states, and is traced
+    as not converged.
     """
     config = config or OptimizerConfig()
     # checked once here: the objective scores any CondcovError as -inf, so

@@ -1019,7 +1019,7 @@ def _scored(split):
 
 
 def _conditions_on_nothing(split):
-    return (split.loglik, split.jitter, split.blocks, split.means) == (
+    return (split.loglik, split.jitter, split.factors, split.means) == (
         0.0, 0.0, {}, {})
 
 
@@ -1083,22 +1083,6 @@ def test_which_fits_take_the_conditional_route(network, free, variables, taken):
         assert _conditions_on_nothing(got)
 
 
-def test_a_given_grid_block_is_not_read_from_toeplitz_rows():
-    from condcov.conditional import CovarianceEvaluator
-
-    grid, network, obs, _ = _plane_case()
-    assert CovarianceEvaluator(grid, network)._toeplitz(0) is not None
-    zeros = np.zeros((grid.n, grid.n))
-    zeros.setflags(write=False)
-    ev = CovarianceEvaluator(grid, network, grid_blocks={(0, 0): zeros})
-    assert ev._toeplitz(0) is None
-    sites = ev.add_points(obs[1].locations)
-    # B K' with K = 0, and the child's block is then its Matern plus nugget
-    assert not ev.cov(0, 1, 0, sites).any()
-    assert np.array_equal(ev.cov(1, 1, sites, sites), ev._geometry.matern(
-        1, network.nodes[1].covariance, sites, sites, network.nodes[1].nugget))
-
-
 def test_a_sim1d_shaped_fit_converges_on_the_conditional_route():
     truth = _bivariate(shifted_bisquare(5.0, 0.3, (-0.3,)))
     fields = sample_joint(assemble_dag(SIM1D_GRID, truth), seed=8)
@@ -1145,3 +1129,65 @@ def test_the_conditional_route_reports_the_larger_jitter():
     fit = fit_mle(GRID, network, obs, free=free,
                   config=OptimizerConfig(seed=0, restarts=1, max_evals=40))
     assert fit.jitter == cond.jitter
+
+
+def test_a_rank_deficient_conditioned_block_keeps_the_conditional_route():
+    from condcov.conditional import _Geometry
+
+    # y1 is near rank one, with noise so that C_< factors without jitter:
+    # its grid block given its observations is positive semidefinite with a
+    # numerical rank far below n, which a plain Cholesky factor refuses and
+    # the pivoted one stops at
+    network = ProcessNetwork((
+        ProcessNode("y1", MaternParams(1.0, 1e-3, 2.5), noise=0.25),
+        ProcessNode("y2", MaternParams(0.2, 75.0, 1.5), noise=0.25,
+                    parents=((0, bisquare(2.0, 0.4)),)),
+    ))
+    rng = np.random.default_rng(35)
+    obs = [Observations(0, np.linspace(-1, 1, 10)[:, None], rng.normal(size=10)),
+           Observations(1, rng.uniform(-1, 1, (10, 1)), rng.normal(size=10))]
+    cond = _conditioned(GRID, network, obs, ["y2~y1.amplitude", "y2~y1.aperture"])
+    assert _scored(cond) == [1] and cond.jitter == 0.0
+    assert list(cond.factors) == [0]
+    assert 0 < cond.factors[0].shape[1] < GRID.n
+    geometry = _Geometry(GRID)
+    for amplitude, aperture in ((2.0, 0.4), (5.0, 0.2), (-1.0, 0.8)):
+        net = set_parameter(set_parameter(network, "y2~y1.amplitude", amplitude),
+                            "y2~y1.aperture", aperture)
+        got, jitter = cond.score(GRID, net, geometry, 1e-8)
+        want = loglik(GRID, net, obs)
+        assert jitter == 0.0
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_conditioning_a_40x40_fit_peaks_below_a_block_and_its_copy():
+    import tracemalloc
+
+    from condcov.conditional import kept_observations
+    from condcov.inference import _condition, _locate
+
+    # the shape where the conditioned grid block is largest against the
+    # observations: 1600 vertices, 150 y1 and 100 y2 sites
+    grid = regular_grid([(0.0, 1.0), (0.0, 1.0)], [40, 40])
+    network = ProcessNetwork((
+        ProcessNode("y1", MaternParams(1.0, 8.0, 1.5), noise=0.1),
+        ProcessNode("y2", MaternParams(0.3, 12.0, 1.5), noise=0.1,
+                    parents=((0, bisquare(2.0, 0.15)),)),
+    ))
+    rng = np.random.default_rng(0)
+    obs = [Observations(0, rng.uniform(0, 1, (150, 2)), rng.normal(size=150)),
+           Observations(1, rng.uniform(0, 1, (100, 2)), rng.normal(size=100))]
+    kept = kept_observations(grid, network, obs)
+    located = [_locate(network, "y2~y1.amplitude")]
+    tracemalloc.start()
+    try:
+        split = _condition(grid, network, kept, located, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _scored(split) == [1]
+    assert split.factors[0].shape[0] == grid.n
+    # 47.3 MB: the peak of the form that kept the grid block K_00 as a
+    # dense array made from a copy of cov(0, 0, 0, 0); two n x n arrays
+    # are 41.0 MB
+    assert peak <= 47.3e6

@@ -1,7 +1,9 @@
-"""The gain rule and the checkout preparation of tools/ab_pairs.py."""
+"""The gain rule and the checkout preparation of tools/ab_pairs.py, and a
+smoke run of tools/evalcost.py."""
 import importlib.util
 import os
 import py_compile
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,10 @@ _PATH = Path(__file__).resolve().parents[1] / "tools" / "ab_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("ab_pairs", _PATH)
 ab_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(ab_pairs)
+_SPEC = importlib.util.spec_from_file_location("evalcost",
+                                               _PATH.with_name("evalcost.py"))
+evalcost = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(evalcost)
 
 PARENT = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
 
@@ -135,3 +141,19 @@ def test_the_layer_table_puts_the_sides_together_and_marks_timings():
     # no relative change from 0, and none for a name on one side only
     assert cells["predict.loo_cv.calls"] == ["0", "0", "-", "exact"]
     assert cells["inference.new.calls"] == ["-", "3", "-", "exact"]
+
+
+def test_evalcost_prints_one_row_per_shape(capsys, monkeypatch):
+    # main pins BLAS through the environment and puts src on sys.path
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert evalcost.main(["--shapes", "sim1d", "--reps", "2"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    cells = dict(zip(header.split(), row.split()))
+    assert list(cells) == ["shape", "n", "m_<", "m_q", "rank", "score_ms",
+                           "joint_ms", "condition_ms", "condition_peak_mb"]
+    assert [cells[c] for c in ("shape", "n", "m_<", "m_q")] == [
+        "sim1d", "200", "100", "200"]
+    assert 0 < int(cells["rank"]) <= 200
+    assert all(float(cells[c]) > 0.0 for c in list(cells)[5:])
