@@ -341,7 +341,8 @@ def _condition(grid: Grid, network: ProcessNetwork, kept: Sequence[Observations]
         return _Split((kept[-1],), value, jitter)
     handles = [ev.add_points(o.locations) for o in earlier]
     n = grid.n
-    # W = L_<^-1 cov(z_<q, Y(grid)), W_a its columns a * n:(a + 1) * n
+    # W = L_<^-1 cov(z_<q, Y(grid)); W_a, of the k-th parent, is its
+    # columns k n:(k + 1) n
     W = solve_triangular(L, np.block(
         [[ev.cov(o.variable, a, h, 0) for a in parents]
          for o, h in zip(earlier, handles)]), lower=True, check_finite=False)
