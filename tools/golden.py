@@ -19,8 +19,11 @@ one thread, on two small configs. On ``tests/data/golden/config.yaml``, a
 On ``tests/data/golden/config2d.yaml``, a 12 x 10 product grid with a
 nugget on both nodes, node names and a fit label that CSV must quote:
 ``fit`` (it frees only the last node's edge, so it conditions on the
-earlier node), ``predict`` of the second node at the vertices and at
-``targets2d.csv``, ``cv``, and ``spectral-check`` of a tabulated candidate.
+earlier node), ``compare-directions`` on the same data, ``predict`` of the
+second node at the vertices and at ``targets2d.csv``, ``cv``, and
+``spectral-check`` of a tabulated candidate. On
+``tests/data/golden/sim2d.yaml``, an 8 x 6 product grid:
+``simulate --replicates 2``, whose refits condition on the first node.
 
 Every file they write is digested (:func:`digest`). Without ``--write`` the
 digests are compared with ``tests/data/golden/digests.json`` (:func:`drift`)
@@ -53,6 +56,7 @@ STATS = ("sum", "abs", "min", "max", "first", "last")
 def _runs() -> dict:
     """{run: command line} of every command the digests cover."""
     one, two = DATA / "config.yaml", DATA / "config2d.yaml"
+    study2 = DATA / "sim2d.yaml"
     obs, obs2 = DATA / "observations.csv", DATA / "observations2d.csv"
     runs = {
         "simulate": [one, "simulate", "--replicates", "2"],
@@ -64,11 +68,13 @@ def _runs() -> dict:
         "cv": [one, "cv", "--data", obs],
         "spectral-check": [one, "spectral-check"],
         "2d-fit": [two, "fit", "--data", obs2],
+        "2d-compare-directions": [two, "compare-directions", "--data", obs2],
         "2d-predict": [two, "predict", "--data", obs2, "--target-var", 'y"2'],
         "2d-predict-targets": [two, "predict", "--data", obs2,
                                "--targets", DATA / "targets2d.csv"],
         "2d-cv": [two, "cv", "--data", obs2],
         "2d-spectral-check": [two, "spectral-check"],
+        "2d-simulate": [study2, "simulate", "--replicates", "2"],
     }
     return {run: [command, "--config", config, *rest]
             for run, (config, command, *rest) in runs.items()}
