@@ -812,7 +812,9 @@ def observation_covariance(ev: CovarianceEvaluator, kept: Sequence[Observations]
     handles = [ev.add_points(o.locations) for o in kept]
     offsets = np.concatenate([[0], np.cumsum([o.m for o in kept])]).astype(int)
     total = int(offsets[-1])
-    C = np.empty((total, total))
+    # column by column, so that chol_with_jitter factors it in place from
+    # its lower triangle: a child's own block is symmetric only to roundoff
+    C = np.empty((total, total), order="F")
     z = np.empty(total)
     for a, oa in enumerate(kept):
         rows = slice(offsets[a], offsets[a + 1])

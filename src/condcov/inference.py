@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.blas import dsyrk, dtrsv
 from scipy.linalg.lapack import dpstrf
 
 from .conditional import (
@@ -45,9 +45,9 @@ from .errors import (
 from .kernels import InteractionKind, InteractionSpec
 from .linalg import (
     DEFAULT_JITTER_MAX,
+    _zero_upper,
     check_jitter_max,
     chol_logdet,
-    chol_solve,
     chol_with_jitter,
 )
 from .rng import rng_from_seed
@@ -224,14 +224,16 @@ def loglik(
         return -np.inf
 
 
-def _gaussian(C: np.ndarray, resid: np.ndarray,
-              jitter_max: float) -> Tuple[float, float]:
-    """(log density of ``resid`` under N(0, C), jitter the Cholesky factor
-    of C needed); NumericalError when C cannot be factored."""
-    L, jitter = chol_with_jitter(C, jitter_max)
-    quad = float(resid @ chol_solve(L, resid))
-    value = -0.5 * (resid.size * math.log(2.0 * math.pi) + chol_logdet(L) + quad)
-    return value, jitter
+def _gaussian(C: np.ndarray, resid: np.ndarray, jitter_max: float):
+    """(log density of ``resid`` under N(0, C), the jitter that the Cholesky
+    factor L of C needed, L, u = L^-1 resid); NumericalError when C cannot
+    be factored. C is factored in place, so its contents are lost. The
+    quadratic form resid' C^-1 resid is u'u, from one forward solve."""
+    L, jitter = chol_with_jitter(C, jitter_max, overwrite=True)
+    u = dtrsv(L, resid, lower=1)
+    value = -0.5 * (resid.size * math.log(2.0 * math.pi) + chol_logdet(L)
+                    + float(u @ u))
+    return value, jitter, L, u
 
 
 @dataclass(frozen=True)
@@ -247,6 +249,9 @@ class _Split:
     parents, K = F F', where F has as many columns as K's numerical rank,
     and ``factors`` maps each parent a to its rows F_a (read-only).
     ``means`` maps each parent a to E[Y_a(grid) | z_<q] = W_a' L_<^-1 z_<q.
+    Given ``factors``, ``block`` is the m_q x m_q array that every
+    evaluation writes z_q's block into and factors in place (see
+    :meth:`_given`), kept for the split's lifetime.
     """
 
     scored: Tuple[Observations, ...]
@@ -254,31 +259,36 @@ class _Split:
     jitter: float = 0.0
     factors: dict = dataclasses.field(default_factory=dict)
     means: dict = dataclasses.field(default_factory=dict)
+    block: Optional[np.ndarray] = dataclasses.field(default=None,
+                                                     compare=False)
 
     def score(self, grid: Grid, network: ProcessNetwork, geometry: _Geometry,
               jitter_max: float) -> Tuple[float, float]:
         """(log-likelihood of ``network``, the larger jitter of C_< and of
         the scored block); NumericalError when a covariance cannot be
         factored under the jitter policy. Only the scored block is built and
-        factored. Given ``factors``, it is z_q's block given z_<q, built as
-        A + G G' (:meth:`_given`). Otherwise an evaluator builds the
-        covariance of ``scored``; with nothing conditioned, the value and
-        jitter are bitwise those of every kept observation's covariance
-        (0.0 + v is v)."""
+        factored, in place (:func:`_gaussian`). Given ``factors``, it is
+        z_q's block given z_<q, built as A + G G' in the split's ``block``
+        (:meth:`_given`). Otherwise an evaluator builds the covariance of
+        ``scored``; with nothing conditioned, the value and jitter are
+        bitwise those of every kept observation's covariance (0.0 + v is
+        v)."""
         ev = CovarianceEvaluator(grid, network, geometry)
         if self.factors:
             S, resid = self._given(ev)
         else:
             S, resid = observation_covariance(ev, self.scored)
-        value, jitter = _gaussian(S, resid, jitter_max)
+        value, jitter, _, _ = _gaussian(S, resid, jitter_max)
         return self.loglik + value, max(self.jitter, jitter)
 
     def _given(self, ev: CovarianceEvaluator) -> Tuple[np.ndarray, np.ndarray]:
         """Cov(z_q | z_<q) and z_q's residual from its mean given z_<q, at
         z_q's sites s. The block is A + G G', with A = M_q(s, s) + nugget +
         noise I and G = sum_a B_a(s) F_a (windowed ``_Operator.left``), so
-        that G G' = sum_ab B_a(s) K_ab B_b(s)'. numpy takes G G' by syrk,
-        so the block is exactly symmetric. The residual loses
+        that G G' = sum_ab B_a(s) K_ab B_b(s)'. It is written into the
+        split's ``block``, which the next evaluation overwrites. numpy
+        takes G G' by syrk (``np.matmul`` into ``block``), so the block is
+        exactly symmetric. The residual loses
         sum_a B_a(s) E[Y_a(grid) | z_<q]."""
         last = self.scored[-1]
         q, node = last.variable, ev.network.nodes[last.variable]
@@ -294,9 +304,9 @@ class _Split:
             resid -= op.values @ self.means[a]
         if not np.isfinite(resid).all():
             raise NumericalError("conditional residuals have non-finite entries")
-        S = G @ G.T
+        S = np.matmul(G, G.T, out=self.block)
         S += ev._geometry.matern(q, node.covariance, sites, sites, node.nugget)
-        S.ravel()[::S.shape[0] + 1] += node.noise  # a view: S is fresh
+        S.ravel()[::S.shape[0] + 1] += node.noise  # a view: S is contiguous
         return S, resid
 
 
@@ -316,7 +326,8 @@ def _condition(grid: Grid, network: ProcessNetwork, kept: Sequence[Observations]
     call itself (``info < 0``) falls back to the joint split. F = P R[:, :r]
     keeps its rows in grid order. Memory: K (Pn x Pn for P parents on n
     vertices), then F (Pn x r) beside it; the evaluators that built K's
-    blocks are dropped first."""
+    blocks are dropped first. The split keeps F and an m_q x m_q block
+    that its evaluations build and factor in."""
     joint = _Split(tuple(kept))
     q = network.p - 1
     edges = [(a, spec) for a, spec in network.nodes[q].parents
@@ -329,13 +340,10 @@ def _condition(grid: Grid, network: ProcessNetwork, kept: Sequence[Observations]
     # its own geometry: evaluations read none of it
     ev = CovarianceEvaluator(grid, network)
     try:
-        C, z = observation_covariance(ev, earlier)
-        L, jitter = chol_with_jitter(C, jitter_max)
+        value, jitter, L, u = _gaussian(*observation_covariance(ev, earlier),
+                                        jitter_max)
     except CondcovError:
         return joint
-    u = solve_triangular(L, z, lower=True, check_finite=False)
-    value = -0.5 * (z.size * math.log(2.0 * math.pi) + chol_logdet(L)
-                    + float(u @ u))
     parents = sorted({a for a, _ in edges})
     if not parents:
         return _Split((kept[-1],), value, jitter)
@@ -358,15 +366,15 @@ def _condition(grid: Grid, network: ProcessNetwork, kept: Sequence[Observations]
     R, piv, rank, info = dpstrf(K, lower=1, overwrite_a=1)
     if info < 0:
         return joint
-    for j in range(1, rank):  # R's upper triangle still holds K's
-        R[:j, j] = 0.0
+    _zero_upper(R[:, :rank])  # R's upper triangle still holds K's
     F = np.empty((R.shape[0], rank))
     F[piv - 1] = R[:, :rank]
     F.setflags(write=False)
+    means = {a: W[:, k * n:(k + 1) * n].T @ u for k, a in enumerate(parents)}
+    del K, R, W  # before the block, which would otherwise peak beside them
     return _Split((kept[-1],), value, jitter,
                   {a: F[k * n:(k + 1) * n] for k, a in enumerate(parents)},
-                  {a: W[:, k * n:(k + 1) * n].T @ u
-                   for k, a in enumerate(parents)})
+                  means, np.empty((kept[-1].m,) * 2))
 
 
 @dataclass(frozen=True)

@@ -118,7 +118,7 @@ def cokrige(
     # non-finite through rounding
     if not np.isfinite(c).all():
         raise NumericalError("cross-covariance has non-finite entries")
-    L, jitter = chol_with_jitter(C, model.jitter_max)
+    L, jitter = chol_with_jitter(C, model.jitter_max, overwrite=True)
     alpha = chol_solve(L, z)
     mean = mu_t + c @ alpha
     # c is not read again: c.T, Fortran-ordered, is solved in its memory
@@ -239,7 +239,7 @@ def loo_cv(
             "all observations share one location; nothing to predict from"
         )
     C, z = observation_covariance(model.evaluator, kept)
-    L, jitter = chol_with_jitter(C, model.jitter_max)
+    L, jitter = chol_with_jitter(C, model.jitter_max, overwrite=True)
     P = chol_inverse(L)
     alpha = P @ z
     keys = sorted(groups)

@@ -371,6 +371,75 @@ def test_bad_config_fails_before_any_simulation(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "out").exists()
 
 
+_YAML_FILES = sorted([*ROOT.glob("configs/**/*.yaml"),
+                      *ROOT.glob("tests/data/**/*.yaml")])
+_LIBYAML = pytest.mark.skipif(not yaml.__with_libyaml__,
+                              reason="PyYAML is built without libyaml")
+
+
+@_LIBYAML
+@pytest.mark.parametrize("path", _YAML_FILES,
+                         ids=[str(p.relative_to(ROOT)) for p in _YAML_FILES])
+def test_both_yaml_loaders_read_every_config_alike(path):
+    text = path.read_text()
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(
+        text, Loader=yaml.SafeLoader)
+
+
+def test_a_config_is_read_by_libyaml_where_pyyaml_has_it(monkeypatch):
+    loaders = []
+    load = yaml.load
+
+    def recorded(text, Loader):
+        loaders.append(Loader)
+        return load(text, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", recorded)
+    parse_config(DEMO)
+    assert loaders == [yaml.CSafeLoader if yaml.__with_libyaml__
+                       else yaml.SafeLoader]
+    monkeypatch.setattr(yaml, "__with_libyaml__", False)
+    parse_config(DEMO)
+    assert loaders[1:] == [yaml.SafeLoader]
+
+
+_BAD_YAML = {
+    "unclosed-flow-sequence": "grid:\n  counts: [8, 6\n",
+    "unclosed-quote": "fit:\n  label: 'golden\n",
+    "tab-indent": "grid:\n\tkind: regular\n",
+    "dedented-key": "grid:\n  kind: regular\n bounds: [0, 1]\n",
+    "mapping-in-a-value": "fit: label: x\n",
+}
+
+
+@pytest.mark.parametrize("text", list(_BAD_YAML.values()), ids=list(_BAD_YAML))
+def test_invalid_yaml_is_reported_in_the_pure_python_loader_s_words(
+        tmp_path, monkeypatch, text):
+    path = tmp_path / "model.yaml"
+    path.write_text(text)
+    with pytest.raises(yaml.YAMLError) as want:
+        yaml.load(text, Loader=yaml.SafeLoader)
+    with pytest.raises(ConfigError) as got:
+        parse_config(path)
+    assert str(got.value) == f"{path}: invalid YAML: {want.value}"
+    monkeypatch.setattr(yaml, "__with_libyaml__", False)
+    with pytest.raises(ConfigError) as plain:
+        parse_config(path)
+    assert str(plain.value) == str(got.value)
+
+
+@_LIBYAML
+def test_libyaml_words_a_fault_differently():
+    # why a document libyaml rejects is read again by SafeLoader
+    words = []
+    for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+        with pytest.raises(yaml.YAMLError) as err:
+            yaml.load(_BAD_YAML["unclosed-flow-sequence"], Loader=loader)
+        words.append(str(err.value))
+    assert "did not find expected ','" in words[0]
+    assert "expected ',' or ']'" in words[1]
+
+
 def test_replicates_override_is_checked(tmp_path, capsys):
     rc = main(["simulate", "--config", str(_write_cfg(tmp_path)),
                "--replicates", "0", "--out", str(tmp_path / "out")])

@@ -320,10 +320,10 @@ def _variance_capped(monkeypatch, cap):
 
     factor = condcov.inference.chol_with_jitter
 
-    def capped(mat, jitter_max):
+    def capped(mat, jitter_max, overwrite=False):
         if np.mean(np.diag(mat)) > cap:
             raise NumericalError("refused")
-        return factor(mat, jitter_max)
+        return factor(mat, jitter_max, overwrite)
 
     monkeypatch.setattr(condcov.inference, "chol_with_jitter", capped)
 
@@ -841,11 +841,11 @@ def test_fit_reports_rejected_evaluations_and_jitter(monkeypatch):
     calls = []
     factor = condcov.inference.chol_with_jitter
 
-    def first_fails(mat, jitter_max):
+    def first_fails(mat, jitter_max, overwrite=False):
         calls.append(None)
         if len(calls) == 1:
             raise NumericalError("refused")
-        return factor(mat, jitter_max)
+        return factor(mat, jitter_max, overwrite)
 
     monkeypatch.setattr(condcov.inference, "chol_with_jitter", first_fails)
     fit = fit_mle(GRID, net, obs, free=["y.variance"], config=cfg)
@@ -1191,3 +1191,181 @@ def test_conditioning_a_40x40_fit_peaks_below_a_block_and_its_copy():
     # dense array made from a copy of cov(0, 0, 0, 0); two n x n arrays
     # are 41.0 MB
     assert peak <= 47.3e6
+
+
+def _evalcost_shape(name):
+    """(grid, network, observations) of ``tools/evalcost.py``'s shape."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "evalcost.py"
+    spec = importlib.util.spec_from_file_location("evalcost", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.shape(name)
+
+
+def _fresh_score(split, grid, network, geometry, jitter_max):
+    """``split.score`` the way it was taken before the block was built and
+    factored in place: a fresh A + G @ G.T, ``chol_with_jitter`` on a copy
+    of it, and the quadratic form from ``chol_solve``'s two solves."""
+    from condcov.conditional import CovarianceEvaluator
+    from condcov.linalg import chol_logdet, chol_solve, chol_with_jitter
+
+    ev = CovarianceEvaluator(grid, network, geometry)
+    last = split.scored[-1]
+    q, node = last.variable, network.nodes[last.variable]
+    sites = ev.add_points(last.locations)
+    edges = ev._edges(q, sites)
+    G = sum(op.left(split.factors[a]) for a, _, op in edges)
+    resid = last.values - mean_at(network, q, last.locations)
+    for a, _, op in edges:
+        resid = resid - op.values @ split.means[a]
+    S = (G @ G.T + geometry.matern(q, node.covariance, sites, sites, node.nugget)
+         + node.noise * np.eye(last.m))
+    L, jitter = chol_with_jitter(S.copy(), jitter_max)
+    value = -0.5 * (resid.size * math.log(2.0 * math.pi) + chol_logdet(L)
+                    + float(resid @ chol_solve(L, resid)))
+    return split.loglik + value, max(split.jitter, jitter)
+
+
+def _edge_at(network, amplitude, aperture):
+    return set_parameter(set_parameter(network, "y2~y1.amplitude", amplitude),
+                         "y2~y1.aperture", aperture)
+
+
+@pytest.mark.parametrize("name", ["sim1d", "sparse2d"])
+def test_the_in_place_score_equals_the_fresh_arrays_path(name):
+    from condcov.conditional import _Geometry
+
+    grid, network, obs = _evalcost_shape(name)
+    split = _conditioned(grid, network, obs, ["y2~y1.amplitude",
+                                              "y2~y1.aperture"])
+    assert _scored(split) == [1] and split.block.shape == (obs[1].m,) * 2
+    geometry = _Geometry(grid)
+    for amplitude, aperture in ((5.0, 0.3), (2.0, 0.15), (-1.0, 0.5)):
+        net = _edge_at(network, amplitude, aperture)
+        got, jitter = split.score(grid, net, geometry, 1e-8)
+        want, want_jitter = _fresh_score(split, grid, net, geometry, 1e-8)
+        assert jitter == want_jitter
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _repeated_sites_case():
+    """A conditioned split whose z_q block is singular: y2 has neither
+    noise nor nugget and is observed twice at each of 6 sites."""
+    network = ProcessNetwork((
+        ProcessNode("y1", MaternParams(1.0, 25.0, 1.5), noise=0.25),
+        ProcessNode("y2", MaternParams(0.2, 75.0, 1.5),
+                    parents=((0, bisquare(1.0, 0.3)),)),
+    ))
+    rng = np.random.default_rng(36)
+    sites = rng.uniform(-1, 1, (6, 1))
+    obs = [Observations(0, rng.uniform(-1, 1, (10, 1)), rng.normal(size=10)),
+           Observations(1, np.vstack([sites, sites]), rng.normal(size=12))]
+    return network, _conditioned(GRID, network, obs, ["y2~y1.amplitude"]), obs
+
+
+def test_the_in_place_score_reports_the_jitter_of_the_fresh_arrays_path():
+    from condcov.conditional import _Geometry
+    from condcov.errors import NumericalError, OptimizationError
+
+    network, split, obs = _repeated_sites_case()
+    assert _scored(split) == [1] and split.jitter == 0.0
+    geometry = _Geometry(GRID)
+    got, jitter = split.score(GRID, network, geometry, 1e-8)
+    want, want_jitter = _fresh_score(split, GRID, network, geometry, 1e-8)
+    assert jitter == want_jitter > 0.0
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    # without a jitter it cannot be factored, and a fit scores it -inf
+    with pytest.raises(NumericalError, match="jitter escalation"):
+        split.score(GRID, network, geometry, 0.0)
+    with pytest.raises(NumericalError, match="jitter escalation"):
+        _fresh_score(split, GRID, network, geometry, 0.0)
+    with pytest.raises(OptimizationError, match="-inf at every evaluation"):
+        fit_mle(GRID, network, obs, free=["y2~y1.amplitude"], config=_QUICK,
+                jitter_max=0.0)
+    # a failed factorization leaves nothing behind for the next one
+    assert split.score(GRID, network, geometry, 1e-8) == (got, jitter)
+
+
+def test_an_overflowing_edge_scores_minus_inf_on_the_conditional_route():
+    from condcov.conditional import _Geometry
+    from condcov.errors import NumericalError
+
+    # G G' overflows: numpy's matmul warns, where a raw syrk would not
+    network = _bivariate(bisquare(5.0, 0.3))
+    obs = [Observations(q, _SITES, np.linspace(-1.0, 1.0, 5)) for q in range(2)]
+    split = _conditioned(GRID, network, obs, ["y2~y1.amplitude"])
+    assert _scored(split) == [1]
+    geometry = _Geometry(GRID)
+    before = split.score(GRID, network, geometry, 1e-8)
+    huge = set_parameter(network, "y2~y1.amplitude", 1e200)
+    with pytest.warns(RuntimeWarning, match="overflow"), \
+            pytest.raises(NumericalError, match="non-finite"):
+        split.score(GRID, huge, geometry, 1e-8)
+    assert split.score(GRID, network, geometry, 1e-8) == before
+
+
+def test_scores_depend_on_their_parameters_alone():
+    from condcov.conditional import _Geometry
+
+    grid, network, obs, steps = _sim1d_refit_case()
+    split = _conditioned(grid, network, obs, list(steps[0]))
+    geometry = _Geometry(grid)
+    first, second = (_edge_at(network, a, h) for a, h in ((5.0, 0.3),
+                                                          (3.0, 0.5)))
+    one = split.score(grid, first, geometry, 1e-8)
+    block = split.block.copy()
+    assert split.score(grid, second, geometry, 1e-8) != one
+    assert split.score(grid, first, geometry, 1e-8) == one
+    assert np.array_equal(split.block, block)
+    # a public loglik, and another fit's split of the same data, keep
+    # blocks of their own
+    other = _conditioned(grid, network, obs, list(steps[0]))
+    assert other.block is not split.block
+    other.score(grid, second, _Geometry(grid), 1e-8)
+    loglik(grid, second, obs)
+    assert np.array_equal(split.block, block)
+    assert split.score(grid, first, geometry, 1e-8) == one
+
+
+def test_scoring_writes_over_no_kept_or_read_only_array():
+    from condcov.conditional import (CovarianceEvaluator, _Geometry,
+                                     kept_observations, observation_covariance)
+    from condcov.linalg import chol_with_jitter
+    from condcov.predict import cokrige, loo_cv
+
+    grid, network, obs, steps = _sim1d_refit_case()
+    split = _conditioned(grid, network, obs, list(steps[0]))
+    geometry = _Geometry(grid)
+    split.score(grid, network, geometry, 1e-8)
+    loglik(grid, network, obs)
+    slots = {key: block.copy() for key, (_, block) in geometry._slots.items()}
+    factors = {a: F.copy() for a, F in split.factors.items()}
+    for step in steps:
+        net = network
+        for name, value in step.items():
+            net = set_parameter(net, name, value)
+        split.score(grid, net, geometry, 1e-8)
+    split.score(grid, network, geometry, 1e-8)
+    for key, block in slots.items():
+        assert not geometry._slots[key][1].flags.writeable
+        assert np.array_equal(geometry._slots[key][1], block), key
+    for a, F in split.factors.items():
+        assert not F.flags.writeable and np.array_equal(F, factors[a])
+    # cokrige and loo_cv factor a fresh copy of the evaluator's blocks
+    model = JointModel(grid, network)
+    kept = kept_observations(grid, network, obs)
+    observation_covariance(model.evaluator, kept)
+    cached = {key: block.copy() for key, block in model.evaluator._cov.items()}
+    cokrige(model, obs, grid.vertices[::7], 1)
+    loo_cv(model, obs)
+    for key, block in cached.items():
+        assert np.array_equal(model.evaluator._cov[key], block), key
+    # a read-only matrix is factored in a copy, overwrite or not
+    matrix = model.matrix
+    before = matrix.copy()
+    L, jitter = chol_with_jitter(matrix, model.jitter_max, overwrite=True)
+    assert not matrix.flags.writeable and np.array_equal(matrix, before)
+    assert np.array_equal(np.tril(L), model.chol) and jitter == model.jitter

@@ -152,7 +152,8 @@ def test_evalcost_prints_one_row_per_shape(capsys, monkeypatch):
     header, row = capsys.readouterr().out.splitlines()
     cells = dict(zip(header.split(), row.split()))
     assert list(cells) == ["shape", "n", "m_<", "m_q", "rank", "score_ms",
-                           "joint_ms", "condition_ms", "condition_peak_mb"]
+                           "joint_ms", "score_peak_mb", "condition_ms",
+                           "condition_peak_mb"]
     assert [cells[c] for c in ("shape", "n", "m_<", "m_q")] == [
         "sim1d", "200", "100", "200"]
     assert 0 < int(cells["rank"]) <= 200

@@ -18,8 +18,9 @@ given them (``_Split.score``):
 Per shape it prints the grid size n, the observations m_< and m_q, the
 rank of the conditioned factor, the median time of one ``_Split.score``
 and of one score of the joint likelihood (``--reps`` each, taken in turn,
-each route over its own geometry as in a fit), and the median time of
-``_condition`` (3 runs) and its tracemalloc peak (one run). Observed
+each route over its own geometry as in a fit), the tracemalloc peak of one
+``_Split.score`` after those, and the median time of ``_condition`` (3
+runs) and its tracemalloc peak (one run). Observed
 values are seeded normal draws: the costs do not depend on them. BLAS
 runs on one thread.
 """
@@ -108,10 +109,15 @@ def measure(name: str, reps: int) -> dict:
         call()  # fills the geometry
         calls[route] = call
     scores = _medians_ms(calls, reps)
+    tracemalloc.start()
+    calls["split"]()
+    score_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     return {"shape": name, "n": grid.n, "m_<": sum(o.m for o in kept[:-1]),
             "m_q": kept[-1].m,
             "rank": sum(F.shape[1] for F in split.factors.values()),
             "score_ms": scores["split"], "joint_ms": scores["joint"],
+            "score_peak_mb": score_peak / 1e6,
             "condition_ms": condition_ms, "condition_peak_mb": peak / 1e6}
 
 
@@ -127,7 +133,7 @@ def main(argv=None) -> int:
         os.environ.setdefault(var, "1")
     sys.path.insert(0, str(ROOT / "src"))
     columns = ("shape", "n", "m_<", "m_q", "rank", "score_ms", "joint_ms",
-               "condition_ms", "condition_peak_mb")
+               "score_peak_mb", "condition_ms", "condition_peak_mb")
     print(" ".join(f"{c:>17}" for c in columns))
     for name in args.shapes:
         row = measure(name, args.reps)
