@@ -1207,8 +1207,9 @@ def _evalcost_shape(name):
 
 def _fresh_score(split, grid, network, geometry, jitter_max):
     """``split.score`` the way it was taken before the block was built and
-    factored in place: a fresh A + G @ G.T, ``chol_with_jitter`` on a copy
-    of it, and the quadratic form from ``chol_solve``'s two solves."""
+    factored in place: a fresh A + G @ G.T, ``chol_with_jitter`` without
+    ``overwrite`` (so on a copy), and the quadratic form from
+    ``chol_solve``'s two solves."""
     from condcov.conditional import CovarianceEvaluator
     from condcov.linalg import chol_logdet, chol_solve, chol_with_jitter
 
@@ -1223,7 +1224,7 @@ def _fresh_score(split, grid, network, geometry, jitter_max):
         resid = resid - op.values @ split.means[a]
     S = (G @ G.T + geometry.matern(q, node.covariance, sites, sites, node.nugget)
          + node.noise * np.eye(last.m))
-    L, jitter = chol_with_jitter(S.copy(), jitter_max)
+    L, jitter = chol_with_jitter(S, jitter_max)
     value = -0.5 * (resid.size * math.log(2.0 * math.pi) + chol_logdet(L)
                     + float(resid @ chol_solve(L, resid)))
     return split.loglik + value, max(split.jitter, jitter)
