@@ -32,6 +32,7 @@ from .domain import (
     _differences,
     _grid_differences,
     _one_line,
+    _row_block,
     _squared_sum,
     _toeplitz,
     _toeplitz_rows,
@@ -254,15 +255,13 @@ class _Operator:
         rows. A row of B without a nonzero entry is a row of zeros."""
         B = self.values
         m, n = wide.shape[0], B.shape[1]
-        last = n // m - 1
         ranges = self._by_row_block(m)
         out = np.zeros((B.shape[0], n))
         part = np.empty((max((g1 - g0 for _, g0, g1, _ in ranges), default=0), n))
         for j, g0, g1, block in ranges:
             rows = part[:g1 - g0]
             # matmul hands the strided view to BLAS; np.dot copies it first
-            np.matmul(block, wide[:, (last - j) * m:(2 * last + 1 - j) * m],
-                      out=rows)
+            np.matmul(block, _row_block(wide, j), out=rows)
             out[g0:g1] += rows
         return self._in_row_order(out)
 

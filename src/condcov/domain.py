@@ -231,6 +231,13 @@ def _toeplitz_rows(table: np.ndarray) -> np.ndarray:
     return wide.reshape(m, (2 * n - 1) * m)
 
 
+def _row_block(wide: np.ndarray, i: int) -> np.ndarray:
+    """Row block i, a view, of the matrix of :func:`_toeplitz_rows` ``wide``."""
+    m = wide.shape[0]
+    n = (wide.shape[1] // m + 1) // 2
+    return wide[:, (n - 1 - i) * m:(2 * n - 1 - i) * m]
+
+
 def _toeplitz(table: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the symmetric multilevel Toeplitz matrix of ``table`` into out.
 
@@ -248,7 +255,7 @@ def _toeplitz(table: np.ndarray, out: np.ndarray) -> np.ndarray:
     wide = _toeplitz_rows(table)
     m = wide.shape[0]
     for i in range(n):
-        out[i * m:(i + 1) * m] = wide[:, (n - 1 - i) * m:(2 * n - 1 - i) * m]
+        out[i * m:(i + 1) * m] = _row_block(wide, i)
     return out
 
 

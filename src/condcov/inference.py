@@ -23,7 +23,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dsyrk, dtrsv
-from scipy.linalg.lapack import dpstrf
 
 from .conditional import (
     CovarianceEvaluator,
@@ -45,10 +44,10 @@ from .errors import (
 from .kernels import InteractionKind, InteractionSpec
 from .linalg import (
     DEFAULT_JITTER_MAX,
-    _zero_upper,
     check_jitter_max,
     chol_logdet,
     chol_with_jitter,
+    pivoted_factor,
 )
 from .rng import rng_from_seed
 
@@ -229,7 +228,7 @@ def _gaussian(C: np.ndarray, resid: np.ndarray, jitter_max: float):
     factor L of C needed, L, u = L^-1 resid); NumericalError when C cannot
     be factored. C is factored in place, so its contents are lost. The
     quadratic form resid' C^-1 resid is u'u, from one forward solve."""
-    L, jitter = chol_with_jitter(C, jitter_max, overwrite=True)
+    L, jitter = chol_with_jitter(C, jitter_max)
     u = dtrsv(L, resid, lower=1)
     value = -0.5 * (resid.size * math.log(2.0 * math.pi) + chol_logdet(L)
                     + float(u @ u))
@@ -314,17 +313,14 @@ def _condition(grid: Grid, network: ProcessNetwork, kept: Sequence[Observations]
                located, jitter_max: float) -> _Split:
     """The :class:`_Split` of a fit of ``network``, made once. Where every
     ``located`` free parameter belongs to the last node q (its fields or its
-    edges), q and an earlier node are observed, every nonzero edge of q is
-    an integral edge, and C_< factors under the jitter policy, z_<q is
-    conditioned on and each evaluation factors only z_q's block. Elsewhere
-    nothing is conditioned on: the split scores the joint likelihood.
+    edges), q and an earlier node are observed and every nonzero edge of q
+    is an integral edge, z_<q is conditioned on and each evaluation factors
+    only z_q's block. Elsewhere, and on any CondcovError on the way (such as
+    C_< failing to factor), the split scores the joint likelihood.
 
     The parents' stacked grid block given z_<q, K, is factored once, in
-    place, by LAPACK's pivoted Cholesky (``dpstrf``): P' K P = R R'. It
-    stops at K's numerical rank r (LAPACK's default tolerance, Pn eps
-    max K_ii), so a positive-semidefinite K factors too; a failure of the
-    call itself (``info < 0``) falls back to the joint split. F = P R[:, :r]
-    keeps its rows in grid order. Memory: K (Pn x Pn for P parents on n
+    place, by :func:`linalg.pivoted_factor`: K = F F', F of K's numerical
+    rank r, its rows in grid order. Memory: K (Pn x Pn for P parents on n
     vertices), then F (Pn x r) beside it; the evaluators that built K's
     blocks are dropped first. The split keeps F and an m_q x m_q block
     that its evaluations build and factor in."""
@@ -337,41 +333,36 @@ def _condition(grid: Grid, network: ProcessNetwork, kept: Sequence[Observations]
             or any(spec.kind is InteractionKind.DIRAC for _, spec in edges)):
         return joint
     earlier = kept[:-1]
+    parents = sorted({a for a, _ in edges})
+    n = grid.n
     # its own geometry: evaluations read none of it
     ev = CovarianceEvaluator(grid, network)
     try:
         value, jitter, L, u = _gaussian(*observation_covariance(ev, earlier),
                                         jitter_max)
+        if not parents:
+            return _Split((kept[-1],), value, jitter)
+        handles = [ev.add_points(o.locations) for o in earlier]
+        # W = L_<^-1 cov(z_<q, Y(grid)); W_a, of the k-th parent, is its
+        # columns k n:(k + 1) n
+        W = solve_triangular(L, np.block(
+            [[ev.cov(o.variable, a, h, 0) for a in parents]
+             for o, h in zip(earlier, handles)]), lower=True, check_finite=False)
+        # the grid blocks from an evaluator that keeps no block of the
+        # sites: the lower triangle of K, all that dsyrk and the factor read
+        ev = CovarianceEvaluator(grid, network)
+        K = np.empty((len(parents) * n,) * 2, order="F")
+        for k, a in enumerate(parents):
+            for j in range(k, len(parents)):
+                K[j * n:(j + 1) * n, k * n:(k + 1) * n] = ev.cov(
+                    parents[j], a, 0, 0)
+        del ev
+        K = dsyrk(-1.0, W, beta=1.0, c=K, trans=1, lower=1, overwrite_c=1)
+        F = pivoted_factor(K)
     except CondcovError:
         return joint
-    parents = sorted({a for a, _ in edges})
-    if not parents:
-        return _Split((kept[-1],), value, jitter)
-    handles = [ev.add_points(o.locations) for o in earlier]
-    n = grid.n
-    # W = L_<^-1 cov(z_<q, Y(grid)); W_a, of the k-th parent, is its
-    # columns k n:(k + 1) n
-    W = solve_triangular(L, np.block(
-        [[ev.cov(o.variable, a, h, 0) for a in parents]
-         for o, h in zip(earlier, handles)]), lower=True, check_finite=False)
-    # the grid blocks from an evaluator that keeps no block of the sites:
-    # the lower triangle of K, all that dsyrk and dpstrf read
-    ev = CovarianceEvaluator(grid, network)
-    K = np.empty((len(parents) * n,) * 2, order="F")
-    for k, a in enumerate(parents):
-        for j in range(k, len(parents)):
-            K[j * n:(j + 1) * n, k * n:(k + 1) * n] = ev.cov(parents[j], a, 0, 0)
-    del ev
-    K = dsyrk(-1.0, W, beta=1.0, c=K, trans=1, lower=1, overwrite_c=1)
-    R, piv, rank, info = dpstrf(K, lower=1, overwrite_a=1)
-    if info < 0:
-        return joint
-    _zero_upper(R[:, :rank])  # R's upper triangle still holds K's
-    F = np.empty((R.shape[0], rank))
-    F[piv - 1] = R[:, :rank]
-    F.setflags(write=False)
     means = {a: W[:, k * n:(k + 1) * n].T @ u for k, a in enumerate(parents)}
-    del K, R, W  # before the block, which would otherwise peak beside them
+    del K, W  # before the block, which would otherwise peak beside them
     return _Split((kept[-1],), value, jitter,
                   {a: F[k * n:(k + 1) * n] for k, a in enumerate(parents)},
                   means, np.empty((kept[-1].m,) * 2))

@@ -1,11 +1,12 @@
-"""Cholesky helpers with the shared jitter escalation policy.
+"""Every factorization in the package; the one module that calls LAPACK.
 
-Every factorization in the package goes through :func:`chol_with_jitter` so
-that the tolerance story is uniform: try the plain factorization, then add
-``10^-10 * mean(diag)`` to the diagonal, escalating by factors of 10 up to
-``jitter_max * mean(diag)`` (default ``10^-8``) before giving up. A ceiling
-is checked with :func:`check_jitter_max` where it enters the library, not on
-every factorization.
+:func:`chol_with_jitter` factors every covariance under the shared jitter
+policy: try the plain factorization, then add ``10^-10 * mean(diag)`` to
+the diagonal, escalating by factors of 10 up to ``jitter_max * mean(diag)``
+(default ``10^-8``) before giving up. A ceiling is checked with
+:func:`check_jitter_max` where it enters the library, not on every
+factorization. :func:`tri_inverse` inverts a factor, and
+:func:`pivoted_factor` factors a semidefinite block to its numerical rank.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 from scipy import linalg as sla
-from scipy.linalg.lapack import dpotrf, dpotri
+from scipy.linalg.lapack import dpotrf, dpstrf, dtrtri
 
 from .errors import InvalidModelError, NumericalError, ParameterError
 
@@ -39,30 +40,21 @@ def check_jitter_max(jitter_max: float) -> float:
     return jitter_max
 
 
-def chol_with_jitter(mat: np.ndarray, jitter_max: float = DEFAULT_JITTER_MAX,
-                     overwrite: bool = False):
-    """Lower Cholesky factor of a symmetric PSD matrix, jittering if needed.
+def chol_with_jitter(mat: np.ndarray, jitter_max: float = DEFAULT_JITTER_MAX):
+    """(L, jitter): the lower Cholesky factor of a symmetric PSD matrix,
+    stored column by column, and the absolute jitter added to its diagonal
+    (0.0 when none was required). NumericalError if the matrix has a
+    non-finite entry, or if the factorization still fails at the jitter cap.
 
     LAPACK's ``dpotrf`` factors the lower triangle of a matrix stored column
-    by column, where it lies. A symmetric matrix stored row by row is its
-    own transpose stored column by column, so either order is factored in
-    place. With ``overwrite`` the caller's matrix is, if it is a writable
-    float array stored either way, and its contents are lost; otherwise a
-    copy is. ``dpotrf`` does not touch the other triangle, so after a failed
-    attempt the matrix is put back from it and from a copy of the diagonal,
-    and the next jitter is added there.
-
-    Returns
-    -------
-    (L, jitter) : the factor, stored column by column, and the absolute
-        jitter that was added to the diagonal (0.0 when none was required).
-        L's strictly upper triangle is 0, except with ``overwrite``, where
-        it keeps the matrix's entries: read only the lower triangle there.
-
-    Raises
-    ------
-    NumericalError : if the matrix has a non-finite entry, or if the
-        factorization still fails at the jitter cap.
+    by column, where it lies, and a symmetric matrix stored row by row is
+    its own transpose stored so. A writable float matrix stored either way
+    is thus factored in place, and its contents are lost; a read-only or
+    non-contiguous one is factored in a copy. Above the diagonal L is 0 if
+    factored in a copy and keeps the matrix's entries if factored in place:
+    read only the lower triangle. After a failed attempt the matrix is put
+    back from the triangle ``dpotrf`` did not touch and a copy of the
+    diagonal, and the next jitter is added there.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -77,7 +69,7 @@ def chol_with_jitter(mat: np.ndarray, jitter_max: float = DEFAULT_JITTER_MAX,
         # degenerate zero-covariance model: factor is exactly zero
         return np.zeros_like(mat), 0.0
     L = mat if mat.flags.f_contiguous else mat.T
-    owned = not (overwrite and L.flags.f_contiguous and L.flags.writeable)
+    owned = not (L.flags.f_contiguous and L.flags.writeable)
     if owned:
         L = np.array(mat, order="F")
     jitter, cap = 0.0, jitter_max * diag_mean
@@ -122,22 +114,31 @@ def chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sla.solve_triangular(L.T, y, lower=False, check_finite=False)
 
 
-def chol_inverse(L: np.ndarray) -> np.ndarray:
-    """(L L^T)^-1 given the lower factor, by LAPACK's Cholesky inverse.
-
-    ``L`` comes from :func:`chol_with_jitter`; only its lower triangle is
-    read. ``potri`` writes the inverse's lower triangle over L's and leaves
-    the upper one as it was, so that is set to 0, and P + P^T is the
-    symmetric inverse once its doubled diagonal is put back. A zero on L's
-    diagonal (a singular factor) is a NumericalError.
-    """
-    P, info = dpotri(L, lower=1)
+def tri_inverse(L: np.ndarray) -> np.ndarray:
+    """L^-1, lower triangular with 0 above the diagonal, from the lower
+    triangle of L by LAPACK's ``dtrtri``, in place where L allows it (see
+    :func:`chol_with_jitter`). A zero on L's diagonal is a NumericalError."""
+    R, info = dtrtri(L, lower=1, overwrite_c=1)
     if info != 0:
-        raise NumericalError(f"cholesky inverse failed (potri info {info})")
-    _zero_upper(P)
-    full = P + P.T
-    np.fill_diagonal(full, np.diagonal(P))
-    return full
+        raise NumericalError(f"triangular inverse failed (trtri info {info})")
+    _zero_upper(R)
+    return R
+
+
+def pivoted_factor(K: np.ndarray) -> np.ndarray:
+    """F with F F' = K for a positive-semidefinite K, from K's lower
+    triangle by LAPACK's pivoted Cholesky (``dpstrf``, default tolerance),
+    in place where K allows it: P' K P = R R' and F = P R[:, :r], r K's
+    numerical rank. F is read-only, its rows in K's order. A failure of the
+    call itself is a NumericalError."""
+    R, piv, rank, info = dpstrf(K, lower=1, overwrite_a=1)
+    if info < 0:
+        raise NumericalError(f"pivoted cholesky failed (pstrf info {info})")
+    _zero_upper(R[:, :rank])  # R's upper triangle still holds K's
+    F = np.empty((R.shape[0], rank))
+    F[piv - 1] = R[:, :rank]
+    F.setflags(write=False)
+    return F
 
 
 def _zero_upper(a: np.ndarray) -> None:

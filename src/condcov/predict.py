@@ -32,7 +32,7 @@ from .errors import (
     ParameterError,
     ValidationError,
 )
-from .linalg import chol_inverse, chol_solve, chol_with_jitter
+from .linalg import chol_solve, chol_with_jitter, tri_inverse
 
 __all__ = [
     "PredictionResult",
@@ -118,7 +118,7 @@ def cokrige(
     # non-finite through rounding
     if not np.isfinite(c).all():
         raise NumericalError("cross-covariance has non-finite entries")
-    L, jitter = chol_with_jitter(C, model.jitter_max, overwrite=True)
+    L, jitter = chol_with_jitter(C, model.jitter_max)
     alpha = chol_solve(L, z)
     mean = mu_t + c @ alpha
     # c is not read again: c.T, Fortran-ordered, is solved in its memory
@@ -213,14 +213,15 @@ def loo_cv(
     the rest. Scores are for the held-out observation, so predictive spread
     includes measurement error. Summary is per variable name.
 
-    The observation covariance C is factored once and every fold is read
-    from its inverse P (Dubrule 1983), which LAPACK's Cholesky inverse makes
-    from that factor: with z the observations y minus their means and H the
-    indices held out together, the fold error is
-    y_H - mean_H = (P_HH)^-1 (P z)_H and the fold variance is
-    diag((P_HH)^-1). The blocks P_HH of all locations with the same number
-    of observations are inverted in one batch. When the factorization needs
-    jitter (reported as ``jitter``), the folds are those of C + jitter * I.
+    The observation covariance C = L L^T is factored once and every fold
+    is read from the columns of R = L^-1 (Dubrule 1983), which LAPACK's
+    triangular inverse makes in L's memory: with z the observations y minus
+    their means and H the indices held out together, the fold error is
+    y_H - mean_H = (P_HH)^-1 alpha_H, with alpha = C^-1 z = R^T (R z) and
+    P_HH = R[:, H]^T R[:, H], and the fold variance is diag((P_HH)^-1). The
+    blocks P_HH of all locations with the same number of observations are
+    inverted in one batch. When the factorization needs jitter (reported
+    as ``jitter``), the folds are those of C + jitter * I.
     """
     kept = kept_observations(model.grid, model.network, obs)
     total = int(np.sum([o.m for o in kept]))
@@ -239,11 +240,10 @@ def loo_cv(
             "all observations share one location; nothing to predict from"
         )
     C, z = observation_covariance(model.evaluator, kept)
-    L, jitter = chol_with_jitter(C, model.jitter_max, overwrite=True)
-    P = chol_inverse(L)
-    alpha = P @ z
-    keys = sorted(groups)
-    order = np.concatenate([groups[key] for key in keys])
+    L, jitter = chol_with_jitter(C, model.jitter_max)
+    R = tri_inverse(L)
+    alpha = R.T @ (R @ z)
+    order = np.concatenate([groups[key] for key in sorted(groups)])
     by_size = {}
     for held in groups.values():
         by_size.setdefault(len(held), []).append(held)
@@ -251,7 +251,8 @@ def loo_cv(
     var = np.empty(total)
     for held in map(np.array, by_size.values()):
         # (g, s, s) blocks of the g locations with s observations each
-        P_inv = np.linalg.inv(P[held[:, :, None], held[:, None, :]])
+        cols = R.T[held]
+        P_inv = np.linalg.inv(cols @ cols.transpose(0, 2, 1))
         error[held] = (P_inv @ alpha[held][:, :, None])[:, :, 0]
         var[held] = np.diagonal(P_inv, axis1=1, axis2=2)
     mean = values - error

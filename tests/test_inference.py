@@ -320,10 +320,10 @@ def _variance_capped(monkeypatch, cap):
 
     factor = condcov.inference.chol_with_jitter
 
-    def capped(mat, jitter_max, overwrite=False):
+    def capped(mat, jitter_max):
         if np.mean(np.diag(mat)) > cap:
             raise NumericalError("refused")
-        return factor(mat, jitter_max, overwrite)
+        return factor(mat, jitter_max)
 
     monkeypatch.setattr(condcov.inference, "chol_with_jitter", capped)
 
@@ -841,11 +841,11 @@ def test_fit_reports_rejected_evaluations_and_jitter(monkeypatch):
     calls = []
     factor = condcov.inference.chol_with_jitter
 
-    def first_fails(mat, jitter_max, overwrite=False):
+    def first_fails(mat, jitter_max):
         calls.append(None)
         if len(calls) == 1:
             raise NumericalError("refused")
-        return factor(mat, jitter_max, overwrite)
+        return factor(mat, jitter_max)
 
     monkeypatch.setattr(condcov.inference, "chol_with_jitter", first_fails)
     fit = fit_mle(GRID, net, obs, free=["y.variance"], config=cfg)
@@ -1207,9 +1207,8 @@ def _evalcost_shape(name):
 
 def _fresh_score(split, grid, network, geometry, jitter_max):
     """``split.score`` the way it was taken before the block was built and
-    factored in place: a fresh A + G @ G.T, ``chol_with_jitter`` without
-    ``overwrite`` (so on a copy), and the quadratic form from
-    ``chol_solve``'s two solves."""
+    factored in place: a fresh A + G @ G.T, ``chol_with_jitter`` of that
+    fresh array, and the quadratic form from ``chol_solve``'s two solves."""
     from condcov.conditional import CovarianceEvaluator
     from condcov.linalg import chol_logdet, chol_solve, chol_with_jitter
 
@@ -1364,9 +1363,9 @@ def test_scoring_writes_over_no_kept_or_read_only_array():
     loo_cv(model, obs)
     for key, block in cached.items():
         assert np.array_equal(model.evaluator._cov[key], block), key
-    # a read-only matrix is factored in a copy, overwrite or not
+    # a read-only matrix is factored in a copy
     matrix = model.matrix
     before = matrix.copy()
-    L, jitter = chol_with_jitter(matrix, model.jitter_max, overwrite=True)
+    L, jitter = chol_with_jitter(matrix, model.jitter_max)
     assert not matrix.flags.writeable and np.array_equal(matrix, before)
     assert np.array_equal(np.tril(L), model.chol) and jitter == model.jitter

@@ -552,18 +552,6 @@ def test_cokrige_stderr_matches_the_two_solve_form(case, on_grid):
                                    rtol=1e-12, atol=0.0)
 
 
-def test_a_singular_factor_fails_the_cholesky_inverse_cleanly():
-    from condcov.linalg import chol_inverse
-
-    L = np.array([[1.0, 0.0], [2.0, 0.0]])
-    with pytest.raises(NumericalError, match="potri"):
-        chol_inverse(L)
-    A = np.array([[4.0, 2.0, 0.4], [2.0, 3.0, 0.5], [0.4, 0.5, 2.0]])
-    P = chol_inverse(np.linalg.cholesky(A))
-    assert np.array_equal(P, P.T)
-    np.testing.assert_allclose(P @ A, np.eye(3), atol=1e-14)
-
-
 def test_the_variances_are_solved_in_the_memory_of_c(monkeypatch):
     model, obs = _loo_case_2d_shifted()
     targets = model.grid.vertices
@@ -590,3 +578,33 @@ def test_the_variances_are_solved_in_the_memory_of_c(monkeypatch):
     once = krige(model, obs[0], targets)
     again = krige(model, obs[0], targets)
     assert once.stderr.tobytes() == again.stderr.tobytes()
+
+
+def test_loo_cv_in_the_map2d_shape_peaks_below_5_mb():
+    import tracemalloc
+
+    # bench/workloads.py's Map2d: a 40 x 40 grid, 250 sites with both
+    # variables observed, a shifted edge
+    grid = regular_grid([(0.0, 1.0), (0.0, 1.0)], [40, 40])
+    network = ProcessNetwork((
+        ProcessNode("y1", MaternParams(1.0, 8.0, 1.5), noise=0.1),
+        ProcessNode("y2", MaternParams(0.3, 12.0, 1.5), noise=0.1,
+                    parents=((0, shifted_bisquare(30.0, 0.15, (0.1, -0.05))),)),
+    ))
+    rng = np.random.default_rng(40)
+    sites = rng.uniform(0.0, 1.0, (250, 2))
+    obs = [Observations(q, sites, rng.standard_normal(250)) for q in (0, 1)]
+    model = assemble_dag(grid, network)
+    # the evaluator's blocks are cached first, as after a prediction
+    observation_covariance(model.evaluator, kept_observations(grid, network, obs))
+    tracemalloc.start()
+    try:
+        result = loo_cv(model, obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.folds) == 500
+    # C (500 x 500, 2 MB) becomes L and then L^-1 in one array; the inverse
+    # (LL')^-1 of the form it replaced, with its copy and P + P', peaked at
+    # 6.1 MB
+    assert peak < 5e6
